@@ -35,6 +35,7 @@ the packed-mask ufuncs release the GIL.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -144,6 +145,20 @@ class CompiledPolynomial:
 
     def index_of(self, literal: Literal) -> int:
         return self._index[literal]
+
+    @functools.cached_property
+    def member_matrix(self) -> np.ndarray:
+        """Monomials as rows of literal indices, canonical order.
+
+        Rows are padded to the widest monomial with ``variable_count``,
+        an extra literal the caller treats as always true.
+        """
+        widest = max((m.size for m in self.monomials), default=0)
+        members = np.full((len(self.monomials), max(1, widest)),
+                          self.variable_count, dtype=np.intp)
+        for row, indices in enumerate(self.monomials):
+            members[row, :indices.size] = indices
+        return members
 
     def monomial_column(self, monomial: Monomial) -> int:
         """The canonical-order column index of ``monomial``."""

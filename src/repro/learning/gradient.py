@@ -8,8 +8,10 @@ the influence of Definition 4.1,
 
     ∂P[λ]/∂p(x) = P[λ|x=1] − P[λ|x=0] = Inf_x(λ),
 
-so the influence machinery doubles as an exact gradient oracle.  On top of
-it this module implements **learning from probabilistic examples** (the
+so the influence machinery doubles as an exact gradient oracle: one ROBDD
+compile per polynomial, then one forward and one backward pass give P[λ]
+and the whole gradient (:meth:`repro.inference.bdd.BDD.gradient`).  On
+top of it this module implements **learning from probabilistic examples** (the
 simplest ProbLog-style parameter learning): given derived tuples with
 target probabilities, fit the modifiable literal probabilities (typically
 rule weights) by projected gradient descent on the squared loss
@@ -23,13 +25,10 @@ procedure recovers planted weights on the paper's programs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..inference.exact import exact_probability
 from ..provenance.polynomial import Literal, Polynomial, ProbabilityMap
-from ..queries.influence import exact_influence
-
-Evaluator = Callable[[Polynomial, ProbabilityMap], float]
+from ..queries.influence import Evaluator, slopes
 
 
 def gradient(polynomial: Polynomial,
@@ -39,21 +38,16 @@ def gradient(polynomial: Polynomial,
     """Exact ∂P[λ]/∂p(x) for each requested literal (defaults to all).
 
     This IS the influence vector; provided under its calculus name so
-    learning code reads naturally.
+    learning code reads naturally.  Without an ``evaluator`` it is one
+    circuit gradient pass; a custom evaluator is differentiated as a
+    black box, two cofactor evaluations per literal.
     """
     if literals is None:
         literals = sorted(polynomial.literals())
-    if evaluator is None:
-        return {
-            literal: exact_influence(polynomial, probabilities, literal)
-            for literal in literals
-        }
-    result: Dict[Literal, float] = {}
-    for literal in literals:
-        high = evaluator(polynomial.restrict(literal, True), probabilities)
-        low = evaluator(polynomial.restrict(literal, False), probabilities)
-        result[literal] = high - low
-    return result
+    model = slopes(polynomial, evaluator)
+    model.evaluate(probabilities)
+    return {literal: model.slope(probabilities, literal)[0]
+            for literal in literals}
 
 
 class TrainingExample:
@@ -106,11 +100,17 @@ def squared_loss(examples: Sequence[TrainingExample],
                  probabilities: ProbabilityMap,
                  evaluator: Optional[Evaluator] = None) -> float:
     """Weighted squared loss over the training examples."""
-    if evaluator is None:
-        evaluator = exact_probability
+    return _loss(examples,
+                 [slopes(example.polynomial, evaluator)
+                  for example in examples],
+                 probabilities)
+
+
+def _loss(examples: Sequence[TrainingExample], models: Sequence,
+          probabilities: ProbabilityMap) -> float:
     total = 0.0
-    for example in examples:
-        predicted = evaluator(example.polynomial, probabilities)
+    for example, model in zip(examples, models):
+        predicted = model.probability(probabilities)
         total += example.weight * (predicted - example.target) ** 2
     return total
 
@@ -128,37 +128,38 @@ def fit_probabilities(examples: Sequence[TrainingExample],
     Only ``modifiable`` literals move; everything else stays fixed.
     ``clamp`` restricts the feasible box (e.g. ``(0.01, 0.99)`` to keep
     every possible world alive).  Uses a simple halving line search so a
-    too-large ``learning_rate`` cannot diverge.
+    too-large ``learning_rate`` cannot diverge.  Without an
+    ``evaluator`` each example is compiled once, and each iteration takes
+    one gradient pass per example (plus forward passes in the line
+    search).
     """
     if not examples:
         raise ValueError("Need at least one training example")
     if not modifiable:
         raise ValueError("Need at least one modifiable literal")
-    if evaluator is None:
-        evaluator = exact_probability
     low, high = clamp
     if not 0.0 <= low < high <= 1.0:
         raise ValueError("clamp must satisfy 0 <= low < high <= 1")
 
+    models = [slopes(example.polynomial, evaluator) for example in examples]
+    touched = [[literal for literal in modifiable
+                if literal in example.polynomial.literals()]
+               for example in examples]
     theta: Dict[Literal, float] = dict(probabilities)
-    loss_history = [squared_loss(examples, theta, evaluator)]
+    loss_history = [_loss(examples, models, theta)]
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
         # Full-batch gradient of the squared loss.
         grad: Dict[Literal, float] = {literal: 0.0 for literal in modifiable}
-        for example in examples:
-            predicted = evaluator(example.polynomial, theta)
+        for example, model, literals in zip(examples, models, touched):
+            predicted = model.evaluate(theta)
             residual = 2.0 * example.weight * (predicted - example.target)
             if residual == 0.0:
                 continue
-            partials = gradient(example.polynomial, theta,
-                                literals=[l for l in modifiable
-                                          if l in example.polynomial.literals()],
-                                evaluator=evaluator)
-            for literal, partial in partials.items():
-                grad[literal] += residual * partial
+            for literal in literals:
+                grad[literal] += residual * model.slope(theta, literal)[0]
 
         if all(abs(g) < tolerance for g in grad.values()):
             converged = True
@@ -173,7 +174,7 @@ def fit_probabilities(examples: Sequence[TrainingExample],
             for literal in modifiable:
                 value = theta[literal] - step * grad[literal]
                 candidate[literal] = min(high, max(low, value))
-            candidate_loss = squared_loss(examples, candidate, evaluator)
+            candidate_loss = _loss(examples, models, candidate)
             if candidate_loss < current_loss - 1e-15:
                 theta = candidate
                 loss_history.append(candidate_loss)

@@ -7,22 +7,25 @@ Implements Definition 4.1 (Kanagal et al. [13]): the influence of literal
 
 For monotone DNFs the influence is always in [0, 1].  Backends:
 
-- ``exact``: two Shannon-expansion evaluations on the cofactors;
+- ``exact``: the circuit gradient — λ is compiled to an ROBDD once, and
+  one forward plus one backward pass yields P[λ] and *every* literal's
+  influence (:meth:`repro.inference.bdd.BDD.gradient`);
 - ``mc``: sequential Monte-Carlo with common random numbers (the same
   sampled assignment is evaluated under both conditionings, which cancels
   most sampling noise out of the difference);
-- ``parallel``: the numpy vectorized version of the same scheme.
+- ``parallel``: the numpy vectorized version of the same scheme, one
+  per-monomial satisfaction pass per literal over the shared samples.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
-from ..inference.exact import exact_probability
+from ..inference.bdd import BDD, bdd_gradient, from_polynomial
 from ..inference.parallel_mc import CompiledPolynomial, parallel_conditioned_pair
 from ..provenance.polynomial import Literal, Polynomial, ProbabilityMap
 from .result import QueryResult, register_result
@@ -122,10 +125,77 @@ class InfluenceReport(QueryResult):
 def exact_influence(polynomial: Polynomial,
                     probabilities: ProbabilityMap,
                     literal: Literal) -> float:
-    """Inf_x(λ) via two exact cofactor probabilities."""
-    high = exact_probability(polynomial.restrict(literal, True), probabilities)
-    low = exact_probability(polynomial.restrict(literal, False), probabilities)
-    return high - low
+    """Inf_x(λ) = ∂P[λ]/∂p(x), read off one circuit gradient.
+
+    Scoring several literals? Use :func:`influence_query`, which shares
+    the compile and the pass across all of them.
+    """
+    return bdd_gradient(polynomial, probabilities)[1].get(literal, 0.0)
+
+
+#: Evaluates P[λ] under a probability map (a black-box backend).
+Evaluator = Callable[[Polynomial, ProbabilityMap], float]
+
+
+class _CircuitSlopes:
+    """P[λ] and every slope from one gradient pass over one compiled BDD."""
+
+    def __init__(self, polynomial: Polynomial) -> None:
+        self._bdd, self._root = from_polynomial(polynomial)
+        self._value = 0.0
+        self._partials: Dict[Literal, float] = {}
+
+    def probability(self, probabilities: ProbabilityMap) -> float:
+        return self._bdd.probability(self._root, probabilities)
+
+    def evaluate(self, probabilities: ProbabilityMap) -> float:
+        """P[λ] at ``probabilities``; also refreshes every slope."""
+        self._value, self._partials = self._bdd.gradient(
+            self._root, probabilities)
+        return self._value
+
+    def slope(self, probabilities: ProbabilityMap,
+              literal: Literal) -> Tuple[float, float]:
+        """(Inf_x, P[λ|x=0]) at the last :meth:`evaluate`'s point."""
+        influence = self._partials.get(literal, 0.0)
+        return influence, self._value - influence * probabilities[literal]
+
+
+class _EvaluatorSlopes:
+    """Black-box slopes: two evaluator calls on the literal's cofactors."""
+
+    def __init__(self, polynomial: Polynomial, evaluator: Evaluator) -> None:
+        self._polynomial = polynomial
+        self._evaluator = evaluator
+
+    def probability(self, probabilities: ProbabilityMap) -> float:
+        return self._evaluator(self._polynomial, probabilities)
+
+    evaluate = probability
+
+    def slope(self, probabilities: ProbabilityMap,
+              literal: Literal) -> Tuple[float, float]:
+        low = self._evaluator(
+            self._polynomial.restrict(literal, False), probabilities)
+        high = self._evaluator(
+            self._polynomial.restrict(literal, True), probabilities)
+        return high - low, low
+
+
+def slopes(polynomial: Polynomial, evaluator: Optional[Evaluator] = None):
+    """P[λ] and the slopes Inf_x(λ) of Equation 16, at point after point.
+
+    The returned object answers ``evaluate(probabilities)`` (P[λ], and
+    moves the point), ``slope(probabilities, x)`` (``(Inf_x(λ),
+    P[λ|x=0])`` at that point) and ``probability(probabilities)`` (P[λ]
+    only).  Without an ``evaluator`` λ is compiled to an ROBDD once and
+    each ``evaluate`` is one gradient pass; a custom evaluator (Table 9's
+    Monte-Carlo evaluators) is a black box, and each slope costs two
+    evaluations on the literal's cofactors.
+    """
+    if evaluator is None:
+        return _CircuitSlopes(polynomial)
+    return _EvaluatorSlopes(polynomial, evaluator)
 
 
 def mc_influence(polynomial: Polynomial,
@@ -178,7 +248,10 @@ def joint_influence(polynomial: Polynomial,
     Because P[λ] is multilinear, the mixed partial is the four-cofactor
     combination
 
-        P[x=1,y=1] − P[x=1,y=0] − P[x=0,y=1] + P[x=0,y=0].
+        P[x=1,y=1] − P[x=1,y=0] − P[x=0,y=1] + P[x=0,y=0],
+
+    i.e. Inf_y(λ|x=1) − Inf_y(λ|x=0): two gradient passes over one
+    circuit with p(x) pinned to 1 and then 0.
 
     Positive means the literals are *complements* (raising one makes the
     other more influential — e.g. two tuples in one conjunction); negative
@@ -188,15 +261,20 @@ def joint_influence(polynomial: Polynomial,
     if first == second:
         # Multilinear in each variable: the pure second derivative is 0.
         return 0.0
-    values = {}
-    for x_value in (False, True):
-        for y_value in (False, True):
-            restricted = polynomial.restrict(first, x_value).restrict(
-                second, y_value)
-            values[(x_value, y_value)] = exact_probability(
-                restricted, probabilities)
-    return (values[(True, True)] - values[(True, False)]
-            - values[(False, True)] + values[(False, False)])
+    bdd, root = from_polynomial(polynomial)
+    return _mixed_partials(bdd, root, probabilities, first).get(second, 0.0)
+
+
+def _mixed_partials(bdd: BDD, root: int, probabilities: ProbabilityMap,
+                    literal: Literal) -> Dict[Literal, float]:
+    """∂²P/∂p(literal)∂p(y) for every y some node tests."""
+    pinned = dict(probabilities)
+    pinned[literal] = 1.0
+    high = bdd.gradient(root, pinned)[1]
+    pinned[literal] = 0.0
+    low = bdd.gradient(root, pinned)[1]
+    return {y: high.get(y, 0.0) - low.get(y, 0.0)
+            for y in high.keys() | low.keys()}
 
 
 def most_synergistic_pairs(polynomial: Polynomial,
@@ -206,18 +284,20 @@ def most_synergistic_pairs(polynomial: Polynomial,
                            ) -> List[Tuple[Literal, Literal, float]]:
     """The k literal pairs with the largest |joint influence|.
 
-    Quadratic in the number of literals; restrict via ``literals`` on
-    large polynomials.
+    One compile and two gradient passes per literal; the pair list
+    itself is quadratic, so restrict via ``literals`` on large
+    polynomials.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if literals is None:
         literals = sorted(polynomial.literals())
+    bdd, root = from_polynomial(polynomial)
     scored: List[Tuple[Literal, Literal, float]] = []
     for index, first in enumerate(literals):
+        mixed = _mixed_partials(bdd, root, probabilities, first)
         for second in literals[index + 1:]:
-            value = joint_influence(polynomial, probabilities, first, second)
-            scored.append((first, second, value))
+            scored.append((first, second, mixed.get(second, 0.0)))
     scored.sort(key=lambda item: (-abs(item[2]), str(item[0]), str(item[1])))
     return scored[:k]
 
@@ -254,9 +334,9 @@ def _influence_query(polynomial: Polynomial,
         literals = sorted(polynomial.literals())
     scores: List[InfluenceScore] = []
     if method == "exact":
+        partials = bdd_gradient(polynomial, probabilities)[1]
         for literal in literals:
-            scores.append(InfluenceScore(
-                literal, exact_influence(polynomial, probabilities, literal)))
+            scores.append(InfluenceScore(literal, partials.get(literal, 0.0)))
     elif method == "mc":
         rng = random.Random(seed)
         for literal in literals:

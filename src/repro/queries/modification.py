@@ -19,6 +19,13 @@ equation exactly for the fractional change.
 :func:`random_strategy` is the baseline of Table 7 — pick an arbitrary
 modifiable literal each round and push it all the way (solving exactly on
 the final, overshooting step).
+
+Without a custom ``evaluator`` both strategies compile λ to an ROBDD once
+and take P[λ] and every slope from one circuit gradient pass per step
+(:meth:`repro.inference.bdd.BDD.gradient`), reading the intercept off
+Equation 16 as P[λ|x=0] = P[λ] − Inf_x(λ)·p(x).  A custom evaluator (the
+Monte-Carlo evaluators of Table 9) is treated as a black box: each slope
+costs two evaluations on the literal's cofactors.
 """
 
 from __future__ import annotations
@@ -27,12 +34,15 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..inference.exact import exact_probability
 from ..provenance.polynomial import Literal, Polynomial, ProbabilityMap
+from .influence import Evaluator, slopes as _slopes
 from .result import QueryResult, register_result
 
-#: Evaluates P[λ] under a probability map during the search.
-Evaluator = Callable[[Polynomial, ProbabilityMap], float]
+#: Slopes this close are a tie, which the first literal in sorted order
+#: wins.  Symmetric literals have equal influence, but the gradient pass
+#: leaves float noise in the last bits, and which of them moves first
+#: should not depend on it.
+TIE_TOLERANCE = 1e-12
 
 
 class ModificationStep:
@@ -151,20 +161,17 @@ class ModificationError(RuntimeError):
     """Raised for unreachable targets or invalid parameters."""
 
 
-def _solve_step(polynomial: Polynomial, probabilities: Dict[Literal, float],
-                literal: Literal, target: float,
-                evaluator: Evaluator) -> Tuple[float, float, float]:
+def _solve_step(slopes, probabilities: Dict[Literal, float],
+                literal: Literal, target: float) -> Tuple[float, float]:
     """Solve Equation 16 for p(x): the probability value reaching ``target``.
 
-    Returns (influence, p_at_zero, required_p_clamped).
+    Returns (influence, required_p_clamped).
     """
-    low = evaluator(polynomial.restrict(literal, False), probabilities)
-    high = evaluator(polynomial.restrict(literal, True), probabilities)
-    influence = high - low
+    influence, low = slopes.slope(probabilities, literal)
     if influence <= 0.0:
-        return influence, low, probabilities[literal]
+        return influence, probabilities[literal]
     required = (target - low) / influence
-    return influence, low, min(1.0, max(0.0, required))
+    return influence, min(1.0, max(0.0, required))
 
 
 def greedy_strategy(polynomial: Polynomial,
@@ -183,14 +190,13 @@ def greedy_strategy(polynomial: Polynomial,
     """
     if not 0.0 <= target <= 1.0:
         raise ModificationError("Target probability must be in [0, 1]")
-    if evaluator is None:
-        evaluator = exact_probability
+    slopes = _slopes(polynomial, evaluator)
     working: Dict[Literal, float] = dict(probabilities)
     candidates = [
         literal for literal in sorted(polynomial.literals())
         if modifiable is None or modifiable(literal)
     ]
-    initial = evaluator(polynomial, working)
+    initial = slopes.evaluate(working)
     current = initial
     increase = target > current
     steps: List[ModificationStep] = []
@@ -209,11 +215,11 @@ def greedy_strategy(polynomial: Polynomial,
                 continue
             if not increase and p <= 0.0:
                 continue
-            influence, low, required = _solve_step(
-                polynomial, working, literal, target, evaluator)
+            influence, required = _solve_step(
+                slopes, working, literal, target)
             if influence <= tolerance:
                 continue
-            if best is None or influence > best[0]:
+            if best is None or influence > best[0] + TIE_TOLERANCE:
                 best = (influence, literal, required)
         if best is None:
             break
@@ -225,7 +231,7 @@ def greedy_strategy(polynomial: Polynomial,
             used.add(literal)
             continue
         working[literal] = required
-        current = evaluator(polynomial, working)
+        current = slopes.evaluate(working)
         steps.append(ModificationStep(literal, old_p, required, current))
         used.add(literal)
 
@@ -250,15 +256,14 @@ def random_strategy(polynomial: Polynomial,
     """
     if not 0.0 <= target <= 1.0:
         raise ModificationError("Target probability must be in [0, 1]")
-    if evaluator is None:
-        evaluator = exact_probability
+    slopes = _slopes(polynomial, evaluator)
     rng = random.Random(seed)
     working: Dict[Literal, float] = dict(probabilities)
     candidates = [
         literal for literal in sorted(polynomial.literals())
         if modifiable is None or modifiable(literal)
     ]
-    initial = evaluator(polynomial, working)
+    initial = slopes.evaluate(working)
     current = initial
     increase = target > current
     steps: List[ModificationStep] = []
@@ -273,8 +278,7 @@ def random_strategy(polynomial: Polynomial,
             continue
         if not increase and old_p <= 0.0:
             continue
-        influence, low, required = _solve_step(
-            polynomial, working, literal, target, evaluator)
+        influence, required = _solve_step(slopes, working, literal, target)
         if influence <= tolerance:
             continue
         extreme = 1.0 if increase else 0.0
@@ -283,7 +287,7 @@ def random_strategy(polynomial: Polynomial,
         if abs(new_p - old_p) <= tolerance:
             continue
         working[literal] = new_p
-        current = evaluator(polynomial, working)
+        current = slopes.evaluate(working)
         steps.append(ModificationStep(literal, old_p, new_p, current))
 
     reached = abs(current - target) <= max(tolerance, 1e-9)

@@ -117,6 +117,7 @@ class Tenant:
     def __init__(self, name: str, system: P3) -> None:
         self.name = name
         self.system = system
+        self._executor = system.executor()
         self.created_monotonic = time.monotonic()
         self._rw = _ReadWriteLock()
         self._counter_lock = threading.Lock()
@@ -128,13 +129,20 @@ class Tenant:
 
     @property
     def executor(self) -> Any:
-        """The tenant's shared executor (created lazily by the system)."""
-        return self.system.executor()
+        """The tenant's shared executor, fixed when the tenant was built.
+
+        Admission's breaker check and the stats envelopes read it without
+        the tenant lock, so it must not go through :meth:`P3.executor`:
+        while a warm-started tenant re-evaluates during its first update,
+        that raises :class:`~repro.core.errors.NotEvaluatedError`.  The
+        executor object itself outlives every update.
+        """
+        return self._executor
 
     def run_batch(self, specs: List[object], parallel: bool = True) -> Any:
         """Answer one batch under the shared (reader) side of the lock."""
         with self._rw.read():
-            batch = self.system.executor().run(specs, parallel=parallel)
+            batch = self._executor.run(specs, parallel=parallel)
         with self._counter_lock:
             self.queries += len(specs)
         return batch
@@ -153,9 +161,7 @@ class Tenant:
         return delta, epoch
 
     def close(self) -> None:
-        executor = self.system._executor  # shared one, if ever created
-        if executor is not None:
-            executor.close()
+        self._executor.close()
         store = self.system.store
         if store is not None:
             self.system.detach_store()
@@ -251,8 +257,7 @@ class TenantRegistry:
             else:
                 system = P3.from_store(store, config=config,
                                        attach=persist)
-            system.executor()  # build the warm executor up front
-            tenant = Tenant(name, system)
+            tenant = Tenant(name, system)  # builds the warm executor
         except BaseException:
             with self._lock:
                 self._tenants.pop(name, None)

@@ -6,7 +6,14 @@ import pytest
 
 from tests.conftest import make_polynomial, random_probabilities
 
-from repro.inference.bdd import BDD, ONE, ZERO, bdd_probability, from_polynomial
+from repro.inference.bdd import (
+    BDD,
+    ONE,
+    ZERO,
+    bdd_gradient,
+    bdd_probability,
+    from_polynomial,
+)
 from repro.inference.exact import brute_force_probability
 from repro.provenance.polynomial import Polynomial, tuple_literal
 
@@ -155,3 +162,96 @@ class TestCounting:
         bdd, root = from_polynomial(poly)
         assert bdd.size(root) >= 3
         assert bdd.size(ZERO) == 0
+
+
+def _pinned_influence(polynomial, probabilities, literal):
+    """Oracle: Inf_x(λ) from brute force with p(x) pinned to 1 and 0."""
+    pinned = dict(probabilities)
+    pinned[literal] = 1.0
+    high = brute_force_probability(polynomial, pinned)
+    pinned[literal] = 0.0
+    return high - brute_force_probability(polynomial, pinned)
+
+
+class TestGradient:
+    """The forward/backward pass against brute-force cofactors."""
+
+    def _check(self, polynomial, probabilities, extra=()):
+        value, partials = bdd_gradient(polynomial, probabilities)
+        assert abs(value - brute_force_probability(
+            polynomial, probabilities)) <= 1e-12
+        for literal in sorted(polynomial.literals()) + list(extra):
+            expected = _pinned_influence(polynomial, probabilities, literal)
+            assert abs(partials.get(literal, 0.0) - expected) <= 1e-12
+
+    def test_audit_generator_polynomials(self):
+        from repro.audit.generator import generate_cases
+        absent = tuple_literal("absent")
+        for case in generate_cases(80, seed=11):
+            probabilities = dict(case.probabilities)
+            probabilities[absent] = 0.5
+            self._check(case.polynomial, probabilities, extra=[absent])
+
+    def test_constants(self):
+        assert bdd_gradient(Polynomial.zero(), {}) == (0.0, {})
+        assert bdd_gradient(Polynomial.one(), {}) == (1.0, {})
+
+    def test_single_monomial(self):
+        poly = make_polynomial(("a", "b", "c"))
+        probs = {A: 0.2, B: 0.5, C: 0.9}
+        value, partials = bdd_gradient(poly, probs)
+        assert value == pytest.approx(0.09, abs=1e-15)
+        assert partials[A] == pytest.approx(0.45, abs=1e-15)
+        assert partials[B] == pytest.approx(0.18, abs=1e-15)
+        assert partials[C] == pytest.approx(0.1, abs=1e-15)
+
+    def test_disjoint_support(self):
+        poly = make_polynomial(("a", "b"), ("c",), ("d", "e"))
+        self._check(poly, random_probabilities(poly, seed=2))
+
+    def test_deterministic_literals(self):
+        poly = make_polynomial(("a", "b"), ("b", "c"), ("d",))
+        probs = random_probabilities(poly, seed=4)
+        probs[B] = 1.0
+        probs[tuple_literal("d")] = 0.0
+        self._check(poly, probs)
+
+    def test_absent_literal_is_zero(self):
+        poly = make_polynomial(("a",))
+        assert bdd_gradient(poly, {A: 0.5, B: 0.5})[1].get(B, 0.0) == 0.0
+
+    def test_probability_is_the_forward_pass(self):
+        poly = make_polynomial(("a", "b"), ("b", "c"), ("a", "c"))
+        probs = random_probabilities(poly, seed=8)
+        assert bdd_gradient(poly, probs)[0] == bdd_probability(poly, probs)
+
+
+class TestBalancedDisjoin:
+    def test_same_root_as_left_fold(self):
+        poly = make_polynomial(("a", "b"), ("b", "c"), ("c", "d"),
+                               ("a", "d"), ("e",))
+        bdd, root = from_polynomial(poly)
+        folded = ZERO
+        for monomial in sorted(poly.monomials, key=str):
+            folded = bdd.apply("or", folded, bdd.conjoin(
+                [bdd.variable(lit) for lit in sorted(
+                    monomial.literals, key=bdd.order.index)]))
+        assert folded == root  # hash-consed: same function, same node
+
+    def test_constant_shortcuts(self):
+        bdd = BDD([A, B])
+        assert bdd.disjoin([]) == ZERO
+        assert bdd.disjoin([bdd.variable(A), ONE, bdd.variable(B)]) == ONE
+
+
+class TestBudget:
+    def test_node_growth_is_metered(self):
+        from repro.core.errors import BudgetExceededError
+        from repro.resilience.budgets import ResourceBudget, activate_budget
+        poly = make_polynomial(("a", "b"), ("b", "c"), ("c", "d"))
+        with activate_budget(ResourceBudget(max_compiled_bytes=1024)):
+            with pytest.raises(BudgetExceededError) as caught:
+                from_polynomial(poly)
+        assert caught.value.resource == "compiled_bytes"
+        with activate_budget(ResourceBudget(max_compiled_bytes=1 << 20)):
+            assert from_polynomial(poly)[1] not in (ZERO, ONE)

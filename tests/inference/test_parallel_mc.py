@@ -114,6 +114,72 @@ class TestConditionedPair:
         assert low.value == 0.0
 
 
+def _two_pass_pair(compiled, probabilities, literal, samples, rng):
+    """Reference: the whole matrix evaluated twice, column forced 1 then 0."""
+    matrix = compiled.sample_matrix(probabilities, samples, rng)
+    column = compiled.index_of(literal)
+    matrix[:, column] = True
+    hits_true = int(compiled.evaluate_matrix(matrix).sum())
+    matrix[:, column] = False
+    hits_false = int(compiled.evaluate_matrix(matrix).sum())
+    return hits_true, hits_false
+
+
+class TestOnePassConditionedPair:
+    """The one-pass satisfaction kernel is bit-identical to two passes."""
+
+    @staticmethod
+    def _wide_polynomial(seed, variables=90, monomials=40):
+        import random
+        rng = random.Random(seed)
+        names = ["v%02d" % i for i in range(variables)]
+        groups = [rng.sample(names, rng.randint(1, 4))
+                  for _ in range(monomials)]
+        groups.append(names[:3])  # the literals all appear somewhere
+        groups.extend([name] + rng.sample(names, 2) for name in names)
+        return make_polynomial(*groups)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 4000])
+    def test_bit_identical_to_two_pass(self, monkeypatch, chunk_bytes):
+        from repro.inference import parallel_mc
+        if chunk_bytes is not None:
+            # Force several chunks (and a ragged last one) per literal.
+            monkeypatch.setattr(
+                parallel_mc, "CONDITIONED_CHUNK_BYTES", chunk_bytes)
+        for seed in (0, 1):
+            poly = self._wide_polynomial(seed)
+            probs = random_probabilities(poly, seed=seed)
+            compiled = CompiledPolynomial(poly)
+            assert compiled.words > 1
+            literals = sorted(poly.literals())
+            probe = literals[::7] + [literals[63], literals[64],
+                                     literals[-1]]
+            reference_rng = np.random.default_rng(seed)
+            one_pass_rng = np.random.default_rng(seed)
+            for literal in probe:
+                expected = _two_pass_pair(
+                    compiled, probs, literal, 997, reference_rng)
+                high, low = parallel_conditioned_pair(
+                    poly, probs, literal, samples=997,
+                    rng=one_pass_rng, compiled=compiled)
+                assert (high.hits, low.hits) == expected
+                assert high.samples == low.samples == 997
+
+    def test_chunking_never_changes_counts(self, monkeypatch):
+        from repro.inference import parallel_mc
+        poly = self._wide_polynomial(3)
+        probs = random_probabilities(poly, seed=3)
+        literal = sorted(poly.literals())[70]
+        counts = []
+        for chunk_bytes in (1, 1000, 1 << 21):
+            monkeypatch.setattr(
+                parallel_mc, "CONDITIONED_CHUNK_BYTES", chunk_bytes)
+            high, low = parallel_conditioned_pair(
+                poly, probs, literal, samples=500, seed=9)
+            counts.append((high.hits, low.hits))
+        assert counts[0] == counts[1] == counts[2]
+
+
 class TestBatchSeedIndependence:
     """Regression tests for the correlated-worker-stream bug: the batch
     sampler used ``seed + i`` per polynomial, so two batches seeded with

@@ -129,6 +129,46 @@ class TestMethods:
                          tuple_literal("a"), samples=0)
 
 
+class TestCircuitGradient:
+    """Exact influence is one compile and one gradient pass per query."""
+
+    def test_one_compile_per_query(self, trust_fragment, monkeypatch):
+        from repro.inference import bdd
+        compiles = []
+        compile_ = bdd.from_polynomial
+
+        def spy(*args, **kwargs):
+            compiles.append(args[0])
+            return compile_(*args, **kwargs)
+
+        monkeypatch.setattr(bdd, "from_polynomial", spy)
+        poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
+        report = influence_query(poly, trust_fragment.probabilities)
+        assert len(report) == len(poly.literals())
+        assert compiles == [poly]
+
+    def test_matches_pinned_brute_force(self, trust_fragment):
+        from repro.inference.exact import brute_force_probability
+        poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
+        probs = trust_fragment.probabilities
+        report = influence_query(poly, probs)
+        for score in report:
+            pinned = dict(probs)
+            pinned[score.literal] = 1.0
+            high = brute_force_probability(poly, pinned)
+            pinned[score.literal] = 0.0
+            low = brute_force_probability(poly, pinned)
+            assert abs(score.influence - (high - low)) <= 1e-12
+
+    def test_budget_exceeded_is_typed(self, trust_fragment):
+        from repro.core.errors import BudgetExceededError
+        from repro.resilience.budgets import ResourceBudget, activate_budget
+        poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
+        with activate_budget(ResourceBudget(max_compiled_bytes=1024)):
+            with pytest.raises(BudgetExceededError):
+                influence_query(poly, trust_fragment.probabilities)
+
+
 class TestReport:
     def test_top_k(self):
         poly = make_polynomial(("a",), ("b", "c"))

@@ -69,6 +69,88 @@ class TestTable6:
         assert worse >= 7
 
 
+class TestPinnedPlans:
+    """Plans on the paper's examples, pinned from the per-literal Shannon
+    implementation the circuit gradient replaced: same literals, same
+    values within 1e-12."""
+
+    @staticmethod
+    def _assert_plan(plan, initial, expected):
+        assert plan.initial_probability == pytest.approx(initial, abs=1e-12)
+        assert [str(step.literal) for step in plan.steps] == [
+            literal for literal, _, _ in expected]
+        for step, (_, new, resulting) in zip(plan.steps, expected):
+            assert step.new_probability == pytest.approx(new, abs=1e-12)
+            assert step.resulting_probability == pytest.approx(
+                resulting, abs=1e-12)
+
+    def test_section44(self, acquaintance):
+        poly = acquaintance.polynomial_of("know", "Ben", "Elena")
+        plan = greedy_strategy(poly, acquaintance.probabilities, 0.5)
+        self._assert_plan(plan, 0.16384, [("r3", 0.6103515625, 0.5)])
+
+    def test_table6_greedy(self, trust_fragment):
+        poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
+        plan = greedy_strategy(poly, trust_fragment.probabilities, 0.7,
+                               modifiable=lambda lit: lit.is_tuple)
+        self._assert_plan(plan, 0.354942, [
+            ("trust(6,2)", 1.0, 0.50706),
+            ("trust(2,6)", 1.0, 0.67608),
+            ("trust(2,1)", 0.9318423855165068, 0.7)])
+
+    def test_table7_random(self, trust_fragment):
+        poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
+        plan = random_strategy(poly, trust_fragment.probabilities, 0.7,
+                               modifiable=lambda lit: lit.is_tuple, seed=7)
+        self._assert_plan(plan, 0.354942, [
+            ("trust(13,2)", 1.0, 0.36477),
+            ("trust(1,2)", 1.0, 0.378),
+            ("trust(6,2)", 1.0, 0.54),
+            ("trust(2,6)", 0.9722222222222221, 0.7)])
+
+    def test_symmetric_literals_tie_by_name(self):
+        # Every literal of a·b·c·d·e·f has the same influence; the
+        # gradient pass's last-bit noise must not pick among them.
+        poly = make_polynomial(("a", "b", "c", "d", "e", "f"))
+        probs = {literal: 0.8 for literal in poly.literals()}
+        plan = greedy_strategy(poly, probs, 0.5)
+        assert [str(step.literal) for step in plan.steps] == [
+            "a", "b", "c"]
+
+
+class TestCircuitSlopes:
+    """The no-evaluator path: one compile, one gradient pass per step."""
+
+    def test_one_compile_and_one_pass_per_step(self, trust_fragment,
+                                               monkeypatch):
+        from repro.inference import bdd
+        from repro.queries import influence
+        compiles = []
+        passes = []
+        compile_ = influence.from_polynomial
+        gradient = bdd.BDD.gradient
+        monkeypatch.setattr(
+            influence, "from_polynomial",
+            lambda *a, **k: compiles.append(1) or compile_(*a, **k))
+        monkeypatch.setattr(
+            bdd.BDD, "gradient",
+            lambda self, *a, **k: passes.append(1) or gradient(self, *a, **k))
+        poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
+        plan = greedy_strategy(poly, trust_fragment.probabilities, 0.7,
+                               modifiable=lambda lit: lit.is_tuple)
+        assert len(compiles) == 1
+        assert len(passes) == 1 + len(plan.steps)
+
+    def test_budget_exceeded_is_typed(self, trust_fragment):
+        from repro.core.errors import BudgetExceededError
+        from repro.resilience.budgets import ResourceBudget, activate_budget
+        poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
+        with activate_budget(ResourceBudget(max_compiled_bytes=1024)):
+            with pytest.raises(BudgetExceededError) as caught:
+                greedy_strategy(poly, trust_fragment.probabilities, 0.7)
+        assert caught.value.resource == "compiled_bytes"
+
+
 class TestGreedyBehaviour:
     def test_decrease_target(self):
         poly = make_polynomial(("a",), ("b",))

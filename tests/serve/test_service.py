@@ -151,6 +151,64 @@ class TestLiveUpdates:
         assert after["epoch"] == update["epoch"]
         assert after["result"]["outcomes"][0]["value"] == pytest.approx(0.4)
 
+    def test_reads_during_warm_started_first_update_never_5xx(
+            self, tmp_path):
+        """A warm-started tenant re-evaluates on its first update, and
+        for that moment the system is unevaluated.  Reads admitted then
+        (admission checks the tenant's breakers without the tenant lock)
+        must wait for the write and answer, not fail with HTTP 500."""
+        from repro import P3
+        from repro.store import ProvenanceStore
+        path = str(tmp_path / "warm.db")
+        seed = P3.from_source(ACQUAINTANCE)
+        seed.evaluate()
+        store = ProvenanceStore(path)
+        try:
+            seed.attach_store(store)
+        finally:
+            seed.detach_store()
+            store.close()
+
+        registry = TenantRegistry()
+        tenant = registry.create("warm", store=path)
+        system = tenant.system
+        evaluating = threading.Event()
+        evaluate = system.evaluate
+
+        def slow_evaluate(*args, **kwargs):
+            evaluating.set()
+            time.sleep(0.5)  # hold the unevaluated window open
+            return evaluate(*args, **kwargs)
+
+        system.evaluate = slow_evaluate
+        service = ProvenanceService(
+            registry, AdmissionController(max_concurrent=16, max_queue=16))
+        handle = start_in_background(service)
+        statuses = []
+
+        def call(path, body):
+            status, _, _ = request(handle.port, "POST", path, body)
+            statuses.append((path, status))
+
+        try:
+            writer = threading.Thread(target=call, args=(
+                "/tenants/warm/facts", {"facts": NEW_FACT}))
+            writer.start()
+            assert evaluating.wait(10)
+            readers = [threading.Thread(target=call, args=(
+                "/tenants/warm/query", {"specs": [KEY]}))
+                for _ in range(8)]
+            for reader in readers:
+                reader.start()
+            for thread in readers + [writer]:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            handle.stop()
+            registry.close()
+        assert len(statuses) == 9
+        assert all(status == 200 for _, status in statuses), statuses
+
     def test_update_isolated_per_tenant(self, service):
         json_request(service.port, "POST", "/tenants/alpha/facts",
                      {"facts": NEW_FACT})
