@@ -1,10 +1,13 @@
-"""In-memory relational store backing program evaluation.
+"""In-memory relational store holding an evaluation's results.
 
-Relations hold sets of ground :class:`~repro.datalog.terms.Atom` tuples and
-maintain single-column hash indexes so rule-body joins can probe by the most
-selective bound argument instead of scanning.  This is the "relational
-tables" substrate of Section 3.2: derived tuples, and the ``prov``/``rule``
-dependency tuples produced by the rewrite, all live here.
+Relations hold sets of ground :class:`~repro.datalog.terms.Atom` tuples
+and answer pattern matches through single-column hash indexes, built on
+the first match so a relation that is only filled and counted never pays
+for them.  This is the "relational tables" substrate of Section 3.2:
+derived tuples, and the ``prov``/``rule`` dependency tuples produced by
+the rewrite, all live here.  The fixpoint itself joins over the interned
+rows of :mod:`repro.datalog.arena` and fills a database once per new
+tuple.
 """
 
 from __future__ import annotations
@@ -16,21 +19,14 @@ from .terms import Atom, Constant, Substitution, Variable
 
 
 class Relation:
-    """A named set of ground atoms with per-column value indexes.
+    """A named set of ground atoms with per-column value indexes."""
 
-    ``indexed=False`` skips index maintenance — used for append-only
-    bookkeeping relations (the provenance capture tables) that are only
-    ever scanned, never joined.
-    """
-
-    def __init__(self, name: str, indexed: bool = True) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.indexed = indexed
         self._atoms: Set[Atom] = set()
-        # _indexes[column][constant] -> set of atoms with that constant there
-        self._indexes: Dict[int, Dict[Constant, Set[Atom]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
+        # _indexes[column][constant] -> set of atoms with that constant
+        # there; None until the first match asks for them.
+        self._indexes: Optional[Dict[int, Dict[Constant, Set[Atom]]]] = None
 
     def add(self, atom: Atom) -> bool:
         """Insert a ground atom; returns True when it was new."""
@@ -43,10 +39,15 @@ class Relation:
         if atom in self._atoms:
             return False
         self._atoms.add(atom)
-        if self.indexed:
-            for column, arg in enumerate(atom.args):
-                self._indexes[column][arg].add(atom)
+        if self._indexes is not None:
+            self._index(atom)
         return True
+
+    def _index(self, atom: Atom) -> None:
+        indexes = self._indexes
+        assert indexes is not None
+        for column, arg in enumerate(atom.args):
+            indexes[column][arg].add(atom)
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._atoms
@@ -78,8 +79,8 @@ class Relation:
                     ) -> Iterator[Tuple[Atom, Substitution]]:
         """Like :meth:`match`, but also yields the matched stored atom.
 
-        The engine uses this to filter matches by derivation generation
-        during semi-naive evaluation.
+        Why-not analysis uses this to name the stored tuple behind each
+        partial match.
         """
         from .terms import unify_atom
 
@@ -90,8 +91,10 @@ class Relation:
                 yield atom, extended
 
     def _candidates(self, pattern: Atom, subst: Substitution) -> Iterable[Atom]:
-        if not self.indexed:
-            return list(self._atoms)
+        if self._indexes is None:
+            self._indexes = defaultdict(lambda: defaultdict(set))
+            for atom in self._atoms:
+                self._index(atom)
         best: Optional[Set[Atom]] = None
         for column, arg in enumerate(pattern.args):
             if isinstance(arg, Variable):
@@ -107,7 +110,7 @@ class Relation:
         return list(best)
 
     def __repr__(self) -> str:
-        return "Relation(%r, %d tuples)" % (self.name, len(self._atoms))
+        return "Relation(%r, %d tuples)" % (self.name, len(self))
 
 
 class Database:
@@ -119,24 +122,20 @@ class Database:
 
     def __init__(self) -> None:
         self._relations: Dict[str, Relation] = {}
-        self._unindexed: Set[str] = set()
-
-    def mark_unindexed(self, name: str) -> None:
-        """Declare a relation append-only (no join indexes are built).
-
-        Must be called before the relation's first insert.
-        """
-        if name in self._relations:
-            raise ValueError(
-                "Relation %r already exists; cannot change indexing" % name)
-        self._unindexed.add(name)
 
     def relation(self, name: str) -> Relation:
         rel = self._relations.get(name)
         if rel is None:
-            rel = Relation(name, indexed=name not in self._unindexed)
+            rel = Relation(name)
             self._relations[name] = rel
         return rel
+
+    def attach(self, relation: Relation) -> None:
+        """Install a prebuilt relation object (e.g. a lazily rendered view)
+        under its name; the name must not exist yet."""
+        if relation.name in self._relations:
+            raise ValueError("Relation %r already exists" % relation.name)
+        self._relations[relation.name] = relation
 
     def add(self, atom: Atom) -> bool:
         """Insert a ground atom into its relation; True when new."""

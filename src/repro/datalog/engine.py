@@ -1,39 +1,39 @@
-"""Semi-naive bottom-up evaluation with provenance capture.
+"""Bottom-up evaluation with provenance capture.
 
 The engine evaluates a compiled ProbLog program to fixpoint.  Unlike a plain
 Datalog engine, which only cares about *which* tuples are derivable, the
 provenance requirements of Section 3 demand that **every distinct rule
 firing** be enumerated — a firing that re-derives an existing tuple is a new
-derivation and must appear in the provenance graph.
-
-Semi-naive evaluation gives that for free: each firing contains at least one
-body tuple that is new in some round, and we enumerate the firing exactly
-once, in the round where its newest body tuple appeared (disambiguated by
-the first delta position, the classical trick).  Firings whose body is
-entirely extensional surface in the initial naive round.
+derivation and must appear in the provenance graph.  The semi-naive loop
+that guarantees this lives in :mod:`repro.datalog.fixpoint` and runs over
+interned rows; the engine seeds it, stratifies programs with negation, and
+turns its output back into atoms — each new tuple is materialised once, for
+the :class:`~repro.datalog.database.Database` and the recorder.
 
 Provenance is captured two ways simultaneously (both per Section 3.2):
 
 - a :class:`ProvenanceRecorder` callback receives facts and firings as they
   happen (the live path used to build the provenance graph), and
-- ``prov_``/``rule_`` capture tuples are inserted into the database itself
-  (the relational-tables path), unless disabled for baseline timing runs.
+- ``prov_``/``rule_`` capture tuples join the database itself (the
+  relational-tables path; see :class:`~repro.datalog.rewrite.CaptureTables`),
+  unless disabled for baseline timing runs.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from .. import telemetry
-from .ast import Fact, Program, Rule
+from .arena import FactStore
+from .ast import ClauseError, Fact, Program, Rule
 from .database import Database
-from .rewrite import CompiledRule, compile_program
-from .terms import Atom, Substitution
+from .fixpoint import EvaluationError, FiringSink, Fixpoint, RulePlan
+from .rewrite import CaptureTables, CompiledRule, compile_program
+from .terms import Atom
 
-
-class EvaluationError(RuntimeError):
-    """Raised when evaluation exceeds configured safety limits."""
+__all__ = ["Engine", "EvaluationError", "EvaluationResult",
+           "ProvenanceRecorder", "evaluate"]
 
 
 class ProvenanceRecorder(Protocol):
@@ -77,11 +77,15 @@ class Engine:
         Optional live provenance recorder (e.g.
         :class:`repro.provenance.graph.GraphBuilder`).
     capture_tables:
-        When True (default), insert ``prov_``/``rule_`` capture tuples into
-        the database per the Section 3.2 rewrite.  Disable to measure the
-        "without provenance" baseline of Figure 9.
+        When True (default), keep the ``prov_``/``rule_`` capture tables
+        of the Section 3.2 rewrite in the database.  Disable to measure
+        the "without provenance" baseline of Figure 9.
     max_rounds / max_tuples:
         Safety limits; exceeding either raises :class:`EvaluationError`.
+        ``max_tuples`` counts every stored tuple, capture rows included.
+
+    After :meth:`run`, :meth:`extend` propagates inserted base facts into
+    the evaluated model (negation-free programs only).
     """
 
     def __init__(self, program: Program,
@@ -95,10 +99,11 @@ class Engine:
         self.max_rounds = max_rounds
         self.max_tuples = max_tuples
         compiled: List[CompiledRule] = compile_program(program)
+        self._negation = any(rule.negations for rule in program.rules)
         # Stratified evaluation: rules run lowest stratum first so negated
         # relations are complete before any rule negating them fires.  For
         # negation-free programs this is a single stratum.
-        if any(rule.negations for rule in program.rules):
+        if self._negation:
             from .stratification import rule_strata, validate_program
             validate_program(program)
             by_rule = {id(c.rule): c for c in compiled}
@@ -108,6 +113,21 @@ class Engine:
             ]
         else:
             self._strata = [compiled] if compiled else [[]]
+        self._fixpoint: Optional[Fixpoint] = None
+
+    @property
+    def database(self) -> Database:
+        """The evaluated database (after :meth:`run`)."""
+        return self._database
+
+    @property
+    def rounds(self) -> int:
+        return self._fixpoint.rounds if self._fixpoint is not None else 0
+
+    @property
+    def firing_count(self) -> int:
+        return (self._fixpoint.firing_count
+                if self._fixpoint is not None else 0)
 
     def run(self) -> EvaluationResult:
         """Evaluate the program to fixpoint and return the result.
@@ -129,149 +149,116 @@ class Engine:
 
     def _run(self) -> EvaluationResult:
         start = time.perf_counter()
-        database = Database()
-        if self.capture_tables:
-            # Capture tables are append-only bookkeeping — scanned when the
-            # graph is rebuilt, never joined — so skip index maintenance.
-            from .rewrite import PROV_RELATION, RULE_RELATION
-            database.mark_unindexed(PROV_RELATION)
-            database.mark_unindexed(RULE_RELATION)
-        generation: Dict[Atom, int] = {}
-        seen_firings: Set[Tuple[str, Atom, Tuple[Atom, ...]]] = set()
-        firing_count = 0
-
-        # Seed base facts (generation 0).
+        self._store = FactStore()
+        self._database = Database()
+        #: gid → atom, for every stored row (base facts and derived).
+        self._atoms: List[Atom] = []
+        self._captures = (CaptureTables(self._atoms)
+                          if self.capture_tables else None)
+        self._captures_shown = False
+        # The sinks close over the evaluation state, not the engine, so a
+        # discarded engine is freed by reference counting alone.
+        self._fixpoint = Fixpoint(
+            self._store, self._strata,
+            _firing_sink(self._store, self._atoms, self._database,
+                         self._captures, self.recorder),
+            max_rounds=self.max_rounds, max_tuples=self.max_tuples,
+            stored_rows=_row_counter(self._store, self._captures))
         for fact in self.program.facts:
-            if database.add(fact.atom):
-                generation[fact.atom] = 0
-                if self.recorder is not None:
-                    self.recorder.record_fact(fact)
+            self._seed(fact)
+        base_count = self._store.count()
+        self._fixpoint.run()
+        self._attach_captures()
+        return EvaluationResult(
+            self._database, self._fixpoint.rounds,
+            self._fixpoint.firing_count, time.perf_counter() - start,
+            self._store.count() - base_count)
 
-        base_count = database.count()
-        rounds = 0
-        current_round = 0
-        for stratum in self._strata:
-            # Every tuple present when the stratum starts (base facts plus
-            # lower-stratum output) acts as its generation-0 input.
-            stratum_base = current_round
-            naive_pass = True
-            while True:
-                current_round += 1
-                rounds = current_round
-                if (self.max_rounds is not None
-                        and current_round > self.max_rounds):
-                    raise EvaluationError(
-                        "Exceeded max_rounds=%d" % self.max_rounds
-                    )
-                new_atoms: List[Atom] = []
-                for compiled in stratum:
-                    for head, body in self._fire_rule(
-                            compiled, database, generation, current_round,
-                            stratum_base, naive_pass):
-                        key = (compiled.label, head, body)
-                        if key in seen_firings:
-                            continue
-                        seen_firings.add(key)
-                        firing_count += 1
-                        self._capture(compiled, head, body, database)
-                        if database.add(head):
-                            generation[head] = current_round
-                            new_atoms.append(head)
-                            if (self.max_tuples is not None
-                                    and database.count() > self.max_tuples):
-                                raise EvaluationError(
-                                    "Exceeded max_tuples=%d" % self.max_tuples
-                                )
-                naive_pass = False
-                if not new_atoms:
-                    break
+    def extend(self, facts: Sequence[Fact]) -> EvaluationResult:
+        """Insert base facts into the evaluated model and propagate them.
 
-        elapsed = time.perf_counter() - start
-        derived = database.count() - base_count
-        if self.capture_tables:
-            # Capture tuples are bookkeeping, not derived data.
-            from .rewrite import PROV_RELATION, RULE_RELATION
-            derived -= database.count(PROV_RELATION)
-            derived -= database.count(RULE_RELATION)
-        return EvaluationResult(database, rounds, firing_count, elapsed, derived)
+        The new facts are the next semi-naive delta of the kept fixpoint,
+        so every new firing is enumerated exactly once and the result
+        equals evaluating the extended program from scratch.  Facts whose
+        atom is already stored are skipped.  Returns the delta's
+        statistics.  Programs with negation are refused: an insertion
+        could retract negation-dependent tuples.
+        """
+        if self._negation:
+            raise ClauseError(
+                "Incremental insertion does not support negation: an "
+                "insertion could retract negation-dependent tuples")
+        if self._fixpoint is None:
+            raise RuntimeError("Engine.extend requires a completed run()")
+        start = time.perf_counter()
+        fixpoint = self._fixpoint
+        before_rows = self._store.count()
+        before_rounds, before_firings = fixpoint.rounds, fixpoint.firing_count
+        inserted = sum(1 for fact in facts if self._seed(fact))
+        if inserted:
+            fixpoint.resume()
+            self._attach_captures()
+        return EvaluationResult(
+            self._database, fixpoint.rounds - before_rounds,
+            fixpoint.firing_count - before_firings,
+            time.perf_counter() - start,
+            self._store.count() - before_rows - inserted)
 
     # -- internals ---------------------------------------------------------
 
-    def _capture(self, compiled: CompiledRule, head: Atom,
-                 body: Tuple[Atom, ...], database: Database) -> None:
+    def _seed(self, fact: Fact) -> bool:
+        """Store one base fact; True (and recorded) when it was new."""
+        atom = fact.atom
+        _, inserted = self._store.add(atom.relation, atom.as_values(),
+                                      meta=(fact.probability, fact.label))
+        if not inserted:
+            return False
+        self._atoms.append(atom)
+        self._database.add(atom)
         if self.recorder is not None:
-            self.recorder.record_firing(compiled.rule, head, body)
-        if self.capture_tables:
-            for capture in compiled.capture_atoms(head, body):
-                database.add(capture)
+            self.recorder.record_fact(fact)
+        return True
 
-    def _fire_rule(self, compiled: CompiledRule, database: Database,
-                   generation: Dict[Atom, int], current_round: int,
-                   stratum_base: int, naive_pass: bool):
-        """Yield (head, body_atoms) for each firing new to this round.
+    def _attach_captures(self) -> None:
+        """Show the capture tables in the database once they hold rows."""
+        captures = self._captures
+        if (captures is not None and captures.row_count()
+                and not self._captures_shown):
+            for relation in captures.relations():
+                self._database.attach(relation)
+            self._captures_shown = True
 
-        The stratum's first round is a naive pass over everything derived
-        so far (generation ≤ ``stratum_base``).  Later rounds run one
-        semi-naive pass per body position ``i``: positions before ``i`` see
-        strictly-older tuples, position ``i`` sees only the latest delta,
-        positions after ``i`` see everything derived so far.
-        """
-        body_len = len(compiled.body)
-        if naive_pass:
-            yield from self._join(compiled, database, generation,
-                                  [(0, stratum_base)] * body_len)
-            return
-        delta = current_round - 1
-        for pivot in range(body_len):
-            spec: List[Tuple[int, int]] = []
-            for position in range(body_len):
-                if position < pivot:
-                    spec.append((0, delta - 1))
-                elif position == pivot:
-                    spec.append((delta, delta))
-                else:
-                    spec.append((0, delta))
-            yield from self._join(compiled, database, generation, spec)
 
-    def _join(self, compiled: CompiledRule, database: Database,
-              generation: Dict[Atom, int],
-              spec: Sequence[Tuple[int, int]]):
-        """Nested-loop indexed join over the body with generation bounds.
+def _firing_sink(store: FactStore, atoms: List[Atom], database: Database,
+                 captures: Optional[CaptureTables],
+                 recorder: Optional[ProvenanceRecorder]) -> FiringSink:
+    """The per-firing callback: materialise a new head once, capture the
+    firing by id, and report it to the recorder as atoms."""
+    constant = store.arena.constant
 
-        ``spec[i]`` is the inclusive (min_generation, max_generation) window
-        for body position ``i``.
-        """
-        rule = compiled.rule
-        schedule = compiled.guard_schedule
-        negations = compiled.negation_schedule
+    def on_firing(plan: RulePlan, head: int, body: Tuple[int, ...],
+                  inserted: bool) -> None:
+        if inserted:
+            table, position = store.location(head)
+            atom = Atom(table.name, tuple(
+                constant(tid) for tid in table.rows[position]))
+            atoms.append(atom)
+            database.add(atom)
+        if captures is not None:
+            captures.append(plan.compiled, head, body)
+        if recorder is not None:
+            recorder.record_firing(
+                plan.rule, atoms[head], tuple(atoms[gid] for gid in body))
 
-        def negations_hold(position: int, subst: Substitution) -> bool:
-            for negated in negations[position]:
-                if negated.substitute(subst) in database:
-                    return False
-            return True
+    return on_firing
 
-        def descend(position: int, subst: Substitution,
-                    matched: Tuple[Atom, ...]):
-            if position == len(rule.body):
-                head = rule.head.substitute(subst)
-                yield head, matched
-                return
-            pattern = rule.body[position]
-            relation = database.relation(pattern.relation)
-            lo, hi = spec[position]
-            for atom, extended in relation.match_atoms(pattern, subst):
-                gen = generation.get(atom, 0)
-                if gen < lo or gen > hi:
-                    continue
-                if not all(guard.evaluate(extended)
-                           for guard in schedule[position]):
-                    continue
-                if not negations_hold(position, extended):
-                    continue
-                yield from descend(position + 1, extended, matched + (atom,))
 
-        yield from descend(0, {}, ())
+def _row_counter(store: FactStore, captures: Optional[CaptureTables]
+                 ) -> Callable[[], int]:
+    """Every stored row, capture rows included (the ``max_tuples`` count)."""
+    if captures is None:
+        return store.count
+    return lambda: store.count() + captures.row_count()
 
 
 def evaluate(program: Program,

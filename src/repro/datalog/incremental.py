@@ -4,10 +4,11 @@ Section 3.2's premise is that provenance is maintained *alongside*
 evaluation; in a live system the base data keeps changing.  Deletion is
 already served by provenance itself (:mod:`repro.queries.whatif` — no
 re-evaluation needed).  This module adds the insertion side: an
-:class:`IncrementalSession` keeps the engine's semi-naive state (database,
-tuple generations, firing set) alive between updates, so newly inserted
-facts are treated as just another delta — every new rule firing is
-enumerated exactly once, and the provenance graph grows in place.
+:class:`IncrementalSession` keeps the engine's fixpoint state (interned
+tables and the round snapshots that delimit semi-naive deltas) alive
+between updates, so newly inserted facts are treated as just another
+delta of the same loop — every new rule firing is enumerated exactly
+once, and the provenance graph grows in place.
 
 The result is guaranteed identical to evaluating the extended program from
 scratch (model, firing set, and polynomials — property-tested in
@@ -24,19 +25,22 @@ which is a retraction in disguise).
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional
 
 from .. import telemetry
 from .ast import ClauseError, Fact, Program
 from .database import Database
-from .engine import EvaluationError, EvaluationResult, ProvenanceRecorder
-from .rewrite import CompiledRule, compile_program
-from .terms import Atom
+from .engine import Engine, EvaluationResult, ProvenanceRecorder
 
 
 class IncrementalSession:
-    """A resumable evaluation: full run first, then per-insertion deltas."""
+    """A resumable evaluation: full run first, then per-insertion deltas.
+
+    The session owns an :class:`~repro.datalog.engine.Engine` whose
+    fixpoint state (interned tables and their round snapshots) stays
+    alive between updates; inserted facts are appended as the next
+    semi-naive delta of the same loop.
+    """
 
     def __init__(self, program: Program,
                  recorder: Optional[ProvenanceRecorder] = None,
@@ -52,45 +56,28 @@ class IncrementalSession:
         self.capture_tables = capture_tables
         self.max_rounds = max_rounds
         self.max_tuples = max_tuples
-        self._compiled: List[CompiledRule] = compile_program(program)
-
-        self._database = Database()
-        if capture_tables:
-            from .rewrite import PROV_RELATION, RULE_RELATION
-            self._database.mark_unindexed(PROV_RELATION)
-            self._database.mark_unindexed(RULE_RELATION)
-        self._generation: Dict[Atom, int] = {}
-        self._seen_firings: Set[Tuple[str, Atom, Tuple[Atom, ...]]] = set()
-        self._round = 0
-        self._firing_count = 0
+        self._engine = Engine(program, recorder=recorder,
+                              capture_tables=capture_tables,
+                              max_rounds=max_rounds, max_tuples=max_tuples)
         self._insertions = 0
-
-        # Initial full evaluation, summarised exactly like an Engine.run()
-        # so the session can stand in for the engine in the P3 facade.
-        start = time.perf_counter()
-        for fact in program.facts:
-            self._seed_fact(fact, generation=0)
-        base_count = self._database.count()
-        self._fixpoint(naive_base=0)
-        derived = (self._database.count() - base_count
-                   - self._capture_row_count())
-        self.initial_result = EvaluationResult(
-            self._database, self._round, self._firing_count,
-            time.perf_counter() - start, max(0, derived))
+        #: The initial full evaluation, summarised exactly like an
+        #: ``Engine.run()`` so the session can stand in for the engine in
+        #: the P3 facade.
+        self.initial_result = self._engine.run()
 
     # -- public API ----------------------------------------------------------
 
     @property
     def database(self) -> Database:
-        return self._database
+        return self._engine.database
 
     @property
     def firing_count(self) -> int:
-        return self._firing_count
+        return self._engine.firing_count
 
     @property
     def rounds(self) -> int:
-        return self._round
+        return self._engine.rounds
 
     @property
     def insertions(self) -> int:
@@ -104,9 +91,9 @@ class IncrementalSession:
     def add_facts(self, facts: Iterable[Fact]) -> EvaluationResult:
         """Insert a batch of facts and propagate their consequences.
 
-        New facts join the current frontier generation; semi-naive rounds
-        then run until fixpoint.  Duplicate facts are ignored (a duplicate
-        of an existing tuple adds no derivations).
+        New facts form the next semi-naive delta; rounds then run until
+        fixpoint.  Duplicate facts are ignored (a duplicate of an existing
+        tuple adds no derivations).
 
         With telemetry enabled the delta propagation is one
         ``update.delta`` span carrying inserted/round/firing counts.
@@ -122,47 +109,26 @@ class IncrementalSession:
         return delta
 
     def _add_facts(self, facts: Iterable[Fact]) -> EvaluationResult:
-        start = time.perf_counter()
-        before_tuples = self._database.count()
-        before_capture = self._capture_row_count()
-        before_firings = self._firing_count
-        start_round = self._round
-
-        inserted = 0
+        database = self.database
+        fresh: List[Fact] = []
+        seen = set()
         for fact in facts:
             if not isinstance(fact, Fact):
                 raise TypeError("add_facts expects Fact instances")
             if self._label_taken(fact):
                 raise ClauseError(
                     "Duplicate clause label: %r" % fact.label)
-            if fact.atom in self._database:
+            if fact.atom in database or fact.atom in seen:
                 continue
+            seen.add(fact.atom)
             self.program.add(fact)
-            self._seed_fact(fact, generation=self._round)
-            inserted += 1
-
-        if inserted:
+            fresh.append(fact)
+        delta = self._engine.extend(fresh)
+        if fresh:
             self._insertions += 1
-            # The new facts sit at generation == self._round (strictly
-            # above every existing tuple); run deltas with them as the
-            # frontier.
-            self._fixpoint(naive_base=None)
-
-        elapsed = time.perf_counter() - start
-        derived = (self._database.count() - before_tuples - inserted
-                   - (self._capture_row_count() - before_capture))
-        return EvaluationResult(
-            self._database, self._round - start_round,
-            self._firing_count - before_firings, elapsed, max(0, derived))
+        return delta
 
     # -- internals ---------------------------------------------------------------
-
-    def _capture_row_count(self) -> int:
-        if not self.capture_tables:
-            return 0
-        from .rewrite import PROV_RELATION, RULE_RELATION
-        return (self._database.count(PROV_RELATION)
-                + self._database.count(RULE_RELATION))
 
     def _label_taken(self, fact: Fact) -> bool:
         if fact.label is None:
@@ -173,100 +139,7 @@ class IncrementalSession:
         except KeyError:
             return False
 
-    def _seed_fact(self, fact: Fact, generation: int) -> None:
-        if self._database.add(fact.atom):
-            self._generation[fact.atom] = generation
-            if self.recorder is not None:
-                self.recorder.record_fact(fact)
-
-    def _fixpoint(self, naive_base: Optional[int]) -> None:
-        """Run semi-naive rounds until no new tuples appear.
-
-        ``naive_base`` non-None runs an initial naive pass over all tuples
-        with generation ≤ naive_base (the cold start); None means the
-        frontier is exactly the tuples stamped with the current round
-        (warm continuation after an insertion).
-        """
-        naive_pass = naive_base is not None
-        while True:
-            self._round += 1
-            if self.max_rounds is not None and self._round > self.max_rounds:
-                raise EvaluationError(
-                    "Exceeded max_rounds=%d" % self.max_rounds)
-            new_atoms: List[Atom] = []
-            for compiled in self._compiled:
-                for head, body in self._fire(compiled, naive_pass,
-                                             naive_base):
-                    key = (compiled.label, head, body)
-                    if key in self._seen_firings:
-                        continue
-                    self._seen_firings.add(key)
-                    self._firing_count += 1
-                    self._capture(compiled, head, body)
-                    if self._database.add(head):
-                        self._generation[head] = self._round
-                        new_atoms.append(head)
-                        if (self.max_tuples is not None
-                                and self._database.count() > self.max_tuples):
-                            raise EvaluationError(
-                                "Exceeded max_tuples=%d" % self.max_tuples)
-            naive_pass = False
-            if not new_atoms:
-                break
-
-    def _fire(self, compiled: CompiledRule, naive_pass: bool,
-              naive_base: Optional[int]):
-        body_len = len(compiled.body)
-        if naive_pass:
-            assert naive_base is not None
-            yield from self._join(compiled,
-                                  [(0, naive_base)] * body_len)
-            return
-        delta = self._round - 1
-        for pivot in range(body_len):
-            spec: List[Tuple[int, int]] = []
-            for position in range(body_len):
-                if position < pivot:
-                    spec.append((0, delta - 1))
-                elif position == pivot:
-                    spec.append((delta, delta))
-                else:
-                    spec.append((0, delta))
-            yield from self._join(compiled, spec)
-
-    def _join(self, compiled: CompiledRule, spec):
-        rule = compiled.rule
-        schedule = compiled.guard_schedule
-        database = self._database
-        generation = self._generation
-
-        def descend(position: int, subst, matched: Tuple[Atom, ...]):
-            if position == len(rule.body):
-                yield rule.head.substitute(subst), matched
-                return
-            pattern = rule.body[position]
-            relation = database.relation(pattern.relation)
-            lo, hi = spec[position]
-            for atom, extended in relation.match_atoms(pattern, subst):
-                gen = generation.get(atom, 0)
-                if gen < lo or gen > hi:
-                    continue
-                if all(guard.evaluate(extended)
-                       for guard in schedule[position]):
-                    yield from descend(position + 1, extended,
-                                       matched + (atom,))
-
-        yield from descend(0, {}, ())
-
-    def _capture(self, compiled: CompiledRule, head: Atom,
-                 body: Tuple[Atom, ...]) -> None:
-        if self.recorder is not None:
-            self.recorder.record_firing(compiled.rule, head, body)
-        if self.capture_tables:
-            for capture in compiled.capture_atoms(head, body):
-                self._database.add(capture)
-
     def __repr__(self) -> str:
         return ("IncrementalSession(<%d tuples, %d firings, %d insertions>)"
-                % (self._database.count(), self._firing_count,
+                % (self.database.count(), self.firing_count,
                    self._insertions))

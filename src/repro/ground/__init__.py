@@ -2,16 +2,17 @@
 
 The subsystem behind ``P3Config(grounding='query'|'auto')``:
 
-- :mod:`repro.ground.arena` — interned terms and columnar fact tables.
 - :mod:`repro.ground.relevance` — :func:`ground_goal`, the magic-fused
-  grounder emitting only the query-relevant provenance subgraph.
+  grounder emitting only the query-relevant provenance subgraph; it runs
+  the shared fixpoint (:mod:`repro.datalog.fixpoint`) over the interned
+  fact store (:mod:`repro.datalog.arena`, re-exported here).
 - :mod:`repro.ground.stream` — bounded-memory streaming extraction that
   survives budget exhaustion with well-formed partials.
 - :mod:`repro.ground.planner` — the per-system planner P3 evaluates
   through, with coverage tracking and the query→full fallback ladder.
 """
 
-from .arena import FactStore, RelationTable, TermArena
+from ..datalog.arena import FactStore, RelationTable, TermArena
 from .planner import AUTO_FACT_THRESHOLD, RUNGS, GroundingPlanner
 from .relevance import GroundedGoal, ground_goal
 from .stream import (

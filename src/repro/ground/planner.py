@@ -46,7 +46,7 @@ from ..datalog.parser import ParseError, parse_atom
 from ..datalog.terms import Atom, unify_atom
 from ..provenance.graph import (
     GraphBuilder, ProvenanceGraph, register_program)
-from .arena import FactStore
+from ..datalog.arena import FactStore
 from .relevance import GroundedGoal, ground_goal
 
 #: ``grounding='auto'`` switches to query-directed grounding at this many

@@ -28,7 +28,7 @@ from ..provenance.extraction import extract_polynomial
 from ..provenance.graph import ProvenanceGraph
 from ..provenance.polynomial import Polynomial
 from ..resilience.budgets import ResourceBudget, activate_budget
-from .arena import FactStore
+from ..datalog.arena import FactStore
 from .relevance import GroundedGoal, ground_goal
 
 

@@ -134,25 +134,23 @@ class TestDatabase:
         assert db.relations() == ["a", "b"]
 
 
-class TestUnindexedRelations:
-    def test_unindexed_relation_stores_and_scans(self):
-        db = Database()
-        db.mark_unindexed("log")
-        db.add(atom("log", 1, "a"))
-        db.add(atom("log", 2, "b"))
-        assert db.count("log") == 2
-        assert not db.relation("log").indexed
-        # Matching still works, via full scan.
-        matches = list(db.match(Atom("log", (Constant(1), Y))))
-        assert len(matches) == 1
+class TestLazyIndexes:
+    def test_match_sees_atoms_added_before_and_after_first_match(self):
+        rel = Relation("p")
+        rel.add(atom("p", 1, "a"))
+        assert [m[Y] for m in rel.match(Atom("p", (Constant(1), Y)))] == [
+            Constant("a")]
+        rel.add(atom("p", 1, "b"))
+        rel.add(atom("p", 2, "c"))
+        matches = {m[Y] for m in rel.match(Atom("p", (Constant(1), Y)))}
+        assert matches == {Constant("a"), Constant("b")}
 
-    def test_mark_after_creation_rejected(self):
+    def test_attach_installs_a_prebuilt_relation(self):
         db = Database()
-        db.add(atom("log", 1))
+        rel = Relation("log")
+        rel.add(atom("log", 1))
+        db.attach(rel)
+        assert db.count("log") == 1
+        assert atom("log", 1) in db
         with pytest.raises(ValueError):
-            db.mark_unindexed("log")
-
-    def test_indexed_by_default(self):
-        db = Database()
-        db.add(atom("p", 1))
-        assert db.relation("p").indexed
+            db.attach(Relation("log"))
