@@ -12,6 +12,7 @@ Default sizes are scaled down for the pure-Python engine (the shape is
 identical); set ``P3_BENCH_SCALE=paper`` for the original 50..500 grid.
 """
 
+import statistics
 import time
 
 from repro import P3
@@ -29,10 +30,25 @@ def _sizes():
     return [20, 40, 60, 80, 100]
 
 
-def _time_evaluation(program, capture):
+#: Timed evaluations per configuration and sample; the median is kept.
+#: Single runs of a 15-500 ms evaluation are dominated by scheduler noise.
+REPEATS = 3
+
+
+def _time_evaluation(sample, capture):
+    program = sample.to_program()
     start = time.perf_counter()
     Engine(program, capture_tables=capture).run()
     return time.perf_counter() - start
+
+
+def _median_times(sample):
+    """Median (without, with) provenance times over interleaved runs."""
+    runs = [(_time_evaluation(sample, capture=False),
+             _time_evaluation(sample, capture=True))
+            for _ in range(REPEATS)]
+    return (statistics.median(run[0] for run in runs),
+            statistics.median(run[1] for run in runs))
 
 
 def test_fig9_maintenance_overhead(benchmark):
@@ -40,9 +56,7 @@ def test_fig9_maintenance_overhead(benchmark):
     overheads = []
     for size in _sizes():
         sample = bfs_sample(size, seed=1)
-        program = sample.to_program()
-        without = _time_evaluation(program, capture=False)
-        with_prov = _time_evaluation(sample.to_program(), capture=True)
+        without, with_prov = _median_times(sample)
         overhead = (with_prov - without) / with_prov if with_prov else 0.0
         overheads.append(overhead)
         rows.append([size, sample.edge_count, without, with_prov,

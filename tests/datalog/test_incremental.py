@@ -7,9 +7,12 @@ from repro.datalog.ast import ClauseError, Fact
 from repro.datalog.engine import Engine, EvaluationError
 from repro.datalog.incremental import IncrementalSession
 from repro.datalog.parser import parse_program
+from repro.datalog.rewrite import PROV_RELATION, RULE_RELATION
+from repro.datalog.terms import Atom, Constant, Variable
 from repro.datalog.terms import atom as make_atom
 from repro.provenance.extraction import extract_polynomial
-from repro.provenance.graph import GraphBuilder, register_program
+from repro.provenance.graph import (
+    GraphBuilder, graph_from_tables, register_program)
 
 TC = """
 edge(1,2). edge(2,3).
@@ -137,6 +140,34 @@ class TestProvenanceGrowth:
         from repro.provenance.polynomial import tuple_literal
         assert builder.graph.probability_map()[
             tuple_literal("edge(3,4)")] == 0.3
+
+
+class TestCaptureTablesGrow:
+    def test_tables_follow_insertions(self):
+        program = parse_program(TC)
+        builder = GraphBuilder()
+        register_program(builder.graph, program)
+        session = IncrementalSession(program, recorder=builder)
+        database = session.database
+        r2_rows = Atom(RULE_RELATION,
+                       (Variable("E"), Constant("r2"), Variable("B")))
+
+        def expected_r2_rows():
+            return sum(len(set(execution.body))
+                       for execution in builder.graph.executions()
+                       if execution.rule_label == "r2")
+
+        # Read the tables (building a match index) before inserting.
+        assert len(list(database.match(r2_rows))) == expected_r2_rows()
+        session.add_fact(Fact(make_atom("edge", 3, 4), 1.0, "n1"))
+        assert database.count(PROV_RELATION) == session.firing_count
+        # Reading prov_ first renders both tables; the rule_ index must
+        # still see the new rows.
+        assert len(list(database.atoms(PROV_RELATION))) == \
+            session.firing_count
+        assert len(list(database.match(r2_rows))) == expected_r2_rows()
+        rebuilt = graph_from_tables(database, session.program)
+        assert rebuilt.executions() == builder.graph.executions()
 
 
 @st.composite
