@@ -1,17 +1,19 @@
-"""Batched query executor — batched vs naive throughput (Section 6 data).
+"""Inline executor batch vs naive facade loop (Section 6 data).
 
 Fifty probability queries over the Section-6.2 Bitcoin-OTC sample,
 answered three ways:
 
 naive        sequential ``P3.probability_of`` per key, cold caches
-batch cold   ``QueryExecutor.run`` fan-out, 4 workers, cold caches
+batch cold   ``QueryExecutor.run`` (specs answered inline, in order),
+             cold caches
 batch warm   ``QueryExecutor.run`` again — every answer from the shared
              result cache
 
-The warm batch must be at least 2x faster than the naive loop (in
-practice it is orders of magnitude faster: the naive loop itself warmed
-the caches the batch reads).  The executor's ``stats()`` must show the
-cache hits and per-stage timings that explain the difference.
+The cold batch does the same work as the naive loop, so it must not be
+slower; the warm batch must be at least 2x faster (in practice it is
+orders of magnitude faster: the naive loop itself warmed the caches the
+batch reads).  The executor's ``stats()`` must show the cache hits and
+per-stage timings that explain the difference.
 """
 
 import time
@@ -22,7 +24,6 @@ from reporting import record_json, record_table
 from workloads import query_workload
 
 BATCH_SIZE = 50
-WORKERS = 4
 METHOD = "parallel"
 
 
@@ -39,7 +40,7 @@ def test_batch_executor_throughput():
     assert len(keys) == BATCH_SIZE
     specs = [QuerySpec.probability(key, method=METHOD) for key in keys]
 
-    executor = p3.executor(max_workers=WORKERS)
+    executor = p3.executor()
     executor.clear_caches()
     executor.stats_object.reset()
 
@@ -47,7 +48,7 @@ def test_batch_executor_throughput():
     naive = [p3.probability_of(key, method=METHOD) for key in keys]
     naive_seconds = time.perf_counter() - start
 
-    # Cold parallel fan-out: same work, fresh caches, 4 workers.
+    # Cold inline batch: same work, fresh caches.
     executor.clear_caches()
     start = time.perf_counter()
     cold = executor.run(specs)
@@ -73,23 +74,22 @@ def test_batch_executor_throughput():
         "warm batch should be >=2x the naive sequential loop "
         "(got %.1fx)" % warm_speedup)
     assert cold_speedup >= 1.0, (
-        "cold fan-out must never be slower than the naive loop "
+        "cold inline batch must never be slower than the naive loop "
         "(got %.2fx)" % cold_speedup)
 
     record_table(
         "batch_executor",
-        "Batched executor vs naive loop: %d probability queries, "
-        "%s backend, %d workers" % (BATCH_SIZE, METHOD, WORKERS),
+        "Inline executor batch vs naive facade loop: %d probability "
+        "queries, %s backend" % (BATCH_SIZE, METHOD),
         ["mode", "seconds", "speedup vs naive"],
         [
             ["naive sequential", naive_seconds, 1.0],
-            ["batch cold (4 workers)", cold_seconds, cold_speedup],
+            ["batch cold (inline)", cold_seconds, cold_speedup],
             ["batch warm (cache hits)", warm_seconds, warm_speedup],
         ],
     )
     record_json("BENCH_executor", {
         "batch_size": BATCH_SIZE,
-        "workers": WORKERS,
         "method": METHOD,
         "naive_seconds": naive_seconds,
         "cold_seconds": cold_seconds,
@@ -98,20 +98,3 @@ def test_batch_executor_throughput():
         "warm_speedup": warm_speedup,
         "cache_hits": stats["caches"]["probability"]["hits"],
     })
-
-
-def test_batch_parallel_probability_agrees():
-    """Per-query MC fan-out is deterministic and scheduling-independent."""
-    from repro.inference import batch_parallel_probability
-
-    p3, _, _ = query_workload()
-    keys = _batch_keys(p3, count=8)
-    polynomials = [p3.polynomial_of(key) for key in keys]
-
-    pooled = batch_parallel_probability(
-        polynomials, p3.probabilities, samples=2000, seed=11,
-        max_workers=WORKERS)
-    serial = batch_parallel_probability(
-        polynomials, p3.probabilities, samples=2000, seed=11,
-        max_workers=1)
-    assert [e.value for e in pooled] == [e.value for e in serial]

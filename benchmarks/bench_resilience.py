@@ -8,7 +8,7 @@ the default path:
    object per query; it should be noise next to inference itself.
 2. Does a faulted batch survive?  One full chaos run (the same harness
    as ``p3 chaos`` and the CI smoke job) with transient faults, budget
-   blowups, delays, and a wedged worker — asserting 100% well-formed
+   blowups, delays, and a wedged query — asserting 100% well-formed
    outcomes and reference-accurate answers.
 """
 
@@ -39,7 +39,7 @@ def _build(resilience):
 
 
 def _run_batch(p3, specs):
-    with QueryExecutor(p3, max_workers=4) as executor:
+    with QueryExecutor(p3) as executor:
         batch = executor.run(specs)
         # Fresh caches each round so we time real work, not lookups.
         executor.clear_caches()
@@ -74,7 +74,7 @@ def test_chaos_survival(benchmark):
     report = benchmark.pedantic(
         run_chaos,
         kwargs={"seed": 0, "spec_count": 30, "people": 11,
-                "samples": 10000, "pool_hang_seconds": 0.4},
+                "samples": 10000},
         rounds=1, iterations=1)
 
     assert report.ok, report.to_dict()

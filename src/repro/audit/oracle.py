@@ -219,8 +219,8 @@ def audit_program_case(case: AuditCase,
 
     - ``facade:probability`` — :meth:`P3.probability_of` (shared executor);
     - ``executor:batch`` — the same query through :meth:`QueryExecutor.run`;
-    - ``executor:throwaway`` — a cold single-worker executor (no shared
-      caches to hide behind);
+    - ``executor:throwaway`` — a cold fresh executor (no shared caches to
+      hide behind);
     - ``query:conditional`` — conditioning on empty evidence must be a
       no-op;
     - ``query:explain`` — the explanation's probability and polynomial
@@ -235,6 +235,7 @@ def audit_program_case(case: AuditCase,
     if not case.is_program_case:
         raise ValueError("%s is not a program case" % case.name)
     from ..core.system import P3
+    from ..exec.executor import QueryExecutor
     from ..exec.specs import QuerySpec
 
     p3 = P3.from_source(case.program_source)
@@ -270,7 +271,7 @@ def audit_program_case(case: AuditCase,
     batch = p3.executor().run([spec])
     check("executor:batch", batch[0].value, reference, exact_tolerance)
 
-    throwaway = p3.executor(max_workers=1)
+    throwaway = QueryExecutor(p3)
     try:
         cold = throwaway.run([QuerySpec("probability", key, dict(params))])
         check("executor:throwaway", cold[0].value, reference,

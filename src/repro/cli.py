@@ -111,11 +111,7 @@ def _build_system(args: argparse.Namespace) -> P3:
             p3 = P3.from_file(program, config=config)
         with stats.time_stage("evaluate"):
             p3.evaluate()
-    overrides = {"stats": stats}
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        overrides["max_workers"] = workers
-    p3.configure_executor(**overrides)
+    p3.configure_executor(stats=stats)
     return p3
 
 
@@ -732,7 +728,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             request_count=args.requests,
             people=args.people,
             samples=args.samples,
-            pool_hang_seconds=args.pool_hang,
         )
         if args.json:
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -748,8 +743,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         spec_count=args.specs,
         people=args.people,
         samples=args.samples,
-        max_workers=args.workers,
-        pool_hang_seconds=args.pool_hang,
         include_outcomes=args.outcomes,
     )
     if args.json:
@@ -764,8 +757,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                   "(tolerance %.2e, answered by %s)"
                   % (failure["key"], failure["value"], failure["reference"],
                      failure["tolerance"], failure["answered_by"]))
-        for name, count in sorted(report.pool_events.items()):
-            print("  pool event: %s x%d" % (name, count))
     return 0 if report.ok else 1
 
 
@@ -803,8 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tuples", nargs="*",
         help="tuple keys to query; when omitted, answer the program's "
         "query(...) directives")
-    query_parser.add_argument("--workers", type=int, default=None,
-                              help="executor thread-pool width")
     query_parser.add_argument("--json", action="store_true",
                               help="emit a JSON document of results")
     query_parser.set_defaults(func=_cmd_query)
@@ -819,8 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tuples", nargs="*",
         help="tuple keys to (re-)query after the update; when omitted, "
         "the program's query(...) directives are answered")
-    update_parser.add_argument("--workers", type=int, default=None,
-                               help="executor thread-pool width")
     update_parser.add_argument("--json", action="store_true",
                                help="emit a JSON document of the delta "
                                "and results")
@@ -1034,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seed for the program, the fault "
                               "plan, and sampling (default: 0)")
     chaos_parser.add_argument("--specs", type=int, default=50,
-                              help="batch size including the pool-hang "
+                              help="batch size including the query-hang "
                               "spec (default: 50)")
     chaos_parser.add_argument("--people", type=int, default=13,
                               help="trust-network size; bounds how many "
@@ -1043,12 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Monte-Carlo budget for sampling "
                               "rungs (default: 20000)")
     chaos_parser.add_argument("--workers", type=int, default=4,
-                              help="executor thread-pool width "
+                              help="isolation workers for --process "
                               "(default: 4)")
-    chaos_parser.add_argument("--pool-hang", type=float, default=0.5,
-                              metavar="SECONDS",
-                              help="pool supervision hang threshold "
-                              "(default: 0.5)")
     chaos_parser.add_argument("--outcomes", action="store_true",
                               help="include every per-spec outcome in "
                               "the report (verbose)")

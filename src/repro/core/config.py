@@ -9,9 +9,11 @@ and passed explicitly by the benchmark harness).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 
+@dataclasses.dataclass(frozen=True)
 class P3Config:
     """Configuration for :class:`repro.core.system.P3`.
 
@@ -50,15 +52,13 @@ class P3Config:
     capture_tables:
         Maintain the relational ``prov_``/``rule_`` capture tables during
         evaluation (Section 3.2) in addition to the live graph.
-    executor_workers:
-        Thread-pool width for the batch query executor (None = default 4).
     inference_workers:
         Shard-worker hint passed to the sampling kernel through every
         :class:`repro.inference.request.InferenceRequest` the executor
         builds (the ``parallel`` and ``karp-luby`` backends shard large
         sample budgets across this many kernel-pool workers).  ``None``
-        (the default) follows the executor's resolved ``max_workers``, so
-        the "parallel" backend is actually parallel out of the box.
+        (the default) means 4, so the "parallel" backend is actually
+        parallel out of the box.
     polynomial_cache_size / result_cache_size:
         LRU bounds for the executor's shared polynomial and result caches
         (None = unbounded).
@@ -77,8 +77,8 @@ class P3Config:
         supports it — POSIX — threads elsewhere).
     isolation_workers:
         Resident subprocess workers for the isolation pool (None = 2).
-        Also bounds concurrent isolated inference: executor threads block
-        when all workers are busy.
+        Also bounds concurrent isolated inference: concurrent batches
+        block when all workers are busy.
     worker_memory_bytes:
         Per-worker ``RLIMIT_AS`` address-space cap, applied after
         interpreter boot (None = uncapped).  A worker that blows it fails
@@ -93,118 +93,53 @@ class P3Config:
     resilience:
         Optional :class:`repro.resilience.ResilienceConfig`.  When set,
         the batch executor enforces its resource budget around every
-        query, answers probabilities through its backend fallback ladder
-        (with retries and per-backend circuit breakers), and supervises
-        the worker pool per its hang thresholds.  ``None`` (the default)
-        keeps the historical single-backend behaviour.
+        query and answers probabilities through its backend fallback
+        ladder (with retries and per-backend circuit breakers).  ``None``
+        (the default) keeps the historical single-backend behaviour.
+
+    The config is immutable; :meth:`replace` derives a modified copy.
     """
 
-    def __init__(self,
-                 probability_method: str = "exact",
-                 influence_method: str = "exact",
-                 derivation_method: Optional[str] = None,
-                 samples: int = 10000,
-                 seed: Optional[int] = None,
-                 hop_limit: Optional[int] = None,
-                 max_monomials: Optional[int] = None,
-                 max_rounds: Optional[int] = None,
-                 max_tuples: Optional[int] = None,
-                 grounding: str = "full",
-                 capture_tables: bool = True,
-                 executor_workers: Optional[int] = None,
-                 inference_workers: Optional[int] = None,
-                 polynomial_cache_size: Optional[int] = 2048,
-                 result_cache_size: Optional[int] = 8192,
-                 query_timeout: Optional[float] = None,
-                 isolation: str = "thread",
-                 isolation_workers: Optional[int] = None,
-                 worker_memory_bytes: Optional[int] = None,
-                 telemetry: Optional[object] = None,
-                 resilience: Optional[object] = None) -> None:
-        if samples <= 0:
+    probability_method: str = "exact"
+    influence_method: str = "exact"
+    derivation_method: Optional[str] = None
+    samples: int = 10000
+    seed: Optional[int] = None
+    hop_limit: Optional[int] = None
+    max_monomials: Optional[int] = None
+    max_rounds: Optional[int] = None
+    max_tuples: Optional[int] = None
+    grounding: str = "full"
+    capture_tables: bool = True
+    inference_workers: Optional[int] = None
+    polynomial_cache_size: Optional[int] = 2048
+    result_cache_size: Optional[int] = 8192
+    query_timeout: Optional[float] = None
+    isolation: str = "thread"
+    isolation_workers: Optional[int] = None
+    worker_memory_bytes: Optional[int] = None
+    telemetry: Optional[object] = None
+    resilience: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if self.samples <= 0:
             raise ValueError("samples must be positive")
-        if hop_limit is not None and hop_limit <= 0:
-            raise ValueError("hop_limit must be positive or None")
-        if executor_workers is not None and executor_workers <= 0:
-            raise ValueError("executor_workers must be positive or None")
-        if inference_workers is not None and inference_workers <= 0:
-            raise ValueError("inference_workers must be positive or None")
-        if query_timeout is not None and query_timeout <= 0:
-            raise ValueError("query_timeout must be positive or None")
-        if grounding not in ("full", "query", "auto"):
+        if self.grounding not in ("full", "query", "auto"):
             raise ValueError(
                 "grounding must be 'full', 'query', or 'auto', got %r"
-                % (grounding,))
-        if isolation not in ("thread", "process", "auto"):
+                % (self.grounding,))
+        if self.isolation not in ("thread", "process", "auto"):
             raise ValueError(
                 "isolation must be 'thread', 'process', or 'auto', got %r"
-                % (isolation,))
-        if isolation_workers is not None and isolation_workers <= 0:
-            raise ValueError("isolation_workers must be positive or None")
-        if worker_memory_bytes is not None and worker_memory_bytes <= 0:
-            raise ValueError("worker_memory_bytes must be positive or None")
-        for name, size in (("polynomial_cache_size", polynomial_cache_size),
-                           ("result_cache_size", result_cache_size)):
-            if size is not None and size <= 0:
+                % (self.isolation,))
+        for name in ("hop_limit", "inference_workers", "query_timeout",
+                     "isolation_workers", "worker_memory_bytes",
+                     "polynomial_cache_size", "result_cache_size"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
                 raise ValueError("%s must be positive or None" % name)
-        self.probability_method = probability_method
-        self.influence_method = influence_method
-        self.derivation_method = derivation_method
-        self.samples = samples
-        self.seed = seed
-        self.hop_limit = hop_limit
-        self.max_monomials = max_monomials
-        self.max_rounds = max_rounds
-        self.max_tuples = max_tuples
-        self.grounding = grounding
-        self.capture_tables = capture_tables
-        self.executor_workers = executor_workers
-        self.inference_workers = inference_workers
-        self.polynomial_cache_size = polynomial_cache_size
-        self.result_cache_size = result_cache_size
-        self.query_timeout = query_timeout
-        self.isolation = isolation
-        self.isolation_workers = isolation_workers
-        self.worker_memory_bytes = worker_memory_bytes
-        self.telemetry = telemetry
-        self.resilience = resilience
 
     def replace(self, **overrides: object) -> "P3Config":
-        """A copy with some fields replaced."""
-        fields = {
-            "probability_method": self.probability_method,
-            "influence_method": self.influence_method,
-            "derivation_method": self.derivation_method,
-            "samples": self.samples,
-            "seed": self.seed,
-            "hop_limit": self.hop_limit,
-            "max_monomials": self.max_monomials,
-            "max_rounds": self.max_rounds,
-            "max_tuples": self.max_tuples,
-            "grounding": self.grounding,
-            "capture_tables": self.capture_tables,
-            "executor_workers": self.executor_workers,
-            "inference_workers": self.inference_workers,
-            "polynomial_cache_size": self.polynomial_cache_size,
-            "result_cache_size": self.result_cache_size,
-            "query_timeout": self.query_timeout,
-            "isolation": self.isolation,
-            "isolation_workers": self.isolation_workers,
-            "worker_memory_bytes": self.worker_memory_bytes,
-            "telemetry": self.telemetry,
-            "resilience": self.resilience,
-        }
-        unknown = set(overrides) - set(fields)
-        if unknown:
-            raise TypeError("Unknown config fields: %s" % ", ".join(sorted(unknown)))
-        fields.update(overrides)  # type: ignore[arg-type]
-        return P3Config(**fields)  # type: ignore[arg-type]
-
-    def __repr__(self) -> str:
-        return (
-            "P3Config(probability_method=%r, influence_method=%r, samples=%d,"
-            " seed=%r, hop_limit=%r)" % (
-                self.probability_method, self.influence_method,
-                self.samples, self.seed, self.hop_limit,
-            )
-        )
+        """A copy with some fields replaced (``TypeError`` on unknown
+        fields, ``ValueError`` on invalid values)."""
+        return dataclasses.replace(self, **overrides)  # type: ignore[arg-type]

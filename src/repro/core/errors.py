@@ -78,24 +78,6 @@ class QueryTimeoutError(P3Error, TimeoutError):
         self.timeout = timeout
 
 
-class PoolHangError(P3Error, TimeoutError):
-    """The executor's worker pool stopped making progress.
-
-    Raised (as per-outcome errors, never out of a batch) when no worker
-    future completes within ``pool_hang_seconds`` and the rebuild quota
-    is already spent.  Sequential execution is *not* attempted for hung
-    pools — whatever wedged the workers would wedge the caller's thread
-    too.
-    """
-
-    def __init__(self, key: str, hang_seconds: float) -> None:
-        super().__init__(
-            "Query %r abandoned: worker pool made no progress for %.3fs "
-            "and the rebuild quota was exhausted" % (key, hang_seconds))
-        self.key = key
-        self.hang_seconds = hang_seconds
-
-
 # -- inference failure taxonomy -------------------------------------------------
 
 class InferenceError(P3Error):

@@ -466,10 +466,10 @@ class P3:
     def executor(self, **overrides: object) -> "QueryExecutor":
         """The shared batch query executor for this system.
 
-        Created lazily on first use (with the config's worker/cache
-        settings) and reused afterwards, so every facade query shares one
-        set of caches.  Keyword overrides (``max_workers``,
-        ``polynomial_cache_size``, ``result_cache_size``, ``stats``)
+        Created lazily on first use (with the config's cache settings)
+        and reused afterwards, so every facade query shares one set of
+        caches.  Keyword overrides (``polynomial_cache_size``,
+        ``result_cache_size``, ``stats``)
         return a **throwaway** executor built with those settings — the
         shared executor, and its warm caches, stay untouched.  Use
         :meth:`configure_executor` to replace the shared executor instead.
@@ -726,14 +726,14 @@ class P3:
         return conditional_probability(
             target, self.probabilities, positive, negative)
 
-    def answer_queries(self, hop_limit: Optional[int] = None,
-                       parallel: bool = True) -> Dict[str, float]:
+    def answer_queries(self, hop_limit: Optional[int] = None
+                       ) -> Dict[str, float]:
         """Answer every ``query(...)`` directive, conditioned on the
         program's ``evidence(...)`` directives (if any).
 
         Batched through the shared executor: underivable queries answer
-        0.0 immediately, and the rest fan out across the worker pool with
-        all inference going through the shared caches.
+        0.0 immediately, and the rest run as one batch with all inference
+        going through the shared caches.
         """
         from ..exec.specs import QuerySpec
         results: Dict[str, float] = {}
@@ -749,7 +749,7 @@ class P3:
             kind = "conditional" if has_evidence else "probability"
             specs.append(QuerySpec(kind, key, dict(params)))
         if specs:
-            batch = self.executor().run(specs, parallel=parallel)
+            batch = self.executor().run(specs)
             for outcome in batch:
                 if outcome.error is not None:
                     if outcome.exception is not None:

@@ -13,8 +13,8 @@ provides:
 - :class:`~repro.exec.stats.ExecutorStats` — per-stage wall-clock timings
   (parse/evaluate/extract/infer) and counters, exposed as a plain dict;
 - :class:`~repro.exec.executor.QueryExecutor` — the batch front door:
-  deduplicates specs, fans independent queries out across a worker pool,
-  and shares the caches between them.
+  deduplicates specs, answers them in order, and shares the caches
+  between them.
 
 Typical use::
 
@@ -23,7 +23,7 @@ Typical use::
 
     p3 = P3.from_file("trust.pl")
     p3.evaluate()
-    executor = QueryExecutor(p3, max_workers=4)
+    executor = QueryExecutor(p3)
     batch = executor.run([
         QuerySpec.probability('trustPath(1,9)'),
         QuerySpec.influence('trustPath(1,9)', top_k=5),

@@ -9,7 +9,8 @@ One :class:`ExecutorStats` object accumulates, across every query a
 - cache hit/miss/eviction counters (snapshotted from the executor's two
   LRU caches at :meth:`as_dict` time).
 
-All mutation goes through a lock so worker threads can record freely.
+All mutation goes through a lock so concurrent batches and deadline
+runner threads can record freely.
 
 When :mod:`repro.telemetry` is enabled, this object is a *consumer* of
 the same event stream the tracer sees: :meth:`time_stage` opens a span
@@ -49,8 +50,6 @@ class ExecutorStats:
         self._errors = 0
         self._batches = 0
         self._deduplicated = 0
-        self._pool_events: Dict[str, int] = {}
-        self._pool_reasons: Dict[str, str] = {}
 
     # -- recording ---------------------------------------------------------------
 
@@ -113,31 +112,6 @@ class ExecutorStats:
                     help="Duplicate specs collapsed before execution"
                 ).inc(deduplicated)
 
-    def record_pool_event(self, event: str, reason: str = "") -> None:
-        """Record a worker-pool supervision event.
-
-        Events: ``rebuild`` (a hung or broken pool was replaced),
-        ``hang_abandon`` (rebuild quota exhausted — remaining specs got
-        error outcomes), ``degrade_sequential`` (the batch fell back to
-        in-thread execution).  The most recent reason per event is kept
-        for :meth:`as_dict`.
-        """
-        with self._lock:
-            self._pool_events[event] = self._pool_events.get(event, 0) + 1
-            if reason:
-                self._pool_reasons[event] = reason
-        rt = telemetry.runtime()
-        if rt.enabled:
-            if event == "rebuild":
-                rt.metrics.counter(
-                    "p3_resilience_pool_rebuilds_total",
-                    help="Hung or broken worker pools replaced").inc()
-            else:
-                rt.metrics.counter(
-                    "p3_resilience_pool_degradations_total",
-                    help="Batches degraded past pool rebuild, by mode",
-                    labelnames=("mode",)).inc(mode=event)
-
     def reset(self) -> None:
         """Zero every counter and timing (cache counters are separate)."""
         with self._lock:
@@ -147,8 +121,6 @@ class ExecutorStats:
             self._errors = 0
             self._batches = 0
             self._deduplicated = 0
-            self._pool_events.clear()
-            self._pool_reasons.clear()
 
     # -- reading ------------------------------------------------------------------
 
@@ -195,11 +167,6 @@ class ExecutorStats:
                 "batches": self._batches,
                 "deduplicated": self._deduplicated,
             }
-            if self._pool_events:
-                document["pool"] = {
-                    "events": dict(self._pool_events),
-                    "reasons": dict(self._pool_reasons),
-                }
         caches = {}
         if polynomial_cache is not None:
             caches["polynomial"] = polynomial_cache.stats()

@@ -55,7 +55,6 @@ from .montecarlo import (
     sequential_probability,
 )
 from .parallel_mc import (
-    batch_parallel_probability,
     parallel_conditioned_pair,
     parallel_probability,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "bdd_probability",
     "bounded_probability",
     "brute_force_probability",
-    "batch_parallel_probability",
     "conditioned_probability",
     "exact_backend_names",
     "exact_probability",

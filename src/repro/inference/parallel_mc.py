@@ -17,12 +17,10 @@ Bernoulli model), so results agree within Monte-Carlo error.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..core.errors import InferenceConfigurationError
 from ..provenance.polynomial import Literal, Polynomial, ProbabilityMap
 from .kernel import CompiledPolynomial, kernel_probability
 from .montecarlo import MonteCarloEstimate
@@ -30,7 +28,6 @@ from .montecarlo import MonteCarloEstimate
 __all__ = [
     "CompiledPolynomial",
     "parallel_probability",
-    "batch_parallel_probability",
     "parallel_conditioned_pair",
 ]
 
@@ -54,48 +51,6 @@ def parallel_probability(polynomial: Polynomial,
     return kernel_probability(
         polynomial, probabilities, samples=samples, seed=seed, rng=rng,
         compiled=compiled, workers=workers, deadline=deadline)
-
-
-def batch_parallel_probability(polynomials: Sequence[Polynomial],
-                               probabilities: ProbabilityMap,
-                               samples: int = 10000,
-                               seed: Optional[int] = None,
-                               max_workers: int = 4
-                               ) -> List[MonteCarloEstimate]:
-    """Estimate P[λ] for a batch of polynomials across a thread pool.
-
-    Per-*query* parallelism on top of the per-literal vectorization: each
-    polynomial is compiled and sampled independently on its own worker.
-    The sampling inner loop is numpy (packed-bitset ufuncs + RNG), which
-    releases the GIL, so threads achieve real concurrency without the
-    pickling cost of a process pool.
-
-    Seeding is per-polynomial via ``SeedSequence(seed).spawn(n)``, so
-    results are independent of scheduling order and of ``max_workers``,
-    and the workers' streams are statistically independent.  (The earlier
-    ``seed + i`` scheme produced overlapping streams whenever two batches
-    were themselves seeded with nearby offsets — e.g. batched influence
-    queries deriving seeds by offsetting — which correlated their
-    Monte-Carlo errors.)
-    """
-    if samples <= 0:
-        raise InferenceConfigurationError("samples must be positive")
-    if max_workers <= 0:
-        raise InferenceConfigurationError("max_workers must be positive")
-    polynomials = list(polynomials)
-    if not polynomials:
-        return []
-    streams = np.random.SeedSequence(seed).spawn(len(polynomials))
-
-    def _one(index: int) -> MonteCarloEstimate:
-        return parallel_probability(
-            polynomials[index], probabilities,
-            samples=samples, rng=np.random.default_rng(streams[index]))
-
-    if max_workers == 1 or len(polynomials) == 1:
-        return [_one(i) for i in range(len(polynomials))]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_one, range(len(polynomials))))
 
 
 #: Target transient bytes of one chunk of the conditioned pair: the

@@ -1,7 +1,7 @@
 """The unified inference-backend request object.
 
 Before this module, every backend grew its own keyword convention —
-``samples=`` and ``seed=`` on the sampling backends, ``max_workers=`` on
+``samples=`` and ``seed=`` on the sampling backends, worker counts on
 the batch path, deadlines threaded through thread-locals, budgets through
 an ambient context variable — and every caller (executor, fallback
 ladder, audit oracle, CLI) had to know which backend accepted which.

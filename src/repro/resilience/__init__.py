@@ -1,9 +1,9 @@
 """``repro.resilience``: budgets, retries, fallback ladders, breakers, chaos.
 
 The query pipeline mixes exact inference (worst-case exponential in the
-provenance polynomial) with stochastic estimators and a threaded batch
+provenance polynomial) with stochastic estimators behind a batch
 executor.  A production deployment must survive pathological inputs, slow
-or crashing backends, and wedged worker pools without dropping queries.
+or crashing backends, and wedged queries without dropping answers.
 This package provides the four mechanisms that make that survivable, plus
 the harness that proves it:
 
@@ -36,13 +36,13 @@ the harness that proves it:
   service.
 - :func:`~repro.resilience.chaos.run_chaos` — the chaos harness
   (``p3 chaos``): inject backend exceptions, delays, budget blowups, and
-  a pool hang into a live batch and assert every spec still yields a
+  a query hang into a live batch and assert every spec still yields a
   well-formed outcome; process-level faults (``kill9``, ``oom``,
   ``wedge-native``) exercise the isolation pool's recovery paths.
 
 Configuration enters through :class:`ResilienceConfig` — the
 ``P3Config(resilience=...)`` knob group — and every resilience event
-(retry, trip, fallback, budget hit, pool rebuild) emits telemetry
+(retry, trip, fallback, budget hit) emits telemetry
 counters and span attributes through :mod:`repro.telemetry`.
 """
 

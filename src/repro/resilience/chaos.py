@@ -13,9 +13,11 @@ injections (:mod:`repro.audit.faults`):
   :class:`~repro.core.errors.BudgetExceededError`, the fall-through
   class);
 - **delays** on the ``parallel`` backend (slow but correct);
-- a **pool hang**: one spec routed to an ``mc`` override that blocks on
-  an event until teardown, wedging its worker so the executor's pool
-  supervision has something real to detect.
+- a **query hang**: one spec routed to an ``mc`` override that blocks on
+  an event until teardown.  The spec carries a ``timeout`` of
+  :data:`HANG_TIMEOUT_SECONDS`, so the per-query deadline must turn the
+  wedge into a typed :class:`~repro.core.errors.QueryTimeoutError`
+  outcome instead of a stalled batch.
 
 The harness asserts the resilience contract rather than correctness of
 any single backend: every spec must still yield a *well-formed* outcome
@@ -32,7 +34,7 @@ import contextlib
 import random
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .. import telemetry
 from ..core.config import P3Config
@@ -48,7 +50,11 @@ from .retry import RetryPolicy
 #: Fault classes the harness injects; every run must observe each ≥ once
 #: for the report to come back ok.
 CHAOS_FAULT_CLASSES: Tuple[str, ...] = (
-    "transient-exception", "budget-blowup", "delay", "pool-hang")
+    "transient-exception", "budget-blowup", "delay", "query-hang")
+
+#: Deadline on the wedged ``mc`` spec: how long a batch waits for it
+#: before answering it with a typed timeout.
+HANG_TIMEOUT_SECONDS = 0.5
 
 #: Process-level fault classes (``p3 chaos --process``): delivered to
 #: subprocess isolation workers, which the thread-level classes above
@@ -104,7 +110,7 @@ class FaultPlan:
         self.observed: Dict[str, int] = {name: 0 for name
                                          in CHAOS_FAULT_CLASSES}
         #: Released by :func:`run_chaos` at teardown so the deliberately
-        #: wedged worker threads can exit (pool threads are non-daemon).
+        #: wedged deadline runner can finish.
         self.hang_release = threading.Event()
 
     def _fires(self, rate: float) -> bool:
@@ -153,7 +159,7 @@ class FaultPlan:
 
     def _hanging_mc(self, polynomial, probabilities,
                     request) -> BackendReading:
-        self._saw("pool-hang")
+        self._saw("query-hang")
         self.hang_release.wait()
         return self._genuine["mc"](polynomial, probabilities, request)
 
@@ -185,7 +191,6 @@ class ChaosReport:
         self.retries = 0
         self.fallbacks = 0
         self.breaker_trips = 0
-        self.pool_events: Dict[str, int] = {}
         self.accuracy_checked = 0
         self.max_abs_error = 0.0
         self.accuracy_failures: List[dict] = []
@@ -231,7 +236,6 @@ class ChaosReport:
                 "retries": self.retries,
                 "fallbacks": self.fallbacks,
                 "breaker_trips": self.breaker_trips,
-                "pool_events": dict(self.pool_events),
             },
             "accuracy": {
                 "checked": self.accuracy_checked,
@@ -263,15 +267,13 @@ def run_chaos(seed: int = 0,
               spec_count: int = 50,
               people: int = 13,
               samples: int = 20000,
-              max_workers: int = 4,
-              pool_hang_seconds: float = 0.5,
               plan: Optional[FaultPlan] = None,
               include_outcomes: bool = False) -> ChaosReport:
     """One full chaos run; see the module docstring for what it asserts.
 
     Deterministic program and fault *rates* per ``seed`` (exact fault
-    sequencing varies with worker scheduling, but every assertion the
-    report makes is scheduling-independent).
+    sequencing varies with the deadline runner's timing, but every
+    assertion the report makes is timing-independent).
     """
     program = build_chaos_program(people=people, seed=seed)
     started = time.perf_counter()
@@ -283,7 +285,7 @@ def run_chaos(seed: int = 0,
     clean.evaluate()
     keys: List[str] = []
     references: Dict[str, float] = {}
-    with QueryExecutor(clean, max_workers=1) as reference_executor:
+    with QueryExecutor(clean) as reference_executor:
         for key in _candidate_keys(clean, people):
             try:
                 references[key] = reference_executor.probability(
@@ -297,11 +299,10 @@ def run_chaos(seed: int = 0,
     specs: List[object] = list(keys)
     hang_key = keys[0] if keys else None
     if hang_key is not None:
-        # One spec routed to the blocking mc override: the pool-hang
+        # One spec routed to the blocking mc override: the query-hang
         # fault.  A distinct spec (different method ⇒ different cache
         # identity), so it does not collapse into its clean twin.
-        specs.append({"kind": "probability", "key": hang_key,
-                      "params": {"method": "mc"}})
+        specs.append(_hang_spec(hang_key))
 
     resilience = ResilienceConfig(
         budget=ResourceBudget(max_monomials=200000, max_node_visits=2000000),
@@ -310,8 +311,6 @@ def run_chaos(seed: int = 0,
                           max_backoff_seconds=0.01),
         breaker=BreakerPolicy(failure_threshold=0.5, window_size=8,
                               min_calls=4, cooldown_seconds=30.0),
-        pool_hang_seconds=pool_hang_seconds,
-        pool_max_rebuilds=1,
     )
     config = P3Config(probability_method="exact", hop_limit=4, seed=seed,
                       samples=samples, resilience=resilience)
@@ -322,7 +321,7 @@ def run_chaos(seed: int = 0,
         system = P3.from_source(program, config=config)
         system.evaluate()
         with chaos_plan.install():
-            with QueryExecutor(system, max_workers=max_workers) as executor:
+            with QueryExecutor(system) as executor:
                 try:
                     batch = executor.run(specs)
                 except Exception as exc:  # noqa: BLE001 — the one thing
@@ -336,6 +335,12 @@ def run_chaos(seed: int = 0,
     report.faults_observed = dict(chaos_plan.observed)
     report.seconds = time.perf_counter() - started
     return report
+
+
+def _hang_spec(key: str) -> dict:
+    """The spec the blocking ``mc`` override wedges, with its deadline."""
+    return {"kind": "probability", "key": key,
+            "params": {"method": "mc", "timeout": HANG_TIMEOUT_SECONDS}}
 
 
 def _candidate_keys(system: P3, people: int) -> Iterator[str]:
@@ -369,7 +374,6 @@ def _fill_report(report: ChaosReport, batch, references: Dict[str, float],
     if board is not None:
         report.breaker_trips = sum(
             snapshot["trips"] for snapshot in board.to_dict().values())
-    report.pool_events = executor.stats().get("pool", {}).get("events", {})
 
 
 def _check_accuracy(report: ChaosReport, outcome,
@@ -516,7 +520,7 @@ def run_process_chaos(seed: int = 0,
     clean.evaluate()
     keys: List[str] = []
     references: Dict[str, float] = {}
-    with QueryExecutor(clean, max_workers=1) as reference_executor:
+    with QueryExecutor(clean) as reference_executor:
         for key in _candidate_keys(clean, people):
             try:
                 references[key] = reference_executor.probability(
@@ -547,7 +551,7 @@ def run_process_chaos(seed: int = 0,
     system = P3.from_source(program, config=config)
     system.evaluate()
     try:
-        with QueryExecutor(system, max_workers=workers) as executor:
+        with QueryExecutor(system) as executor:
             # First exchange spawns the pool and proves the happy path.
             _process_probe(report, executor, keys[0], references)
             pool = executor.process_pool
@@ -725,13 +729,9 @@ def _service_exchange_problem(path: str, status: int,
 def _build_service_workload(rng: random.Random, keys: List[str],
                             request_count: int) -> List[Tuple[str, str, Optional[dict]]]:
     """A seeded request mix: mostly queries, plus updates, scrapes, and
-    deliberately bad requests.  The pool-hang batch is always included."""
+    deliberately bad requests.  The query-hang batch is always included."""
     hang_batch = {"specs": [
-        keys[1 % len(keys)],
-        {"kind": "probability", "key": keys[0],
-         "params": {"method": "mc"}},
-        keys[2 % len(keys)],
-    ]}
+        keys[1 % len(keys)], _hang_spec(keys[0]), keys[2 % len(keys)]]}
     workload: List[Tuple[str, str, Optional[dict]]] = [
         ("POST", "/tenants/chaos/query", hang_batch)]
     update_serial = [0]
@@ -772,7 +772,6 @@ def run_service_chaos(seed: int = 0,
                       request_count: int = 60,
                       people: int = 10,
                       samples: int = 20000,
-                      pool_hang_seconds: float = 0.5,
                       max_concurrent: int = 3,
                       max_queue: int = 2,
                       driver_threads: int = 8,
@@ -803,8 +802,6 @@ def run_service_chaos(seed: int = 0,
                           max_backoff_seconds=0.01),
         breaker=BreakerPolicy(failure_threshold=0.5, window_size=8,
                               min_calls=4, cooldown_seconds=30.0),
-        pool_hang_seconds=pool_hang_seconds,
-        pool_max_rebuilds=1,
     )
     config = P3Config(probability_method="exact", hop_limit=4, seed=seed,
                       samples=samples, resilience=resilience)

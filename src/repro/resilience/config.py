@@ -1,11 +1,11 @@
 """The ``P3Config(resilience=...)`` knob group.
 
 One :class:`ResilienceConfig` object collects every resilience tunable —
-the budget caps, the ladder, the retry and breaker policies, and the
-pool-supervision thresholds — so the executor reads a single field
-instead of a dozen loose keywords.  ``None`` (the config default) keeps
-the pipeline's historical behaviour: no budgets, no ladder, no breakers,
-and pool failures handled by the pre-existing sequential degrade.
+the budget caps, the ladder, and the retry and breaker policies — so the
+executor reads a single field instead of a dozen loose keywords.
+``None`` (the config default) keeps the pipeline's historical behaviour:
+no budgets, no ladder, no breakers.  Hung queries are bounded by the
+per-query deadline (``P3Config.query_timeout``), not by this object.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ class ResilienceConfig:
         Fallback chain, top rung first; entries may be backend names,
         dicts, or :class:`~repro.resilience.ladder.FallbackRung` objects.
         ``None`` uses :data:`DEFAULT_LADDER`.  ``fallback=False``
-        disables the ladder entirely (budgets and pool supervision still
-        apply).
+        disables the ladder entirely (budgets still apply).
     retry:
         Default :class:`~repro.resilience.retry.RetryPolicy` for rungs
         without their own.
@@ -44,17 +43,10 @@ class ResilienceConfig:
         :class:`~repro.resilience.breaker.BreakerPolicy` shared by all
         per-backend breakers; ``breakers=False`` disables circuit
         breaking.
-    pool_hang_seconds:
-        How long a batch waits for *any* worker progress before declaring
-        the pool hung (None = never; keeps the historical behaviour).
-    pool_max_rebuilds:
-        How many times a hung/broken pool is rebuilt before the executor
-        degrades (sequential for broken pools, error outcomes for hung
-        ones).
     """
 
     __slots__ = ("budget", "ladder", "retry", "breaker", "fallback",
-                 "breakers", "pool_hang_seconds", "pool_max_rebuilds")
+                 "breakers")
 
     def __init__(self,
                  budget: Optional[ResourceBudget] = None,
@@ -62,13 +54,7 @@ class ResilienceConfig:
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[BreakerPolicy] = None,
                  fallback: bool = True,
-                 breakers: bool = True,
-                 pool_hang_seconds: Optional[float] = None,
-                 pool_max_rebuilds: int = 1) -> None:
-        if pool_hang_seconds is not None and pool_hang_seconds <= 0:
-            raise ValueError("pool_hang_seconds must be positive or None")
-        if pool_max_rebuilds < 0:
-            raise ValueError("pool_max_rebuilds must be non-negative")
+                 breakers: bool = True) -> None:
         self.budget = budget
         self.ladder = tuple(
             FallbackRung.coerce(rung)
@@ -77,8 +63,6 @@ class ResilienceConfig:
         self.breaker = breaker if breaker is not None else BreakerPolicy()
         self.fallback = fallback
         self.breakers = breakers
-        self.pool_hang_seconds = pool_hang_seconds
-        self.pool_max_rebuilds = pool_max_rebuilds
 
     def build_board(self) -> Optional[BreakerBoard]:
         """A fresh breaker board per this config (None when disabled)."""
@@ -102,8 +86,6 @@ class ResilienceConfig:
             "breaker": self.breaker.to_dict(),
             "fallback": self.fallback,
             "breakers": self.breakers,
-            "pool_hang_seconds": self.pool_hang_seconds,
-            "pool_max_rebuilds": self.pool_max_rebuilds,
         }
 
     def __repr__(self) -> str:

@@ -2,8 +2,7 @@
 
 Everything else in the resilience layer works around one Python fact:
 a thread cannot be killed.  The deadline runners *abandon* wedged
-threads, the pool supervisor *abandons* hung pools — the wedged
-computation keeps burning CPU and holding memory until it finishes or
+threads — the wedged computation keeps burning CPU and holding memory until it finishes or
 the process dies, and one segfault inside the NumPy kernel takes every
 tenant down with it.  This module supplies the missing primitive: a
 small pool of **spawn-based subprocess workers** speaking a pickle-framed

@@ -415,14 +415,11 @@ class ProvenanceService:
         if not isinstance(specs, list) or not specs:
             raise _BadRequest("'specs' must be a non-empty list of query "
                               "specs (strings or objects)")
-        parallel = document.get("parallel", True)
-        if not isinstance(parallel, bool):
-            raise _BadRequest("'parallel' must be a boolean")
         tenant = self.registry.get(name)
         loop = asyncio.get_running_loop()
         async with self.admission.admit(tenant):
             batch = await loop.run_in_executor(
-                self._workers, lambda: tenant.run_batch(specs, parallel))
+                self._workers, lambda: tenant.run_batch(specs))
         return (200, batch_envelope(name, tenant.system.epoch, batch), None,
                 "/tenants/{name}/query")
 

@@ -46,7 +46,7 @@ _NAME_PATTERN = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 #: Per-tenant config fields a POSTed tenant definition may override.
 _CONFIG_OVERRIDE_FIELDS = (
     "probability_method", "samples", "seed", "hop_limit", "query_timeout",
-    "executor_workers", "inference_workers", "grounding",
+    "inference_workers", "grounding",
     "isolation", "isolation_workers", "worker_memory_bytes",
 )
 
@@ -139,10 +139,10 @@ class Tenant:
         """
         return self._executor
 
-    def run_batch(self, specs: List[object], parallel: bool = True) -> Any:
+    def run_batch(self, specs: List[object]) -> Any:
         """Answer one batch under the shared (reader) side of the lock."""
         with self._rw.read():
-            batch = self._executor.run(specs, parallel=parallel)
+            batch = self._executor.run(specs)
         with self._counter_lock:
             self.queries += len(specs)
         return batch
@@ -174,10 +174,11 @@ class Tenant:
 
 def default_tenant_config() -> P3Config:
     """The service-side default: resilience on, so every tenant gets the
-    fallback ladder, per-backend breakers, and pool supervision."""
+    fallback ladder and per-backend breakers, and a 30 s per-query
+    deadline, so a wedged query ends as a typed timeout instead of
+    stalling its batch."""
     from ..resilience import ResilienceConfig
-    return P3Config(resilience=ResilienceConfig(pool_hang_seconds=30.0,
-                                                pool_max_rebuilds=1))
+    return P3Config(query_timeout=30.0, resilience=ResilienceConfig())
 
 
 class TenantRegistry:

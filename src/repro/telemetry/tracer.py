@@ -5,9 +5,9 @@ A :class:`Span` is one timed region of the pipeline — a stage like
 trace id shared by every span of the same logical operation, a span id,
 and its parent's span id.  Parentage is tracked through a
 :class:`contextvars.ContextVar`, so nesting is established by lexical
-``with`` scoping in one thread, and survives the batch executor's
-thread-pool fan-out when the submitting thread copies its context into
-the worker (see :meth:`repro.exec.executor.QueryExecutor.run`).
+``with`` scoping in one thread, and survives the hop onto a deadline
+runner thread because the submitting thread copies its context into the
+runner (see :meth:`repro.exec.executor.QueryExecutor._execute_with_deadline`).
 
 Two clocks are recorded per span: a monotonic ``perf_counter_ns`` pair
 (``start_ns`` + ``duration_ns``) that makes parent/child containment

@@ -87,8 +87,7 @@ class TestResilientFlag:
     def test_chaos_smoke(self, capsys):
         # Tiny chaos run through the CLI: seeded, JSON, exit 0 on ok.
         code = main(["chaos", "--seed", "0", "--specs", "12",
-                     "--people", "8", "--samples", "4000",
-                     "--pool-hang", "0.3", "--json"])
+                     "--people", "8", "--samples", "4000", "--json"])
         captured = capsys.readouterr()
         document = json.loads(captured.out)
         assert document["kind"] == "chaos_report"

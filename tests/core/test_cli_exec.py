@@ -64,10 +64,6 @@ class TestQuery:
         assert document["kind"] == "query_batch"
         assert document["results"][KEY] == pytest.approx(0.163840)
 
-    def test_workers_flag(self, program_file, capsys):
-        assert main(["query", program_file, KEY, "--workers", "2"]) == 0
-        assert "0.163840" in capsys.readouterr().out
-
 
 class TestStatsFlag:
     def test_stats_on_stderr(self, program_file, capsys):

@@ -1,8 +1,8 @@
-"""Per-query deadlines, pool degradation, and seed resolution.
+"""Per-query deadlines, closed executors, and seed resolution.
 
 Failure-injection tests for the executor's live-service guarantees: a
 slow query must cost one ``error`` outcome — never a hung batch — and a
-broken thread pool must degrade to sequential execution, not lose work.
+closed executor must keep answering, not lose work.
 """
 
 import time
@@ -41,7 +41,7 @@ class TestDeadlines:
     def test_spec_timeout_yields_error_outcome(self, system, monkeypatch):
         monkeypatch.setattr(
             executor_module, "compute_probability", _slow_compute(5.0))
-        with QueryExecutor(system, max_workers=2) as executor:
+        with QueryExecutor(system) as executor:
             started = time.perf_counter()
             batch = executor.run([
                 QuerySpec.probability(KEY, timeout=0.2),
@@ -66,7 +66,7 @@ class TestDeadlines:
 
         monkeypatch.setattr(
             executor_module, "compute_probability", selectively_slow)
-        with QueryExecutor(system, max_workers=2) as executor:
+        with QueryExecutor(system) as executor:
             batch = executor.run([
                 QuerySpec.probability(KEY, timeout=0.2),
                 QuerySpec.probability(OTHER, timeout=2.0),
@@ -82,9 +82,8 @@ class TestDeadlines:
             executor_module, "compute_probability", _slow_compute(5.0))
         p3 = P3.from_source(ACQUAINTANCE, P3Config(query_timeout=0.2))
         p3.evaluate()
-        with QueryExecutor(p3, max_workers=1) as executor:
-            batch = executor.run([QuerySpec.probability(KEY)],
-                                 parallel=False)
+        with QueryExecutor(p3) as executor:
+            batch = executor.run([QuerySpec.probability(KEY)])
         assert not batch[0].ok
         assert "QueryTimeoutError" in batch[0].error
 
@@ -132,26 +131,12 @@ class TestDeadlines:
 
 
 class TestPoolFallback:
-    def test_broken_pool_degrades_to_sequential(self, system, monkeypatch):
-        with QueryExecutor(system, max_workers=4) as executor:
-            def broken_pool():
-                raise RuntimeError("cannot schedule new futures")
-
-            monkeypatch.setattr(executor, "_acquire_pool", broken_pool)
-            batch = executor.run([
-                QuerySpec.probability(KEY),
-                QuerySpec.probability(OTHER),
-            ])
-        assert batch.ok
-        assert batch[0].value == pytest.approx(KEY_PROBABILITY)
-        assert batch[1].value == pytest.approx(1.0)
-
     def test_closed_executor_still_answers(self, system):
-        executor = QueryExecutor(system, max_workers=4)
+        executor = QueryExecutor(system)
         executor.probability(KEY)
         executor.close()
-        # The shut-down pool raises RuntimeError inside run(); the
-        # sequential fallback must still answer.
+        # close() releases the runner threads; the caches and the inline
+        # route must keep working.
         batch = executor.run([
             QuerySpec.probability(KEY),
             QuerySpec.probability(OTHER),
@@ -225,7 +210,7 @@ class TestDeadlineRunnerPool:
     def test_timeout_counts_an_abandoned_runner(self, system, monkeypatch):
         monkeypatch.setattr(
             executor_module, "compute_probability", _slow_compute(5.0))
-        with QueryExecutor(system, max_workers=2) as executor:
+        with QueryExecutor(system) as executor:
             batch = executor.run([QuerySpec.probability(KEY, timeout=0.1)])
             stats = executor.stats()
         assert not batch[0].ok
@@ -240,7 +225,7 @@ class TestDeadlineRunnerPool:
         # growth, not the absolute count.
         before = sum(1 for t in threading.enumerate()
                      if t.name.startswith("p3-deadline"))
-        with QueryExecutor(system, max_workers=2) as executor:
+        with QueryExecutor(system) as executor:
             for _ in range(8):
                 batch = executor.run([
                     QuerySpec.probability(KEY, timeout=30.0),
@@ -249,8 +234,8 @@ class TestDeadlineRunnerPool:
                 assert batch.ok
                 executor.clear_caches()  # force real work each round
             runners = executor.stats()["pool"]["deadline_runners"]
-        # 16 deadlined queries must not mean 16 threads: at most the
-        # concurrent width is ever spawned, the rest are reuses.
+        # 16 deadlined queries must not mean 16 threads: a few runners
+        # are spawned, the rest are reuses.
         assert runners["spawned"] <= 4
         assert runners["reused"] >= 8
         assert runners["abandoned_live"] == 0

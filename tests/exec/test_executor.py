@@ -115,15 +115,15 @@ class TestRun:
         assert batch.errors()[0][0].key == 'know("Nobody","Here")'
         assert executor.stats()["errors"] == 1
 
-    def test_parallel_equals_sequential(self, system):
+    def test_batch_equals_direct_calls(self, system):
         keys = sorted(str(atom) for atom in system.derived_atoms("know"))
         specs = [QuerySpec.probability(key) for key in keys]
-        with QueryExecutor(system, max_workers=4) as parallel_executor:
-            parallel_values = parallel_executor.run(specs).values()
-        with QueryExecutor(system, max_workers=1) as serial_executor:
-            serial_values = serial_executor.run(
-                specs, parallel=False).values()
-        assert parallel_values == serial_values
+        with QueryExecutor(system) as batch_executor:
+            batch_values = batch_executor.run(specs).values()
+        with QueryExecutor(system) as direct_executor:
+            direct_values = [direct_executor.probability(key)
+                             for key in keys]
+        assert batch_values == direct_values
 
     def test_cached_flag_on_second_run(self, executor):
         executor.run([QuerySpec.explain(KEY)])
@@ -196,9 +196,9 @@ class TestFacadeIntegration:
 
     def test_overrides_are_throwaway(self, system):
         first = system.executor()
-        second = system.executor(max_workers=2)
+        second = system.executor(polynomial_cache_size=2)
         assert second is not first
-        assert second.max_workers == 2
+        assert second.polynomial_cache.maxsize == 2
         # The shared executor (and its warm caches) must survive.
         assert system.executor() is first
 
@@ -208,26 +208,24 @@ class TestFacadeIntegration:
         shared.probability(KEY)
         hits_before = shared.result_cache.stats()["hits"]
         assert hits_before > 0
-        system.executor(max_workers=1)
+        system.executor(result_cache_size=1)
         assert system.executor() is shared
         shared.probability(KEY)
         assert shared.result_cache.stats()["hits"] == hits_before + 1
 
     def test_configure_executor_replaces_shared(self, system):
         first = system.executor()
-        rebuilt = system.configure_executor(max_workers=2)
+        rebuilt = system.configure_executor(result_cache_size=2)
         assert rebuilt is not first
-        assert rebuilt.max_workers == 2
+        assert rebuilt.result_cache.maxsize == 2
         assert system.executor() is rebuilt
 
     def test_config_defaults_respected(self):
         p3 = P3.from_source(
             ACQUAINTANCE,
-            config=P3Config(executor_workers=3, polynomial_cache_size=7,
-                            result_cache_size=11))
+            config=P3Config(polynomial_cache_size=7, result_cache_size=11))
         p3.evaluate()
         executor = p3.executor()
-        assert executor.max_workers == 3
         assert executor.polynomial_cache.maxsize == 7
         assert executor.result_cache.maxsize == 11
 

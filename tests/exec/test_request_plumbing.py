@@ -1,8 +1,8 @@
 """The executor front door must hand backends a *complete*
 :class:`InferenceRequest`: sample budget, mixed seed, worker count, and
 the per-query deadline.  Historically only samples/seed were plumbed, so
-the parallel kernel always ran single-shard no matter how wide the
-executor was configured — these tests pin the fix.
+the parallel kernel always ran single-shard no matter how many workers
+were configured — these tests pin the fix.
 """
 
 import time
@@ -44,12 +44,13 @@ class TestWorkersPlumbing:
         assert seen[0].workers == 6
 
     def test_workers_default_to_executor_width(self):
+        """Unset ``inference_workers`` resolves to the constant 4."""
         seen = []
         p3 = _system()
         with override_backend("parallel", _spy_backend("parallel", seen)):
-            with QueryExecutor(p3, max_workers=3) as executor:
+            with QueryExecutor(p3) as executor:
                 executor.probability(KEY, method="parallel")
-        assert seen[0].workers == 3
+        assert seen[0].workers == 4
 
     def test_batch_path_carries_workers_too(self):
         seen = []

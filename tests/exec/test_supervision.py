@@ -1,8 +1,8 @@
 """Executor-level resilience: ladder wiring, deadline/fallback
-interaction, and hung-pool supervision.
+interaction, and wedged-backend deadlines.
 
-These tests exercise the executor as a whole — real threads, real
-pools — with fault injection through the backend registry, mirroring
+These tests exercise the executor as a whole — real deadline-runner
+threads — with fault injection through the backend registry, mirroring
 how the chaos harness breaks things.
 """
 
@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro import P3, P3Config
-from repro.core.errors import PoolHangError
+from repro.core.errors import QueryTimeoutError
 from repro.data import ACQUAINTANCE
 from repro.exec import QueryExecutor
 from repro.inference.exact import exact_probability
@@ -110,57 +110,64 @@ class TestDeadlineFallbackInteraction:
         assert batch[0].resilience.answered_by == "exact"
 
 
-class TestPoolSupervision:
+class TestHangDeadline:
     def _blocking_backend(self, release):
         def wedged(polynomial, probabilities, request):
             release.wait()
             return BackendReading("mc", 0.0, stderr=0.0, exact=False)
         return wedged
 
-    def test_hung_pool_rebuilt_then_abandoned(self):
-        """A worker wedged past the hang window triggers one rebuild;
-        when the rebuilt pool wedges too, the spec gets a PoolHangError
-        outcome instead of stalling the batch forever."""
+    def test_wedged_spec_times_out_typed(self):
+        """A backend wedged past the spec's deadline costs that spec a
+        QueryTimeoutError outcome; the clean spec in the same batch is
+        answered, the batch returns promptly, and the abandoned runner
+        recovers once the backend lets go."""
         release = threading.Event()
-        resilience = ResilienceConfig(pool_hang_seconds=0.2,
-                                      pool_max_rebuilds=1)
-        p3 = _system(resilience)
+        p3 = _system(None)
         hung_spec = {"kind": "probability", "key": KEY,
-                     "params": {"method": "mc"}}
+                     "params": {"method": "mc", "timeout": 0.2}}
         try:
             with override_backend(
                     "mc", self._blocking_backend(release)):
-                with QueryExecutor(p3, max_workers=2) as executor:
+                with QueryExecutor(p3) as executor:
                     started = time.monotonic()
                     batch = executor.run([hung_spec, OTHER])
                     elapsed = time.monotonic() - started
-                    stats = executor.stats()
+                    assert executor.deadline_runner_stats()[
+                        "abandoned_live"] == 1
+                    release.set()
+                    deadline = time.monotonic() + 5.0
+                    while (executor.deadline_runner_stats()["abandoned_live"]
+                           and time.monotonic() < deadline):
+                        time.sleep(0.01)
+                    assert executor.deadline_runner_stats()[
+                        "abandoned_live"] == 0
         finally:
             release.set()
 
         outcomes = {outcome.spec.key: outcome for outcome in batch}
-        # The clean spec finished; the wedged one failed typed, fast.
         assert outcomes[OTHER].ok
+        assert outcomes[OTHER].value == pytest.approx(1.0)
         hung = outcomes[KEY]
         assert not hung.ok
-        assert isinstance(hung.exception, PoolHangError)
+        assert isinstance(hung.exception, QueryTimeoutError)
         assert elapsed < 5.0
-        events = stats["pool"]["events"]
-        assert events.get("rebuild") == 1
-        assert events.get("hang_abandon") == 1
 
-    def test_progressing_pool_is_left_alone(self):
-        """A clean supervised batch records only the probe's fan-out
-        decision — never a rebuild or an abandonment."""
-        resilience = ResilienceConfig(pool_hang_seconds=5.0)
-        p3 = _system(resilience)
-        with QueryExecutor(p3, max_workers=2) as executor:
-            batch = executor.run([KEY, OTHER])
-            stats = executor.stats()
-        assert batch.ok
-        events = stats.get("pool", {}).get("events", {})
-        assert "rebuild" not in events
-        assert "hang_abandon" not in events
-        assert "degrade_sequential" not in events
-        # The measured-cost probe ran (one of the two decisions fired).
-        assert ("skip_fanout" in events) or ("fanout" in events)
+    def test_wedged_ladder_rung_times_out_typed(self):
+        """With the fallback ladder on, its rung watchdog and the
+        executor share the deadline; whichever notices first, the spec
+        ends as a QueryTimeoutError."""
+        release = threading.Event()
+        p3 = _system(ResilienceConfig())
+        hung_spec = {"kind": "probability", "key": KEY,
+                     "params": {"method": "mc", "timeout": 0.2}}
+        try:
+            with override_backend(
+                    "mc", self._blocking_backend(release)):
+                with QueryExecutor(p3) as executor:
+                    batch = executor.run([hung_spec, OTHER])
+        finally:
+            release.set()
+        hung, clean = batch[0], batch[1]
+        assert clean.ok
+        assert isinstance(hung.exception, QueryTimeoutError)

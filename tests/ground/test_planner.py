@@ -140,7 +140,7 @@ class TestExecutorEnvelopeParity:
     def envelope(p3):
         specs = [QuerySpec.probability(key)
                  for key in TestExecutorEnvelopeParity.KEYS]
-        batch = p3.executor().run(specs, parallel=False)
+        batch = p3.executor().run(specs)
         results = {outcome.spec.key: outcome.value for outcome in batch}
         document = {"version": 1, "kind": "query_batch",
                     "results": {key: results[key] for key in sorted(results)}}

@@ -180,51 +180,6 @@ class TestOnePassConditionedPair:
         assert counts[0] == counts[1] == counts[2]
 
 
-class TestBatchSeedIndependence:
-    """Regression tests for the correlated-worker-stream bug: the batch
-    sampler used ``seed + i`` per polynomial, so two batches seeded with
-    nearby offsets re-used each other's streams verbatim."""
-
-    def _batch(self, seed, count=4, samples=2000):
-        from repro.inference.parallel_mc import batch_parallel_probability
-        poly = make_polynomial(("a", "b"), ("c",))
-        probs = random_probabilities(poly, seed=0)
-        return batch_parallel_probability(
-            [poly] * count, probs, samples=samples, seed=seed,
-            max_workers=2)
-
-    def test_workers_draw_distinct_streams(self):
-        estimates = self._batch(seed=0)
-        hit_counts = [e.hits for e in estimates]
-        # Identical streams would make every worker's estimate identical.
-        assert len(set(hit_counts)) > 1
-
-    def test_nearby_seeds_do_not_share_streams(self):
-        # Under seed+i, batch(seed=0) worker i+1 equals batch(seed=1)
-        # worker i.  SeedSequence.spawn must break that overlap.
-        first = self._batch(seed=0)
-        second = self._batch(seed=1)
-        overlaps = [
-            first[i + 1].hits == second[i].hits
-            for i in range(len(first) - 1)
-        ]
-        assert not all(overlaps)
-
-    def test_batch_reproducible_and_order_independent(self):
-        from repro.inference.parallel_mc import batch_parallel_probability
-        poly = make_polynomial(("a", "b"), ("c",))
-        probs = random_probabilities(poly, seed=0)
-        serial = batch_parallel_probability(
-            [poly] * 3, probs, samples=1000, seed=5, max_workers=1)
-        threaded = batch_parallel_probability(
-            [poly] * 3, probs, samples=1000, seed=5, max_workers=3)
-        assert [e.value for e in serial] == [e.value for e in threaded]
-
-    def test_empty_batch(self):
-        from repro.inference.parallel_mc import batch_parallel_probability
-        assert batch_parallel_probability([], {}, samples=10) == []
-
-
 class TestBitsetPacking:
     """The packed-bitset representation: masks, multi-word polynomials,
     and the packed/unpacked evaluation agreement (replaces the retired

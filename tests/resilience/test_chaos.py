@@ -18,13 +18,17 @@ def test_program_is_deterministic_per_seed():
 
 def test_chaos_run_survives_and_serializes():
     report = run_chaos(seed=0, spec_count=20, people=9, samples=8000,
-                       pool_hang_seconds=0.3)
+                       include_outcomes=True)
     assert report.ok, report.to_dict()
     assert report.well_formed == report.specs
     assert report.unhandled is None
     for fault in CHAOS_FAULT_CLASSES:
         assert report.faults_observed.get(fault, 0) > 0, fault
     assert not report.accuracy_failures
+    # The wedged mc spec ends at its deadline as a typed timeout.
+    (hung,) = [outcome for outcome in report.outcomes
+               if outcome["spec"].get("params", {}).get("method") == "mc"]
+    assert hung["error"].startswith("QueryTimeoutError"), hung
     # The resilience layer visibly did work.
     assert report.fallbacks > 0
     # The envelope is valid, versioned JSON.

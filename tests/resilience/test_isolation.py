@@ -179,7 +179,7 @@ class TestExecutorIsolation:
         reference = P3.from_source(ACQUAINTANCE)
         reference.evaluate()
         expected = reference.probability_of('know("Ben","Elena")')
-        with QueryExecutor(system, max_workers=1) as executor:
+        with QueryExecutor(system) as executor:
             assert executor.isolation == "process"
             value = executor.probability('know("Ben","Elena")',
                                          method="exact")
@@ -193,11 +193,11 @@ class TestExecutorIsolation:
         config = P3Config(isolation="auto")
         p3 = P3.from_source(ACQUAINTANCE, config=config)
         p3.evaluate()
-        with QueryExecutor(p3, max_workers=1) as executor:
+        with QueryExecutor(p3) as executor:
             assert executor.isolation == "process"
 
     def test_outcome_documents_stay_well_formed(self, system):
-        with QueryExecutor(system, max_workers=1) as executor:
+        with QueryExecutor(system) as executor:
             batch = executor.run(['know("Ben","Elena")',
                                   'know("Ben","Steve")'])
         for outcome in batch:

@@ -1,9 +1,11 @@
 """Tenant registry: validation, lifecycle, and the read/write lock."""
 
+import dataclasses
 import threading
 
 import pytest
 
+from repro import P3Config
 from repro.data import ACQUAINTANCE
 from repro.serve import (
     TenantExistsError,
@@ -11,6 +13,7 @@ from repro.serve import (
     TenantRegistry,
     UnknownTenantError,
 )
+from repro.serve.tenants import _CONFIG_OVERRIDE_FIELDS
 
 KEY = 'know("Ben","Elena")'
 
@@ -89,6 +92,15 @@ class TestValidation:
         tenant = registry.create("alpha", source=ACQUAINTANCE,
                                  config_overrides={"samples": 123})
         assert tenant.system.config.samples == 123
+
+    def test_override_fields_are_config_fields(self):
+        fields = {field.name for field in dataclasses.fields(P3Config)}
+        assert set(_CONFIG_OVERRIDE_FIELDS) <= fields
+
+    def test_default_config_bounds_hangs_with_a_deadline(self, registry):
+        tenant = registry.create("alpha", source=ACQUAINTANCE)
+        assert tenant.system.config.query_timeout == 30.0
+        assert tenant.system.config.resilience is not None
 
 
 class TestTenantConcurrency:

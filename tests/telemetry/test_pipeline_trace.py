@@ -70,9 +70,11 @@ class TestTracedExplanation:
 class TestBatchFanout:
     def test_worker_spans_nest_under_the_batch_span(self, p3):
         rt = telemetry.configure(TelemetryConfig())
+        # The deadlined spec runs on a deadline-runner thread: its spans
+        # must still join the batch's trace.
         batch = p3.executor().run(
-            [KEY, QuerySpec.explain(KEY), 'know("Steve","Elena")'],
-            parallel=True)
+            [KEY, QuerySpec.explain(KEY),
+             QuerySpec.probability('know("Steve","Elena")', timeout=30.0)])
         assert len(batch) == 3
         dicts = ring_dicts(rt)
         assert validate_span_dicts(dicts) == []
@@ -82,7 +84,7 @@ class TestBatchFanout:
         batch_trace = batch_roots[0]["trace_id"]
         query_spans = [d for d in dicts if d["name"] == "query"]
         assert query_spans
-        assert all(d["trace_id"] == batch_trace for d in query_spans)
+        assert all(d["trace_id"] == batch_trace for d in dicts)
 
 
 class TestExports:
