@@ -304,7 +304,10 @@ class FallbackLadder:
 
         ``deadline`` is an *absolute* monotonic-clock instant (matching
         the injectable ``clock``); rungs that cannot fit in the remaining
-        time are skipped, and the ladder never sleeps past it.  It stays
+        time are skipped, and the ladder never sleeps past it.  A running
+        rung is bounded only by its own ``timeout``; waiting out the
+        deadline itself is the caller's job (the executor's deadline
+        runner does it).  It stays
         a ladder-level argument — not a request field — because it is
         interpreted against the injectable clock, while
         ``request.deadline`` is interpreted by the sampling kernel
@@ -417,8 +420,7 @@ class FallbackLadder:
             started = self._clock()
             try:
                 reading = self._call_with_timeout(
-                    backend, rung, polynomial, probabilities,
-                    rung_request, deadline)
+                    backend, rung, polynomial, probabilities, rung_request)
             except ABSORBED_CLASSES as exc:
                 elapsed = self._clock() - started
                 record.record_attempt(rung.method, attempt, elapsed,
@@ -448,28 +450,25 @@ class FallbackLadder:
 
     def _call_with_timeout(self, backend, rung: FallbackRung,
                            polynomial, probabilities,
-                           request: "InferenceRequest",
-                           deadline: Optional[float]) -> BackendReading:
-        """Run the backend, bounded by the rung timeout if one is set.
+                           request: "InferenceRequest") -> BackendReading:
+        """Run the backend, bounded by the rung's own timeout if it has one.
 
-        The per-rung watchdog mirrors the executor's deadline thread: the
-        call runs on a daemon thread and is abandoned on timeout (Python
-        cannot interrupt it), which is safe because backends are pure
-        functions of their inputs.  Rungs whose effective isolation is
-        ``"process"`` (and a dispatcher is installed) skip the watchdog
-        entirely: the subprocess worker enforces the same relative
+        The per-rung watchdog runs the call on a daemon thread and
+        abandons it on timeout (Python cannot interrupt it), which is safe
+        because backends are pure functions of their inputs.  Rungs whose
+        effective isolation is ``"process"`` (and a dispatcher is
+        installed) skip the watchdog: the subprocess worker enforces the
         timeout with an actual SIGKILL, so nothing is abandoned.
+
+        The query deadline is not a watchdog here: the executor's deadline
+        runner that calls the ladder already stops waiting at it, and the
+        executor's process dispatcher caps its worker timeout at it.
         """
-        timeout = rung.timeout
-        remaining = self._remaining(deadline)
-        if timeout is None and remaining is not None:
-            timeout = remaining
         isolation = rung.isolation or self.default_isolation
         if isolation == "process" and self.dispatch is not None:
-            # Relative timeout on purpose: ``deadline`` is read against
-            # the injectable clock, which the worker pool cannot see.
             return self.dispatch(rung.method, polynomial, probabilities,
-                                 request, timeout)
+                                 request, rung.timeout)
+        timeout = rung.timeout
         if timeout is None:
             return backend.run(polynomial, probabilities, request)
 

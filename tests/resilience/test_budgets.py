@@ -132,6 +132,21 @@ class TestPipelineEnforcement:
         assert 0.0 <= outcome.value <= exact
         assert outcome.to_dict()["partial"] is True
 
+    def test_deadlined_budget_blowup_still_degrades(self):
+        # A deadlined spec runs on a deadline runner; the blown budget
+        # crosses back unchanged and still degrades to a partial answer.
+        p3 = P3.from_source(ACQUAINTANCE, config=P3Config(
+            query_timeout=30.0,
+            resilience=ResilienceConfig(
+                budget=ResourceBudget(max_node_visits=2),
+                fallback=False, breakers=False)))
+        p3.evaluate()
+        with QueryExecutor(p3) as executor:
+            outcome = executor.run([KEY])[0]
+            assert executor.deadline_runner_stats()["spawned"] >= 1
+        assert outcome.error is None
+        assert outcome.partial is True
+
     def test_executor_budget_without_partial_is_typed_error(self):
         # Non-probability specs cannot degrade to a partial answer: the
         # blown budget stays a typed error outcome.

@@ -160,6 +160,26 @@ class TestDeadlines:
                    for entry in excinfo.value.record.skipped}
         assert reasons == {"deadline-exhausted"}
 
+    def test_rung_without_timeout_runs_inline_under_deadline(self):
+        # The query deadline is the caller's to enforce: a rung with no
+        # timeout of its own starts no watchdog thread.
+        import threading
+
+        threads = []
+
+        def spy(polynomial, probabilities, request):
+            threads.append(threading.current_thread())
+            return BackendReading("exact", exact_probability(
+                polynomial, probabilities))
+
+        clock = lambda: 100.0  # noqa: E731
+        with override_backend("exact", spy):
+            reading, record = _ladder(("exact",), clock=clock).run(
+                POLY, PROBS, deadline=100.0 + 10.0)
+        assert threads == [threading.current_thread()]
+        assert record.answered_by == "exact"
+        assert reading.value == pytest.approx(TRUTH)
+
     def test_rung_timeout_falls_through(self):
         import time as _time
 
