@@ -9,9 +9,10 @@ models stay identical.
 
 import time
 
+from repro import P3, P3Config
 from repro.datalog.ast import Fact
 from repro.datalog.engine import Engine
-from repro.datalog.incremental import IncrementalSession
+from repro.datalog.parser import parse_program
 from repro.datalog.terms import atom as make_atom
 
 from reporting import record_table
@@ -33,8 +34,9 @@ def test_ablation_incremental_insertion(benchmark):
         if len(new_edges) >= INSERTIONS:
             break
 
-    session = IncrementalSession(sample.to_program(), capture_tables=False)
-    base_atoms = session.database.count()
+    system = P3(sample.to_program(), P3Config(capture_tables=False))
+    system.evaluate()
+    base_atoms = system.database.count()
 
     rows = []
     accumulated_source = str(sample.to_program())
@@ -43,17 +45,16 @@ def test_ablation_incremental_insertion(benchmark):
         accumulated_source += "\nnew%d 0.6: trust(%d,%d)." % (index, src, dst)
 
         start = time.perf_counter()
-        delta = session.add_fact(fact)
+        delta = system.add_fact(fact)
         incremental_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        from repro.datalog.parser import parse_program
         full = Engine(parse_program(accumulated_source),
                       capture_tables=False).run()
         scratch_time = time.perf_counter() - start
 
         # Identical models.
-        assert ({str(a) for a in session.database.atoms()}
+        assert ({str(a) for a in system.database.atoms()}
                 == {str(a) for a in full.database.atoms()})
         rows.append(["trust(%d,%d)" % (src, dst), delta.firing_count,
                      incremental_time, scratch_time,
@@ -72,8 +73,8 @@ def test_ablation_incremental_insertion(benchmark):
     assert sum(speedups) / len(speedups) > 2
 
     def run_one():
-        fresh = IncrementalSession(sample.to_program(),
-                                   capture_tables=False)
+        fresh = P3(sample.to_program(), P3Config(capture_tables=False))
+        fresh.evaluate()
         src, dst = new_edges[0]
         fresh.add_fact(Fact(make_atom("trust", src, dst), 0.6, "bench"))
 

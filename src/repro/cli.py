@@ -437,13 +437,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_goal(args: argparse.Namespace) -> int:
     from .core.goal import goal_directed_query
-    from .datalog.parser import parse_file
+    from .datalog.parser import parse_atom, parse_file
 
     config = P3Config(
         probability_method=args.method,
         samples=args.samples, seed=args.seed, hop_limit=args.hop_limit)
     program = parse_file(args.program)
-    from .datalog.parser import parse_atom
     pattern = parse_atom(args.pattern)
     result = goal_directed_query(
         program, pattern.relation, pattern=pattern, config=config)

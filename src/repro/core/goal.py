@@ -1,85 +1,70 @@
-"""Goal-directed querying: magic-set evaluation behind a friendly facade.
+"""Goal-directed querying: magic-set grounding behind a friendly facade.
 
 :func:`goal_directed_query` answers one query pattern without computing
-the whole least model: the program is magic-transformed
-(:mod:`repro.datalog.magic`), the specialised program is evaluated with
-provenance, and the results are presented under the *original* relation
-name with magic bookkeeping stripped from every polynomial — so the
-answers, polynomials, and probabilities are interchangeable with those of
-a full :class:`~repro.core.system.P3` evaluation (tested so).
+the whole least model.  It runs :func:`repro.ground.relevance.ground_goal`
+— the one magic-set path, shared with the ``grounding='query'`` planner —
+which evaluates the magic-transformed program over the term arena and
+hands back the relevant provenance subgraph already in *original*
+relation names and rule labels.  The answers, polynomials, and
+probabilities are therefore interchangeable with those of a full
+:class:`~repro.core.system.P3` evaluation (tested so).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..datalog.ast import Program
-from ..datalog.engine import Engine
-from ..datalog.magic import (
-    MagicProgram,
-    magic_transform,
-    original_provenance_graph,
-)
 from ..datalog.terms import Atom, atom as make_atom
 from ..inference import probability as compute_probability
 from ..provenance.extraction import extract_polynomial
-from ..provenance.graph import GraphBuilder, register_program
-from ..provenance.polynomial import Literal, Polynomial
+from ..provenance.polynomial import Polynomial
 from .config import P3Config
+
+if TYPE_CHECKING:
+    from ..ground.relevance import GroundedGoal
 
 
 class GoalDirectedResult:
     """Answers to one goal-directed query, in original-relation terms."""
 
-    def __init__(self, magic: MagicProgram, pattern: Atom, graph, database,
-                 probabilities, firing_count: int,
-                 config: P3Config) -> None:
-        self._magic = magic
-        self._pattern = pattern
-        self._graph = graph
-        self._database = database
-        self._probabilities = probabilities
-        self.firing_count = firing_count
+    def __init__(self, goal: "GroundedGoal", config: P3Config) -> None:
+        self._goal = goal
+        self._probabilities = goal.graph.probability_map()
+        self.firing_count: int = goal.stats["firings"]
         self._config = config
         self._polynomials: Dict[str, Polynomial] = {}
 
     def answers(self) -> List[str]:
         """Ground tuples matching the query pattern, as original keys.
 
-        The magic-evaluated model also contains auxiliary demanded tuples
+        The grounded model also holds auxiliary demanded tuples
         (sub-demands of the recursion); only tuples unifying with the
         original query pattern are answers.
         """
-        adorned_pattern = Atom(self._magic.query_relation,
-                               self._pattern.args)
-        keys = {
-            self._magic.original_key(
-                str(adorned_pattern.substitute(subst)))
-            for subst in self._database.match(adorned_pattern)
-        }
-        return sorted(keys)
+        return sorted(set(self._goal.answers))
 
     @property
     def graph(self):
-        """The provenance graph, translated back to original terms.
+        """The provenance graph, in original terms.
 
         This is a subgraph of what full evaluation would have produced —
         restricted to derivations relevant to the query — so extraction,
         hop limits, and literals behave identically on it.
         """
-        return self._graph
+        return self._goal.graph
 
     def polynomial_of(self, original_key: str) -> Polynomial:
         """Provenance polynomial over original rule labels and tuple keys."""
         cached = self._polynomials.get(original_key)
         if cached is not None:
             return cached
-        if original_key not in self._graph:
+        if original_key not in self.graph:
             raise KeyError(
                 "Tuple %r was not derived by the goal-directed evaluation"
                 % original_key)
         polynomial = extract_polynomial(
-            self._graph, original_key,
+            self.graph, original_key,
             hop_limit=self._config.hop_limit,
             max_monomials=self._config.max_monomials)
         self._polynomials[original_key] = polynomial
@@ -95,7 +80,7 @@ class GoalDirectedResult:
 
     def __repr__(self) -> str:
         return "GoalDirectedResult(%s, %d answers, %d firings)" % (
-            self._magic.query_relation, len(self.answers()),
+            self._goal.magic.query_relation, len(self.answers()),
             self.firing_count)
 
 
@@ -103,28 +88,18 @@ def goal_directed_query(program: Program, relation: str, *values: object,
                         pattern: Optional[Atom] = None,
                         config: Optional[P3Config] = None
                         ) -> GoalDirectedResult:
-    """Magic-transform, evaluate, and wrap the answers.
+    """Ground the program for one goal and wrap the answers.
 
     Use positional ``values`` for a fully-ground query, or pass a
     ``pattern`` atom containing variables for partially-bound queries
     (e.g. ``Atom("trustPath", (Constant(1), Variable("X")))``).
     """
+    # Imported on use, so ``import repro`` (every CLI start) does not
+    # load the grounding subsystem.
+    from ..ground.relevance import ground_goal
     config = config or P3Config()
     if pattern is None:
         pattern = make_atom(relation, *values)  # type: ignore[arg-type]
-    magic = magic_transform(program, pattern)
-    builder = GraphBuilder()
-    register_program(builder.graph, magic.program)
-    result = Engine(
-        magic.program, recorder=builder,
-        capture_tables=config.capture_tables,
-        max_rounds=config.max_rounds,
-        max_tuples=config.max_tuples,
-    ).run()
-
-    cleaned = original_provenance_graph(builder.graph, magic)
-    probabilities: Dict[Literal, float] = cleaned.probability_map()
-
-    return GoalDirectedResult(
-        magic, pattern, cleaned, result.database, probabilities,
-        result.firing_count, config)
+    goal = ground_goal(program, pattern, max_rounds=config.max_rounds,
+                       max_tuples=config.max_tuples)
+    return GoalDirectedResult(goal, config)

@@ -33,10 +33,10 @@ from typing import (
     Union,
 )
 
+from .. import telemetry
+from ..datalog.arena import FactStore, ModelView
 from ..datalog.ast import Fact, Program
-from ..datalog.database import Database
 from ..datalog.engine import Engine, EvaluationResult
-from ..datalog.incremental import IncrementalSession
 from ..datalog.parser import parse_atom, parse_facts, parse_program
 from ..datalog.terms import Atom, atom as make_atom
 from ..provenance.graph import GraphBuilder, ProvenanceGraph, register_program
@@ -79,7 +79,9 @@ class P3:
         self._graph: Optional[ProvenanceGraph] = None
         self._probabilities: Optional[Dict[Literal, float]] = None
         self._executor: Optional["QueryExecutor"] = None
-        self._session: Optional[IncrementalSession] = None
+        #: The evaluation engine, kept for negation-free programs so
+        #: :meth:`add_facts` can extend the model in place.
+        self._engine: Optional[Engine] = None
         #: Query-directed grounding planner (``config.grounding`` 'query'
         #: or 'auto'); None under classic full evaluation.
         self._planner: Optional["GroundingPlanner"] = None
@@ -122,30 +124,27 @@ class P3:
         epoch-tagged caches so cache entries and ``update`` envelopes
         report the restored epoch, not 0.
 
-        The evaluated database is rebuilt from the graph's tuple keys
-        (every vertex is in the least model), and the synthetic
-        :class:`~repro.datalog.engine.EvaluationResult` reports 0 rounds
-        and 0 seconds — the tell that no fixpoint evaluation ran.
+        The synthetic :class:`~repro.datalog.engine.EvaluationResult`
+        reports 0 rounds and 0 seconds — the tell that no fixpoint
+        evaluation ran.  The model's rows are parsed back from the graph's
+        tuple keys (every vertex is in the least model) on the first read
+        of :attr:`database`.
 
-        A warm-started system has no incremental session: the first
+        A warm-started system keeps no engine: the first
         :meth:`add_facts` falls back to one full re-evaluation (after
         which updates are incremental again).
         """
         if epoch < 0:
             raise ValueError("epoch must be non-negative, got %d" % epoch)
         p3 = cls(program, config=config)
-        database = Database()
-        for key in graph.tuple_keys():
-            database.add(parse_atom(key))
         derived = sum(1 for key in graph.tuple_keys()
                       if not graph.is_base(key))
         p3._result = EvaluationResult(
-            database, rounds=0, firing_count=len(graph.executions()),
+            None, rounds=0, firing_count=len(graph.executions()),
             elapsed_seconds=0.0, derived_count=derived)
         p3._graph = graph
         p3._probabilities = dict(probabilities)
         p3._epoch = epoch
-        p3._session = None
         p3._warm_started = True
         return p3
 
@@ -196,12 +195,11 @@ class P3:
 
         Idempotent: repeated calls return the first result.
 
-        Negation-free programs (the common case) evaluate through an
-        :class:`~repro.datalog.incremental.IncrementalSession`, which is
-        kept alive so :meth:`add_facts` can later extend the model without
-        re-evaluating from scratch.  Programs with stratified negation run
-        the plain engine; for those, :meth:`add_facts` falls back to a
-        full re-evaluation.
+        For negation-free programs (the common case) the
+        :class:`~repro.datalog.engine.Engine` is kept alive so
+        :meth:`add_facts` can later extend the model without
+        re-evaluating from scratch.  For programs with stratified
+        negation, :meth:`add_facts` falls back to a full re-evaluation.
 
         Under ``config.grounding='query'`` (or ``'auto'`` on large
         programs) no fixpoint runs here at all: a
@@ -216,30 +214,20 @@ class P3:
                 self._result = self._planner.bootstrap()
                 self._graph = self._planner.graph
                 self._probabilities = self._graph.probability_map()
-                self._session = None
                 self._warm_started = False
                 return self._result
             builder = GraphBuilder()
             register_program(builder.graph, self.program)
-            if any(rule.negations for rule in self.program.rules):
-                engine = Engine(
-                    self.program,
-                    recorder=builder,
-                    capture_tables=self.config.capture_tables,
-                    max_rounds=self.config.max_rounds,
-                    max_tuples=self.config.max_tuples,
-                )
-                self._result = engine.run()
-                self._session = None
-            else:
-                self._session = IncrementalSession(
-                    self.program,
-                    recorder=builder,
-                    capture_tables=self.config.capture_tables,
-                    max_rounds=self.config.max_rounds,
-                    max_tuples=self.config.max_tuples,
-                )
-                self._result = self._session.initial_result
+            engine = Engine(
+                self.program,
+                recorder=builder,
+                capture_tables=self.config.capture_tables,
+                max_rounds=self.config.max_rounds,
+                max_tuples=self.config.max_tuples,
+            )
+            self._result = engine.run()
+            if not any(rule.negations for rule in self.program.rules):
+                self._engine = engine
             self._graph = builder.graph
             self._probabilities = builder.graph.probability_map()
             self._warm_started = False
@@ -321,11 +309,11 @@ class P3:
         containing only facts (e.g. ``'t9 0.5: edge(3,4).'``).
 
         On an evaluated negation-free system the consequences propagate
-        incrementally (semi-naive deltas over the kept session): the
-        provenance graph and probability map grow in place, the epoch is
-        bumped, and the executor's caches invalidate themselves — no
-        from-scratch re-evaluation happens.  Returns the delta
-        :class:`~repro.datalog.engine.EvaluationResult`.
+        incrementally (semi-naive deltas over the kept engine, one
+        ``update.delta`` span): the provenance graph and probability map
+        grow in place, the epoch is bumped, and the executor's caches
+        invalidate themselves — no from-scratch re-evaluation happens.
+        Returns the delta :class:`~repro.datalog.engine.EvaluationResult`.
 
         Programs with stratified negation cannot be maintained
         incrementally (an insertion may retract negation-dependent
@@ -335,21 +323,24 @@ class P3:
         Before :meth:`evaluate`, the facts simply join the program and
         ``None`` is returned; the first evaluation picks them up.
 
-        Duplicate facts (same ground atom) are ignored; duplicate clause
-        labels raise :class:`~repro.datalog.ast.ClauseError`.
+        A fact whose atom already is a base fact, or repeats one earlier
+        in the batch, is ignored.  The batch is all or nothing: a label
+        the program or the batch already uses raises
+        :class:`~repro.datalog.ast.ClauseError` before anything changes.
         """
-        fact_list = self._coerce_facts(facts)
+        fresh = self._fresh_facts(self._coerce_facts(facts))
+        self.program.add_facts(fresh)
         if self._result is None:
-            if self._absorb_new_facts(fact_list):
+            if fresh:
                 self._epoch += 1
             return None
-        if self._session is None:
+        if self._engine is None:
             # Stratified negation, a warm-started restore, or a lazy
-            # grounding planner (none keep a live session): re-evaluate.
-            # For the planner that means a fresh bootstrap — cheap, since
-            # no fixpoint runs — with coverage reset so every goal
-            # re-grounds against the updated facts.
-            if not self._absorb_new_facts(fact_list):
+            # grounding planner (none keep an engine): re-evaluate.  For
+            # the planner that means a fresh bootstrap — cheap, since no
+            # fixpoint runs — with coverage reset so every goal re-grounds
+            # against the updated facts.
+            if not fresh:
                 return self._result
             self._epoch += 1
             self._result = None
@@ -357,25 +348,47 @@ class P3:
             self._probabilities = None
             self._planner = None
             return self.evaluate()
-        before = self._session.insertions
         if self._executor is not None:
             with self._executor.stats_object.time_stage("update"):
-                delta = self._session.add_facts(fact_list)
+                delta = self._extend(fresh)
         else:
-            delta = self._session.add_facts(fact_list)
-        if self._session.insertions == before:
+            delta = self._extend(fresh)
+        if not fresh:
             return delta  # every fact was a duplicate; nothing changed
         self._epoch += 1
-        # The graph grew in place through the session's recorder; grow the
+        # The graph grew in place through the engine's recorder; grow the
         # probability map to match.
         assert self._graph is not None and self._probabilities is not None
-        for fact in fact_list:
+        for fact in fresh:
             key = str(fact.atom)
-            if self._graph.is_base(key):
-                self._probabilities[tuple_literal(key)] = (
-                    self._graph.base_probability(key))
+            self._probabilities[tuple_literal(key)] = (
+                self._graph.base_probability(key))
         self._sync_store()
         return delta
+
+    def _extend(self, facts: List[Fact]) -> EvaluationResult:
+        """Propagate fresh facts through the kept engine, as one
+        ``update.delta`` span when tracing."""
+        assert self._engine is not None
+        rt = telemetry.runtime()
+        if not rt.enabled:
+            return self._engine.extend(facts)
+        with rt.tracer.span("update.delta") as span:
+            delta = self._engine.extend(facts)
+            span.set_attributes(rounds=delta.rounds,
+                                firings=delta.firing_count,
+                                derived=delta.derived_count)
+        return delta
+
+    def _fresh_facts(self, facts: List[Fact]) -> List[Fact]:
+        """The facts of a batch that are not base facts yet, in order."""
+        held = {fact.atom for fact in self.program.facts}
+        fresh: List[Fact] = []
+        for fact in facts:
+            if fact.atom not in held:
+                held.add(fact.atom)
+                fresh.append(fact)
+        return fresh
 
     @staticmethod
     def _coerce_facts(facts: Union[str, Sequence[Union[Fact, str]]]
@@ -398,19 +411,6 @@ class P3:
             # query/evidence directives; add_facts takes base facts only.
             fact_list.extend(parse_facts(entry))
         return fact_list
-
-    def _absorb_new_facts(self, fact_list: Sequence[Fact]) -> int:
-        """Append non-duplicate facts to the program; count absorbed."""
-        existing = {str(fact.atom) for fact in self.program.facts}
-        absorbed = 0
-        for fact in fact_list:
-            key = str(fact.atom)
-            if key in existing:
-                continue
-            existing.add(key)
-            self.program.add(fact)
-            absorbed += 1
-        return absorbed
 
     def _require_evaluated(self) -> None:
         if self._result is None:
@@ -448,10 +448,18 @@ class P3:
         return self.graph
 
     @property
-    def database(self) -> Database:
-        """The evaluated relational database (requires :meth:`evaluate`)."""
+    def database(self) -> ModelView:
+        """The evaluated model's relations (requires :meth:`evaluate`)."""
         self._require_evaluated()
-        assert self._result is not None
+        assert self._result is not None and self._graph is not None
+        if self._result.database is None:
+            # A warm start keeps only the graph; parse its rows back on
+            # first read.
+            store = FactStore()
+            for key in self._graph.tuple_keys():
+                atom = parse_atom(key)
+                store.add(atom.relation, atom.as_values())
+            self._result.database = ModelView([store])
         return self._result.database
 
     @property

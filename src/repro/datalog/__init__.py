@@ -1,10 +1,9 @@
 """Datalog/ProbLog substrate: terms, AST, parser, store, and engine."""
 
+from .arena import ModelView
 from .ast import ClauseError, Fact, Program, Rule
 from .builtins import Comparison, UnboundComparisonError
-from .database import Database, Relation
 from .engine import Engine, EvaluationError, EvaluationResult, evaluate
-from .incremental import IncrementalSession
 from .parser import ParseError, parse_clause, parse_file, parse_program
 from .stratification import (
     StratificationError,
@@ -30,16 +29,14 @@ __all__ = [
     "Comparison",
     "CompiledRule",
     "Constant",
-    "Database",
     "Engine",
     "EvaluationError",
     "EvaluationResult",
     "Fact",
-    "IncrementalSession",
+    "ModelView",
     "ParseError",
     "Program",
     "PROV_RELATION",
-    "Relation",
     "RewriteError",
     "Rule",
     "RULE_RELATION",

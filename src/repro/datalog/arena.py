@@ -19,19 +19,20 @@ this module's representation instead:
   against one program never re-intern the EDB.
 
 Atoms only materialize again at the edge — once per new row for the
-engine's :class:`~repro.datalog.database.Database` and recorder, or when
-the grounder renders provenance keys — through the same
-``str(Atom(...))`` path, which keeps key bytes identical between every
-evaluation mode.
+engine's recorder, when the grounder renders provenance keys, or when
+:class:`ModelView` (the read surface of an evaluated model) renders a
+row — through the same ``str(Atom(...))`` path, which keeps key bytes
+identical between every evaluation mode.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
 from .ast import Program
-from .terms import Constant
+from .terms import Atom, Constant, Substitution, Variable, unify_atom
 
 #: A fact's probability/label pair, carried for program (base) facts only;
 #: derived rows have no meta.
@@ -131,8 +132,7 @@ class RelationTable:
         """Row positions in ``[lo, hi)`` agreeing with ``bound``.
 
         ``bound`` is a sequence of ``(column, tid)`` pairs; the smallest
-        matching column bucket drives the scan (same candidate heuristic
-        as :meth:`repro.datalog.database.Relation.match`).  Buckets hold
+        matching column bucket drives the scan.  Buckets hold
         positions in ascending order, so the window is two bisections.
         The result is a fresh sequence: callers may append rows while
         iterating it.
@@ -280,6 +280,10 @@ class FactStore:
             return self._parent.meta(gid)
         return self._meta[gid - self._parent_count]
 
+    def set_meta(self, gid: int, meta: FactMeta) -> None:
+        """Make an owned derived row a program fact as well."""
+        self._meta[gid - self._parent_count] = meta
+
     def find(self, relation: str, values: Sequence[Any]) -> Optional[int]:
         """The gid of a stored fact, or ``None``."""
         table = self._tables.get(relation)
@@ -303,3 +307,120 @@ class FactStore:
     def local_count(self) -> int:
         """Facts owned by this store (excluding any parent)."""
         return len(self._locations)
+
+
+class ModelView:
+    """Read-only view of an evaluated model over fact-store rows.
+
+    The read surface of :attr:`repro.core.system.P3.database`: relation
+    names, counts, membership and pattern matches, answered from the
+    stores' tables (matches go through their column indexes) and rendered
+    as atoms on read, so the stores stay the only copy of the model.
+    ``captures`` (:class:`~repro.datalog.rewrite.CaptureTables`) supplies
+    the ``prov_``/``rule_`` relations once they hold rows.  Only the
+    owner repoints ``stores`` or ``captures``.
+    """
+
+    def __init__(self, stores: Sequence[FactStore],
+                 captures: Optional[Any] = None) -> None:
+        self.stores = list(stores)
+        self.captures = captures
+
+    def _captured(self, relation: str) -> bool:
+        return (self.captures is not None
+                and relation in self.captures.relations())
+
+    def _tables(self, relation: str
+                ) -> Iterator[Tuple[FactStore, RelationTable]]:
+        for store in self.stores:
+            table = store.table(relation)
+            if table is not None:
+                yield store, table
+
+    def relations(self) -> List[str]:
+        names = {name for store in self.stores for name in store.relations()}
+        if self.captures is not None:
+            names.update(self.captures.relations())
+        return sorted(names)
+
+    def count(self, relation: Optional[str] = None) -> int:
+        if relation is None:
+            return sum(self.count(name) for name in self.relations())
+        if self._captured(relation):
+            return self.captures.size(relation)
+        return sum(len(table) for _, table in self._tables(relation))
+
+    def snapshot_counts(self) -> Dict[str, int]:
+        """Relation-name → cardinality map (useful in tests and benchmarks)."""
+        return {name: self.count(name) for name in self.relations()}
+
+    def atoms(self, relation: Optional[str] = None) -> Iterator[Atom]:
+        """Iterate atoms of one relation, or of every relation by name."""
+        if relation is None:
+            for name in self.relations():
+                yield from self.atoms(name)
+            return
+        if self._captured(relation):
+            yield from list(self.captures.atoms(relation))
+            return
+        for store, table in self._tables(relation):
+            constant = store.arena.constant
+            for row in table.rows:
+                yield Atom(relation, tuple(constant(tid) for tid in row))
+
+    def __contains__(self, atom: Atom) -> bool:
+        if self._captured(atom.relation):
+            return atom in self.captures.atoms(atom.relation)
+        if not atom.is_ground:
+            return False
+        values = atom.as_values()
+        return any(store.find(atom.relation, values) is not None
+                   for store in self.stores)
+
+    def match(self, pattern: Atom,
+              subst: Optional[Substitution] = None) -> Iterator[Substitution]:
+        """Yield extensions of ``subst`` unifying ``pattern`` with a row."""
+        for _, extended in self.match_atoms(pattern, subst):
+            yield extended
+
+    def match_atoms(self, pattern: Atom,
+                    subst: Optional[Substitution] = None
+                    ) -> Iterator[Tuple[Atom, Substitution]]:
+        """Like :meth:`match`, but also yields the matched atom (why-not
+        analysis names the stored tuple behind each partial match)."""
+        base: Substitution = subst or {}
+        relation = pattern.relation
+        if self._captured(relation):
+            candidates: Iterable[Atom] = list(self.captures.atoms(relation))
+        else:
+            candidates = self._candidates(pattern, base)
+        for atom in candidates:
+            extended = unify_atom(pattern, atom, base)
+            if extended is not None:
+                yield atom, extended
+
+    def _candidates(self, pattern: Atom,
+                    subst: Substitution) -> Iterator[Atom]:
+        """Rows agreeing with the pattern's bound columns, as atoms."""
+        for store, table in self._tables(pattern.relation):
+            if table.arity != pattern.arity:
+                continue
+            arena = store.arena
+            bound: List[Tuple[int, int]] = []
+            for column, arg in enumerate(pattern.args):
+                if isinstance(arg, Variable):
+                    arg = subst.get(arg, arg)  # type: ignore[assignment]
+                if isinstance(arg, Constant):
+                    tid = arena.lookup(arg.value)
+                    if tid is None:
+                        break
+                    bound.append((column, tid))
+            else:
+                rows = table.rows
+                for position in table.match(bound):
+                    yield Atom(pattern.relation, tuple(
+                        arena.constant(tid) for tid in rows[position]))
+
+    def __repr__(self) -> str:
+        return "ModelView(%s)" % ", ".join(
+            "%s:%d" % item for item in self.snapshot_counts().items())

@@ -209,6 +209,22 @@ class Program:
         else:
             raise TypeError("Program clauses must be Fact or Rule, got %r" % clause)
 
+    def add_facts(self, facts: Sequence[Fact]) -> None:
+        """Add facts all or none: every label is checked, against the
+        program and within the batch, before any fact is added."""
+        labels: Set[str] = set()
+        for fact in facts:
+            if fact.label is not None:
+                if fact.label in self._labels or fact.label in labels:
+                    raise ClauseError("Duplicate clause label: %r" % fact.label)
+                labels.add(fact.label)
+        # Reserved up front, so no auto-label of the batch can take one.
+        self._labels |= labels
+        for fact in facts:
+            if fact.label is None:
+                fact.label = self._assign_label(None, _LABEL_COUNTER_FACT)
+            self.facts.append(fact)
+
     def _assign_label(self, label: Optional[str], prefix: str) -> str:
         if label is None:
             label = self._next_label(prefix)

@@ -7,14 +7,15 @@ firing** be enumerated — a firing that re-derives an existing tuple is a new
 derivation and must appear in the provenance graph.  The semi-naive loop
 that guarantees this lives in :mod:`repro.datalog.fixpoint` and runs over
 interned rows; the engine seeds it, stratifies programs with negation, and
-turns its output back into atoms — each new tuple is materialised once, for
-the :class:`~repro.datalog.database.Database` and the recorder.
+materialises each new tuple once as an atom, for the recorder.  The
+evaluated model is the fact store's rows, read through a
+:class:`~repro.datalog.arena.ModelView`.
 
 Provenance is captured two ways simultaneously (both per Section 3.2):
 
 - a :class:`ProvenanceRecorder` callback receives facts and firings as they
   happen (the live path used to build the provenance graph), and
-- ``prov_``/``rule_`` capture tuples join the database itself (the
+- ``prov_``/``rule_`` capture tuples join the model itself (the
   relational-tables path; see :class:`~repro.datalog.rewrite.CaptureTables`),
   unless disabled for baseline timing runs.
 """
@@ -25,9 +26,8 @@ import time
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from .. import telemetry
-from .arena import FactStore
+from .arena import FactStore, ModelView
 from .ast import ClauseError, Fact, Program, Rule
-from .database import Database
 from .fixpoint import EvaluationError, FiringSink, Fixpoint, RulePlan
 from .rewrite import CaptureTables, CompiledRule, compile_program
 from .terms import Atom
@@ -40,7 +40,7 @@ class ProvenanceRecorder(Protocol):
     """Callback protocol for live provenance capture."""
 
     def record_fact(self, fact: Fact) -> None:
-        """Called once per base fact seeded into the database."""
+        """Called once per base fact seeded into the model."""
 
     def record_firing(self, rule: Rule, head: Atom,
                       body: Tuple[Atom, ...]) -> None:
@@ -48,10 +48,16 @@ class ProvenanceRecorder(Protocol):
 
 
 class EvaluationResult:
-    """Outcome of running the engine: final database plus statistics."""
+    """Outcome of running the engine: the evaluated model plus statistics.
 
-    def __init__(self, database: Database, rounds: int, firing_count: int,
-                 elapsed_seconds: float, derived_count: int) -> None:
+    ``database`` is the model's :class:`~repro.datalog.arena.ModelView`;
+    a warm-started :class:`~repro.core.system.P3` leaves it ``None``
+    until its rows are first read.
+    """
+
+    def __init__(self, database: Optional[ModelView], rounds: int,
+                 firing_count: int, elapsed_seconds: float,
+                 derived_count: int) -> None:
         self.database = database
         self.rounds = rounds
         self.firing_count = firing_count
@@ -78,7 +84,7 @@ class Engine:
         :class:`repro.provenance.graph.GraphBuilder`).
     capture_tables:
         When True (default), keep the ``prov_``/``rule_`` capture tables
-        of the Section 3.2 rewrite in the database.  Disable to measure
+        of the Section 3.2 rewrite in the model.  Disable to measure
         the "without provenance" baseline of Figure 9.
     max_rounds / max_tuples:
         Safety limits; exceeding either raises :class:`EvaluationError`.
@@ -116,9 +122,9 @@ class Engine:
         self._fixpoint: Optional[Fixpoint] = None
 
     @property
-    def database(self) -> Database:
-        """The evaluated database (after :meth:`run`)."""
-        return self._database
+    def database(self) -> ModelView:
+        """The evaluated model (after :meth:`run`)."""
+        return self._model
 
     @property
     def rounds(self) -> int:
@@ -150,27 +156,23 @@ class Engine:
     def _run(self) -> EvaluationResult:
         start = time.perf_counter()
         self._store = FactStore()
-        self._database = Database()
         #: gid → atom, for every stored row (base facts and derived).
         self._atoms: List[Atom] = []
-        self._captures = (CaptureTables(self._atoms)
-                          if self.capture_tables else None)
-        self._captures_shown = False
+        captures = CaptureTables(self._atoms) if self.capture_tables else None
+        self._model = ModelView([self._store], captures)
         # The sinks close over the evaluation state, not the engine, so a
         # discarded engine is freed by reference counting alone.
         self._fixpoint = Fixpoint(
             self._store, self._strata,
-            _firing_sink(self._store, self._atoms, self._database,
-                         self._captures, self.recorder),
+            _firing_sink(self._store, self._atoms, captures, self.recorder),
             max_rounds=self.max_rounds, max_tuples=self.max_tuples,
-            stored_rows=_row_counter(self._store, self._captures))
+            stored_rows=_row_counter(self._store, captures))
         for fact in self.program.facts:
             self._seed(fact)
         base_count = self._store.count()
         self._fixpoint.run()
-        self._attach_captures()
         return EvaluationResult(
-            self._database, self._fixpoint.rounds,
+            self._model, self._fixpoint.rounds,
             self._fixpoint.firing_count, time.perf_counter() - start,
             self._store.count() - base_count)
 
@@ -179,10 +181,11 @@ class Engine:
 
         The new facts are the next semi-naive delta of the kept fixpoint,
         so every new firing is enumerated exactly once and the result
-        equals evaluating the extended program from scratch.  Facts whose
-        atom is already stored are skipped.  Returns the delta's
-        statistics.  Programs with negation are refused: an insertion
-        could retract negation-dependent tuples.
+        equals evaluating the extended program from scratch.  A fact
+        whose atom is already a base fact is skipped; one whose atom is
+        already derived is recorded as a base fact without a new row.
+        Returns the delta's statistics.  Programs with negation are
+        refused: an insertion could retract negation-dependent tuples.
         """
         if self._negation:
             raise ClauseError(
@@ -197,9 +200,8 @@ class Engine:
         inserted = sum(1 for fact in facts if self._seed(fact))
         if inserted:
             fixpoint.resume()
-            self._attach_captures()
         return EvaluationResult(
-            self._database, fixpoint.rounds - before_rounds,
+            self._model, fixpoint.rounds - before_rounds,
             fixpoint.firing_count - before_firings,
             time.perf_counter() - start,
             self._store.count() - before_rows - inserted)
@@ -207,29 +209,27 @@ class Engine:
     # -- internals ---------------------------------------------------------
 
     def _seed(self, fact: Fact) -> bool:
-        """Store one base fact; True (and recorded) when it was new."""
+        """Store and record one base fact; True when it added a row.
+
+        A fact whose row was derived before is recorded too — it adds a
+        base derivation, not a row.  A repeated base fact is skipped.
+        """
         atom = fact.atom
-        _, inserted = self._store.add(atom.relation, atom.as_values(),
-                                      meta=(fact.probability, fact.label))
-        if not inserted:
+        meta = (fact.probability, fact.label)
+        gid, inserted = self._store.add(atom.relation, atom.as_values(),
+                                        meta=meta)
+        if inserted:
+            self._atoms.append(atom)
+        elif self._store.meta(gid) is None:
+            self._store.set_meta(gid, meta)
+        else:
             return False
-        self._atoms.append(atom)
-        self._database.add(atom)
         if self.recorder is not None:
             self.recorder.record_fact(fact)
-        return True
-
-    def _attach_captures(self) -> None:
-        """Show the capture tables in the database once they hold rows."""
-        captures = self._captures
-        if (captures is not None and captures.row_count()
-                and not self._captures_shown):
-            for relation in captures.relations():
-                self._database.attach(relation)
-            self._captures_shown = True
+        return inserted
 
 
-def _firing_sink(store: FactStore, atoms: List[Atom], database: Database,
+def _firing_sink(store: FactStore, atoms: List[Atom],
                  captures: Optional[CaptureTables],
                  recorder: Optional[ProvenanceRecorder]) -> FiringSink:
     """The per-firing callback: materialise a new head once, capture the
@@ -243,7 +243,6 @@ def _firing_sink(store: FactStore, atoms: List[Atom], database: Database,
             atom = Atom(table.name, tuple(
                 constant(tid) for tid in table.rows[position]))
             atoms.append(atom)
-            database.add(atom)
         if captures is not None:
             captures.append(plan.compiled, head, body)
         if recorder is not None:

@@ -3,12 +3,10 @@
 Section 3.2 requires **every distinct rule firing** to be captured while
 the program evaluates — a firing that re-derives an existing tuple is a
 new derivation and must appear in the provenance graph.  This module is
-the only place firings are enumerated.  Full evaluation
-(:class:`~repro.datalog.engine.Engine`), insertion deltas
-(:class:`~repro.datalog.incremental.IncrementalSession`), magic-set
-evaluation (:mod:`repro.core.goal`) and demand-driven grounding
-(:func:`repro.ground.relevance.ground_goal`) all run it over a
-:class:`~repro.datalog.arena.FactStore`.
+the only place firings are enumerated.  Full evaluation and insertion
+deltas (:class:`~repro.datalog.engine.Engine`) and demand-driven
+magic-set grounding (:func:`repro.ground.relevance.ground_goal`) both run
+it over a :class:`~repro.datalog.arena.FactStore`.
 
 Each rule is compiled once into a slot plan: variables become integer
 slots, constants become term ids, comparison guards and negated subgoals

@@ -10,9 +10,10 @@ tuples that can contribute to the query.
 
 Correctness contract (tested in ``tests/datalog/test_magic.py``): for the
 queried pattern, the transformed program derives exactly the matching
-tuples of the original least model, and — after renaming adorned rule
-labels back (:func:`normalize_polynomial`) — their provenance polynomials
-are *identical* to those extracted from full evaluation.  All magic
+tuples of the original least model, and — once
+:func:`repro.ground.relevance.ground_goal` translates its firings back to
+original relations and rule labels — their provenance polynomials are
+*identical* to those extracted from full evaluation.  All magic
 clauses carry probability 1.0; magic literals are deterministic demand
 markers and are stripped from polynomials.
 
@@ -93,8 +94,8 @@ class MagicProgram:
         The adorned relation holding the query's answers
         (e.g. ``trustPath@bf``).
     label_map:
-        Adorned rule label → original rule label, for
-        :func:`normalize_polynomial`.
+        Adorned rule label → original rule label (bridge and magic rules
+        have none).
     """
 
     def __init__(self, program: Program, query_relation: str,
@@ -104,16 +105,6 @@ class MagicProgram:
         self.query_relation = query_relation
         self.original_relation = original_relation
         self.label_map = dict(label_map)
-
-    def original_key(self, adorned_key: str) -> str:
-        """Map an adorned answer key back to the original relation name."""
-        prefix = self.query_relation + "("
-        if adorned_key.startswith(prefix):
-            return self.original_relation + "(" + adorned_key[len(prefix):]
-        if adorned_key == self.query_relation:
-            return self.original_relation
-        raise KeyError("Key %r is not an answer of the magic query"
-                       % adorned_key)
 
     def __repr__(self) -> str:
         return "MagicProgram(query=%s, <%d clauses>)" % (
@@ -271,93 +262,3 @@ def _fresh_label(label_counts: Dict[str, int], prefix: str) -> str:
     count = label_counts.get(prefix, 0) + 1
     label_counts[prefix] = count
     return "%s%d" % (prefix, count)
-
-
-def _strip_adornment(key: str) -> str:
-    """``rel@ad(args)`` → ``rel(args)``; non-adorned keys pass through."""
-    at = key.find(ADORN_SEP)
-    if at == -1:
-        return key
-    paren = key.find("(")
-    if paren != -1 and at > paren:
-        return key  # '@' inside an argument constant, not an adornment
-    if paren == -1:
-        return key[:at]
-    return key[:at] + key[paren:]
-
-
-def original_provenance_graph(graph, magic: MagicProgram):
-    """Translate an adorned provenance graph back to original terms.
-
-    - magic (demand) tuples and the executions deriving them are dropped;
-    - adorned tuple keys lose their adornment (``tp@bb(1,6)`` → ``tp(1,6)``);
-    - bridge executions (which merely wrap an IDB base fact) collapse away;
-    - adorned rule labels map back to the original labels, merging the
-      executions of different adornments of the same rule firing.
-
-    The result is a subgraph of the full-evaluation provenance graph (the
-    part relevant to the query), so extraction — including hop limits —
-    behaves identically on it.  Verified in ``tests/datalog/test_magic.py``.
-    """
-    from ..provenance.graph import ProvenanceGraph, RuleExecution
-
-    cleaned = ProvenanceGraph()
-    for key in graph.tuple_keys():
-        if key.startswith(MAGIC_PREFIX):
-            continue
-        if graph.is_base(key):
-            cleaned.add_base_tuple(key, graph.base_probability(key),
-                                   graph.base_label(key))
-    for label, probability in graph.rules().items():
-        original = magic.label_map.get(label)
-        if original is not None:
-            cleaned.add_rule(original, probability)
-    for execution in graph.executions():
-        if execution.head.startswith(MAGIC_PREFIX):
-            continue
-        original_label = magic.label_map.get(execution.rule_label)
-        if original_label is None:
-            # Bridge execution: rel@ad(args) <- [m_..., rel(args)].
-            # The wrapped base tuple takes the adorned tuple's place, so
-            # the execution itself vanishes.
-            continue
-        head = _strip_adornment(execution.head)
-        body = tuple(
-            _strip_adornment(body_key) for body_key in execution.body
-            if not body_key.startswith(MAGIC_PREFIX)
-        )
-        cleaned.add_execution(RuleExecution(
-            original_label, head, body, execution.probability))
-    return cleaned
-
-
-# -- provenance normalisation ---------------------------------------------------
-
-def normalize_polynomial(polynomial, magic: MagicProgram):
-    """Strip magic literals and restore original rule labels.
-
-    Magic demand literals are deterministic (probability 1) bookkeeping;
-    adorned rule labels map back through ``magic.label_map``; bridge-rule
-    literals vanish (they are deterministic plumbing).  The result is
-    directly comparable to a polynomial extracted from full evaluation.
-    """
-    from ..provenance.polynomial import (
-        Monomial, Polynomial, rule_literal)
-
-    monomials = []
-    for monomial in polynomial.monomials:
-        literals = []
-        for literal in monomial.literals:
-            if literal.is_rule:
-                if literal.key.startswith("mg") or \
-                        literal.key.startswith("bridge"):
-                    continue
-                original = magic.label_map.get(literal.key)
-                literals.append(rule_literal(original)
-                                if original else literal)
-            else:
-                if literal.key.startswith(MAGIC_PREFIX):
-                    continue
-                literals.append(literal)
-        monomials.append(Monomial(literals))
-    return Polynomial(monomials)

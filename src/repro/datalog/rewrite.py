@@ -11,9 +11,10 @@ evaluates its body *once* per match and then performs three actions:
    paper's ``prov(H, p, rid)`` table).
 
 The two capture tables are relations (:data:`PROV_RELATION` and
-:data:`RULE_RELATION`) of the same database, so provenance is "maintained
-in relational tables" and the provenance graph can be reconstructed from
-them after the fact (see :func:`repro.provenance.graph.graph_from_tables`).
+:data:`RULE_RELATION`) of the evaluated model, so provenance is
+"maintained in relational tables" and the provenance graph can be
+reconstructed from them after the fact (see
+:func:`repro.provenance.graph.graph_from_tables`).
 While the fixpoint runs they grow in interned-id form
 (:class:`CaptureTables`): one entry per firing, rendered as the paper-form
 tuples only when the tables are read.
@@ -25,12 +26,11 @@ position where all its variables are bound, so joins prune eagerly.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .ast import Program, Rule
 from .builtins import Comparison
-from .database import Relation
-from .terms import Atom, Constant, Substitution
+from .terms import Atom, Constant
 
 #: Relation storing ``prov(head_repr, probability, rule_execution_id)`` tuples.
 PROV_RELATION = "prov_"
@@ -99,10 +99,10 @@ class CaptureTables:
     The evaluator appends each firing as its compiled rule, head gid and
     body gids — packed into integer arrays, so captured firings cost no
     per-firing Python objects.  ``atom_of`` maps a gid to its (already
-    materialised) atom.  :meth:`relations` returns the two tables as
-    database relations: their sizes are known without rendering — one
+    materialised) atom.  Table sizes are known without rendering — one
     ``prov_`` row per firing, one ``rule_`` row per distinct body tuple —
-    and the paper-form rows are built on the first read that needs them.
+    and the paper-form rows are built on the first read that needs them
+    (:meth:`atoms`).
     """
 
     def __init__(self, atom_of: Sequence[Atom]) -> None:
@@ -140,10 +140,14 @@ class CaptureTables:
         """Rows across both tables."""
         return self.size(PROV_RELATION) + self.size(RULE_RELATION)
 
-    def relations(self) -> Tuple[Relation, Relation]:
-        """The ``prov_`` and ``rule_`` tables as database relations."""
-        return (_CaptureRelation(PROV_RELATION, self),
-                _CaptureRelation(RULE_RELATION, self))
+    def relations(self) -> Tuple[str, ...]:
+        """The tables' relation names, once any firing is captured."""
+        return (PROV_RELATION, RULE_RELATION) if self._rules else ()
+
+    def atoms(self, relation: str) -> Set[Atom]:
+        """One table's paper-form rows, rendering new firings first."""
+        self.render()
+        return self._atoms[relation]
 
     def render(self) -> None:
         """Materialise every not-yet-rendered firing's capture atoms."""
@@ -156,40 +160,6 @@ class CaptureTables:
             prov.add(captures[0])
             rule.update(captures[1:])
         self._rendered = len(self._rules)
-
-
-class _CaptureRelation(Relation):
-    """A capture table whose rows are rendered on first read.
-
-    The view stores its atoms in the set :class:`CaptureTables` renders
-    into, and never the other way round, so no reference cycle keeps an
-    evaluation alive.
-    """
-
-    def __init__(self, name: str, tables: CaptureTables) -> None:
-        super().__init__(name)
-        self._tables = tables
-        self._atoms = tables._atoms[name]
-        self._indexed_rows = 0
-
-    def __len__(self) -> int:
-        return self._tables.size(self.name)
-
-    def __contains__(self, atom: Atom) -> bool:
-        self._tables.render()
-        return super().__contains__(atom)
-
-    def __iter__(self) -> Iterator[Atom]:
-        self._tables.render()
-        return super().__iter__()
-
-    def _candidates(self, pattern: Atom, subst: Substitution):
-        self._tables.render()
-        if len(self._atoms) != self._indexed_rows:
-            # Rendering (through either view) bypasses the match index.
-            self._indexes = None
-            self._indexed_rows = len(self._atoms)
-        return super()._candidates(pattern, subst)
 
 
 def _schedule_guards(rule: Rule) -> List[List[Comparison]]:

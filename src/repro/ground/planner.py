@@ -24,8 +24,8 @@ Fallback ladder
 Goals the magic fragment cannot handle (negation never reaches here —
 ``supports`` rejects it — but e.g. programmatic reserved names can) drop
 to the ``'full'`` rung: one ordinary fixpoint evaluation, merged into the
-same graph and database in place, after which the planner answers
-everything from the full model.  Budget trips
+same graph in place, with the planner's model view repointed at the full
+model, after which the planner answers everything from it.  Budget trips
 (:class:`~repro.datalog.engine.EvaluationError` from
 ``max_rounds``/``max_tuples``) are *not* a fallback trigger: full
 evaluation would only hit the same rail harder, so they propagate.
@@ -34,19 +34,18 @@ evaluation would only hit the same rail harder, so they propagate.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from .. import telemetry
 from ..core.config import P3Config
+from ..datalog.arena import FactStore, ModelView
 from ..datalog.ast import ClauseError, Program
-from ..datalog.database import Database
 from ..datalog.engine import Engine, EvaluationResult
 from ..datalog.magic import MagicTransformError
 from ..datalog.parser import ParseError, parse_atom
 from ..datalog.terms import Atom, unify_atom
 from ..provenance.graph import (
     GraphBuilder, ProvenanceGraph, register_program)
-from ..datalog.arena import FactStore
 from .relevance import GroundedGoal, ground_goal
 
 #: ``grounding='auto'`` switches to query-directed grounding at this many
@@ -71,8 +70,13 @@ class GroundingPlanner:
         self._program: Program = system.program
         self._lock = threading.RLock()
         self.graph = ProvenanceGraph()
-        self.database = Database()
         self._store = FactStore.from_program(self._program)
+        # Merged goal rows live in a store of their own: ground_goal
+        # overlays ``_store``, and its bridge rules would fire on IDB rows
+        # stored there.
+        self._derived = FactStore()
+        #: The model grounded so far: base facts plus merged goal rows.
+        self.database = ModelView([self._store, self._derived])
         self._idb: Set[str] = self._program.idb_relations()
         self._covered: Set[str] = set()
         self._signatures: List[Atom] = []
@@ -115,7 +119,6 @@ class GroundingPlanner:
         for fact in self._program.facts:
             self.graph.add_base_tuple(
                 str(fact.atom), fact.probability, fact.label)
-            self.database.add(fact.atom)
         return EvaluationResult(
             self.database, rounds=0, firing_count=0, elapsed_seconds=0.0,
             derived_count=0)
@@ -196,7 +199,7 @@ class GroundingPlanner:
         for execution in subgraph.executions():
             graph.add_execution(execution)
         for atom in goal.atoms:
-            self.database.add(atom)
+            self._derived.add(atom.relation, atom.as_values())
         # Every derived key of the subgraph has its complete execution
         # set (see module docstring), so all of them are covered — not
         # just the answers.
@@ -244,7 +247,8 @@ class GroundingPlanner:
             graph.add_rule(label, probability)
         for execution in full.executions():
             graph.add_execution(execution)
-        for atom in result.database.atoms():
-            self.database.add(atom)
+        full_model = result.database
+        self.database.stores = full_model.stores
+        self.database.captures = full_model.captures
         self._fallback = True
         self.stats["fallbacks"] += 1

@@ -6,19 +6,22 @@ rewritten program with the shared semi-naive loop
 (:mod:`repro.datalog.fixpoint`) over a
 :class:`~repro.datalog.arena.FactStore` overlay — original EDB tables
 are read in place, and only the demand (``m_*``) and adorned relations
-the query actually reaches are ever materialized.  The result is translated straight into a *cleaned*
+the query actually reaches are ever materialized.  The result is
+translated straight into a *cleaned*
 :class:`~repro.provenance.graph.ProvenanceGraph` in original terms:
 
 - magic tuples and the executions deriving them are dropped,
 - bridge executions (adorned wrappers around stored IDB facts) collapse
   onto the base tuple they wrap,
-- adorned rule labels map back to the original labels,
+- adorned rule labels map back to the original labels.
 
-exactly mirroring :func:`repro.datalog.magic.original_provenance_graph`.
-Tuple keys are rendered through ``str(Atom(...))`` — the same code path
-the engine's :class:`~repro.provenance.graph.GraphBuilder` uses — so
-extraction over the grounded subgraph yields polynomials byte-identical
-to full evaluation (asserted in ``tests/ground/``).
+This is the only magic-set evaluation path: the planner
+(:mod:`repro.ground.planner`) and
+:func:`repro.core.goal.goal_directed_query` both run it.  Tuple keys are
+rendered through ``str(Atom(...))`` — the same code path the engine's
+:class:`~repro.provenance.graph.GraphBuilder` uses — so extraction over
+the grounded subgraph yields polynomials byte-identical to full
+evaluation (asserted in ``tests/ground/``).
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ class GroundedGoal:
         Original-relation tuple keys matching the pattern, in derivation
         order.
     atoms:
-        Derived ground atoms (original relations) for merging into a
-        :class:`~repro.datalog.database.Database`.
+        Derived ground atoms (original relations) that are not base
+        facts, for merging into the planner's model.
     stats:
         Evaluation counters: rounds, firings, derived_rows, total_rows,
         seconds.
@@ -90,7 +93,7 @@ def ground_goal(program: Program, pattern: Atom,
     program — lets repeated goals share interned EDB tables; when omitted
     one is built on the fly.  ``max_rounds`` / ``max_tuples`` carry the
     engine's safety-rail semantics (``max_tuples`` counts all facts
-    visible to the grounder, matching ``Database.count()``) and raise
+    visible to the grounder) and raise
     :class:`~repro.datalog.engine.EvaluationError` when exceeded.
 
     Raises :class:`~repro.datalog.magic.MagicTransformError` for programs

@@ -25,7 +25,7 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..datalog.ast import Fact, Program, Rule
-from ..datalog.database import Database
+from ..datalog.arena import ModelView
 from ..datalog.rewrite import PROV_RELATION, RULE_RELATION, execution_id
 from ..datalog.terms import Atom
 from .polynomial import Literal, ProbabilityMap, rule_literal, tuple_literal
@@ -317,7 +317,7 @@ def register_program(graph: ProvenanceGraph, program: Program) -> None:
         graph.add_rule(rule.label or "?", rule.probability)
 
 
-def graph_from_tables(database: Database, program: Program) -> ProvenanceGraph:
+def graph_from_tables(database: ModelView, program: Program) -> ProvenanceGraph:
     """Rebuild the provenance graph from the ``prov_``/``rule_`` capture tables.
 
     This is the Section 3.2 relational-storage path: the graph produced here

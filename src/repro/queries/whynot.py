@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..datalog.ast import Program, Rule
 from ..datalog.builtins import Comparison
-from ..datalog.database import Database
+from ..datalog.arena import ModelView
 from ..datalog.terms import Atom, Substitution, unify_atom
 from .result import QueryResult, register_result
 
@@ -159,7 +159,7 @@ class WhyNotReport(QueryResult):
             self.tuple_key, len(self.candidates))
 
 
-def why_not(program: Program, database: Database, target: Atom,
+def why_not(program: Program, database: ModelView, target: Atom,
             max_nodes: int = 50000,
             per_rule_candidates: int = 3) -> WhyNotReport:
     """Explain why ``target`` (a ground atom) is absent from the model.
@@ -183,7 +183,7 @@ def why_not(program: Program, database: Database, target: Atom,
     return WhyNotReport(str(target), False, candidates)
 
 
-def _near_misses(rule: Rule, head_subst: Substitution, database: Database,
+def _near_misses(rule: Rule, head_subst: Substitution, database: ModelView,
                  max_nodes: int,
                  keep: int) -> List[WhyNotCandidate]:
     """Best-first search over partial body instantiations of one rule.
@@ -231,8 +231,7 @@ def _near_misses(rule: Rule, head_subst: Substitution, database: Database,
 
         pattern = rule.body[position]
         matched_any = False
-        for atom, extended in database.relation(
-                pattern.relation).match_atoms(pattern, subst):
+        for atom, extended in database.match_atoms(pattern, subst):
             matched_any = True
             push(position + 1, extended, satisfied + (str(atom),), missing)
         # The "this subgoal is missing" branch — always available, but

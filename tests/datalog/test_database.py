@@ -1,8 +1,9 @@
-"""Unit tests for the relational store."""
+"""Unit tests for the evaluated model's read surface (``ModelView``)."""
 
-import pytest
-
-from repro.datalog.database import Database, Relation
+from repro.datalog.arena import FactStore, ModelView
+from repro.datalog.parser import parse_program
+from repro.datalog.engine import Engine
+from repro.datalog.rewrite import PROV_RELATION, RULE_RELATION
 from repro.datalog.terms import Atom, Constant, Variable, atom
 
 
@@ -10,147 +11,159 @@ X = Variable("X")
 Y = Variable("Y")
 
 
+def store_of(*atoms):
+    store = FactStore()
+    for ground in atoms:
+        store.add(ground.relation, ground.as_values())
+    return store
+
+
+def model(*atoms):
+    """A view over one store holding ``atoms``."""
+    return ModelView([store_of(*atoms)])
+
+
 class TestRelation:
     def test_add_returns_new_flag(self):
-        rel = Relation("p")
-        assert rel.add(atom("p", 1))
-        assert not rel.add(atom("p", 1))
-
-    def test_rejects_wrong_relation(self):
-        rel = Relation("p")
-        with pytest.raises(ValueError):
-            rel.add(atom("q", 1))
-
-    def test_rejects_nonground(self):
-        rel = Relation("p")
-        with pytest.raises(ValueError):
-            rel.add(Atom("p", (X,)))
+        store = FactStore()
+        assert store.add("p", (1,))[1]
+        assert not store.add("p", (1,))[1]
 
     def test_len_and_contains(self):
-        rel = Relation("p")
-        rel.add(atom("p", 1))
-        rel.add(atom("p", 2))
-        assert len(rel) == 2
-        assert atom("p", 1) in rel
-        assert atom("p", 3) not in rel
+        view = model(atom("p", 1), atom("p", 2))
+        assert view.count("p") == 2
+        assert atom("p", 1) in view
+        assert atom("p", 3) not in view
 
     def test_match_all_with_variables(self):
-        rel = Relation("p")
-        rel.add(atom("p", 1, "a"))
-        rel.add(atom("p", 2, "b"))
-        matches = list(rel.match(Atom("p", (X, Y))))
+        view = model(atom("p", 1, "a"), atom("p", 2, "b"))
+        matches = list(view.match(Atom("p", (X, Y))))
         assert len(matches) == 2
 
     def test_match_uses_bound_column(self):
-        rel = Relation("p")
-        rel.add(atom("p", 1, "a"))
-        rel.add(atom("p", 2, "b"))
-        matches = list(rel.match(Atom("p", (Constant(1), Y))))
+        view = model(atom("p", 1, "a"), atom("p", 2, "b"))
+        matches = list(view.match(Atom("p", (Constant(1), Y))))
         assert len(matches) == 1
         assert matches[0][Y] == Constant("a")
 
     def test_match_with_prior_substitution(self):
-        rel = Relation("p")
-        rel.add(atom("p", 1, "a"))
-        rel.add(atom("p", 2, "b"))
-        matches = list(rel.match(Atom("p", (X, Y)), {X: Constant(2)}))
+        view = model(atom("p", 1, "a"), atom("p", 2, "b"))
+        matches = list(view.match(Atom("p", (X, Y)), {X: Constant(2)}))
         assert len(matches) == 1
         assert matches[0][Y] == Constant("b")
 
     def test_match_no_candidates(self):
-        rel = Relation("p")
-        rel.add(atom("p", 1))
-        assert list(rel.match(Atom("p", (Constant(9),)))) == []
+        view = model(atom("p", 1))
+        assert list(view.match(Atom("p", (Constant(9),)))) == []
 
     def test_match_repeated_variable(self):
-        rel = Relation("p")
-        rel.add(atom("p", 1, 1))
-        rel.add(atom("p", 1, 2))
-        matches = list(rel.match(Atom("p", (X, X))))
+        view = model(atom("p", 1, 1), atom("p", 1, 2))
+        matches = list(view.match(Atom("p", (X, X))))
         assert len(matches) == 1
 
     def test_match_atoms_yields_stored_atom(self):
-        rel = Relation("p")
         stored = atom("p", 1)
-        rel.add(stored)
-        [(matched, subst)] = list(rel.match_atoms(Atom("p", (X,))))
+        view = model(stored)
+        [(matched, subst)] = list(view.match_atoms(Atom("p", (X,))))
         assert matched == stored
         assert subst[X] == Constant(1)
+
+    def test_constants_match_by_type(self):
+        view = model(atom("p", 1), atom("p", "1"))
+        assert [m[X] for m in view.match(Atom("p", (X,)))] == [
+            Constant(1), Constant("1")]
+        assert list(view.match(Atom("p", (Constant(1.0),)))) == []
+        assert atom("p", 1.0) not in view
+
+    def test_arity_mismatch_matches_nothing(self):
+        view = model(atom("p", 1))
+        assert list(view.match(Atom("p", (X, Y)))) == []
 
 
 class TestDatabase:
     def test_relations_spring_into_existence(self):
-        db = Database()
-        assert db.count("missing") == 0
-        db.add(atom("p", 1))
-        assert db.count("p") == 1
+        store = FactStore()
+        view = ModelView([store])
+        assert view.count("missing") == 0
+        store.add("p", (1,))
+        assert view.count("p") == 1
 
     def test_contains(self):
-        db = Database()
-        db.add(atom("p", 1))
-        assert atom("p", 1) in db
-        assert atom("p", 2) not in db
-        assert atom("q", 1) not in db
+        view = model(atom("p", 1))
+        assert atom("p", 1) in view
+        assert atom("p", 2) not in view
+        assert atom("q", 1) not in view
+        assert Atom("p", (X,)) not in view
 
     def test_atoms_single_relation(self):
-        db = Database()
-        db.add(atom("p", 1))
-        db.add(atom("q", 2))
-        assert list(db.atoms("p")) == [atom("p", 1)]
+        view = model(atom("p", 1), atom("q", 2))
+        assert list(view.atoms("p")) == [atom("p", 1)]
 
     def test_atoms_all_relations_sorted_by_name(self):
-        db = Database()
-        db.add(atom("z", 1))
-        db.add(atom("a", 1))
-        names = [a.relation for a in db.atoms()]
+        view = model(atom("z", 1), atom("a", 1))
+        names = [a.relation for a in view.atoms()]
         assert names == ["a", "z"]
 
     def test_atoms_missing_relation_empty(self):
-        db = Database()
-        assert list(db.atoms("nope")) == []
+        assert list(model().atoms("nope")) == []
 
     def test_total_count(self):
-        db = Database()
-        db.add(atom("p", 1))
-        db.add(atom("p", 2))
-        db.add(atom("q", 1))
-        assert db.count() == 3
+        view = model(atom("p", 1), atom("p", 2), atom("q", 1))
+        assert view.count() == 3
 
     def test_match_missing_relation(self):
-        db = Database()
-        assert list(db.match(Atom("nope", (X,)))) == []
+        assert list(model().match(Atom("nope", (X,)))) == []
 
     def test_snapshot_counts(self):
-        db = Database()
-        db.add(atom("p", 1))
-        db.add(atom("q", 1))
-        db.add(atom("q", 2))
-        assert db.snapshot_counts() == {"p": 1, "q": 2}
+        view = model(atom("p", 1), atom("q", 1), atom("q", 2))
+        assert view.snapshot_counts() == {"p": 1, "q": 2}
 
     def test_relations_listing(self):
-        db = Database()
-        db.add(atom("b", 1))
-        db.add(atom("a", 1))
-        assert db.relations() == ["a", "b"]
+        view = model(atom("b", 1), atom("a", 1))
+        assert view.relations() == ["a", "b"]
+
+    def test_view_unions_its_stores(self):
+        # The grounding planner's shape: base facts and merged goal rows
+        # in separate stores, one relation spread over both.
+        view = ModelView([store_of(atom("p", 1), atom("q", 1)),
+                          store_of(atom("p", 2))])
+        assert view.relations() == ["p", "q"]
+        assert view.count("p") == 2
+        assert atom("p", 2) in view
+        assert {m[X] for m in view.match(Atom("p", (X,)))} == {
+            Constant(1), Constant(2)}
 
 
 class TestLazyIndexes:
     def test_match_sees_atoms_added_before_and_after_first_match(self):
-        rel = Relation("p")
-        rel.add(atom("p", 1, "a"))
-        assert [m[Y] for m in rel.match(Atom("p", (Constant(1), Y)))] == [
+        store = store_of(atom("p", 1, "a"))
+        view = ModelView([store])
+        assert [m[Y] for m in view.match(Atom("p", (Constant(1), Y)))] == [
             Constant("a")]
-        rel.add(atom("p", 1, "b"))
-        rel.add(atom("p", 2, "c"))
-        matches = {m[Y] for m in rel.match(Atom("p", (Constant(1), Y)))}
+        store.add("p", (1, "b"))
+        store.add("p", (2, "c"))
+        matches = {m[Y] for m in view.match(Atom("p", (Constant(1), Y)))}
         assert matches == {Constant("a"), Constant("b")}
 
-    def test_attach_installs_a_prebuilt_relation(self):
-        db = Database()
-        rel = Relation("log")
-        rel.add(atom("log", 1))
-        db.attach(rel)
-        assert db.count("log") == 1
-        assert atom("log", 1) in db
-        with pytest.raises(ValueError):
-            db.attach(Relation("log"))
+
+class TestCaptureRelations:
+    SOURCE = """
+        edge(1,2). edge(2,3).
+        r1 1.0: path(X,Y) :- edge(X,Y).
+    """
+
+    def test_capture_tables_are_relations_of_the_model(self):
+        view = Engine(parse_program(self.SOURCE)).run().database
+        assert view.relations() == ["edge", "path", PROV_RELATION,
+                                    RULE_RELATION]
+        assert view.count(PROV_RELATION) == 2
+        [row] = view.match(Atom(PROV_RELATION, (
+            Constant("path(1,2)"), Variable("P"), Variable("E"))))
+        assert row[Variable("E")] == Constant("r1[edge(1,2)]")
+        assert Atom(RULE_RELATION, (
+            Constant("r1[edge(2,3)]"), Constant("r1"),
+            Constant("edge(2,3)"))) in view
+
+    def test_no_capture_relations_without_firings(self):
+        view = Engine(parse_program("edge(1,2).")).run().database
+        assert view.relations() == ["edge"]

@@ -16,10 +16,10 @@ import hashlib
 
 import pytest
 
+from repro import P3, P3Config
 from repro.data import ACQUAINTANCE, generate_network
 from repro.datalog.ast import Fact
 from repro.datalog.engine import Engine, EvaluationError
-from repro.datalog.incremental import IncrementalSession
 from repro.datalog.parser import parse_program
 from repro.datalog.rewrite import PROV_RELATION
 from repro.datalog.terms import atom as make_atom
@@ -88,17 +88,13 @@ def run_engine(source, capture=True, **limits):
 
 
 def run_session(source, capture=True, inserted=()):
-    """Session initial run plus one insertion batch; both observed."""
-    program = parse_program(source)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    session = IncrementalSession(program, recorder=builder,
-                                 capture_tables=capture)
-    initial = observe(session.initial_result, builder.graph, capture)
+    """P3 initial run plus one ``add_facts`` batch; both observed."""
+    system = P3(parse_program(source), P3Config(capture_tables=capture))
+    initial = observe(system.evaluate(), system.graph, capture)
     if not inserted:
         return initial, None
-    delta = session.add_facts(inserted)
-    after = observe(delta, builder.graph, capture)
+    delta = system.add_facts(list(inserted))
+    after = observe(delta, system.graph, capture)
     return initial, after
 
 

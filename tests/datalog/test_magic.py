@@ -10,7 +10,6 @@ from repro.datalog.magic import (
     adornment_of,
     magic_name,
     magic_transform,
-    normalize_polynomial,
 )
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Atom, Constant, Variable, atom as make_atom
@@ -99,17 +98,13 @@ class TestEquivalence:
         lines.append("r2 1.0: path(X,Z) :- edge(X,Y), path(Y,Z).")
         source = "\n".join(lines)
         _, full = evaluate(parse_program(source))
-        magic = magic_transform(parse_program(source),
-                                make_atom("path", 0, 5))
-        _, directed = evaluate(magic.program)
+        directed = goal_directed_query(parse_program(source), "path", 0, 5)
         assert directed.firing_count < full.firing_count
 
     def test_provenance_polynomial_identical_trust(self):
         program = paper_fragment().to_program()
-        magic = magic_transform(program, make_atom("mutualTrustPath", 1, 6))
-        graph, _ = evaluate(magic.program)
-        normalized = normalize_polynomial(
-            extract_polynomial(graph, "mutualTrustPath@bb(1,6)"), magic)
+        directed = goal_directed_query(program, "mutualTrustPath", 1, 6)
+        normalized = directed.polynomial_of("mutualTrustPath(1,6)")
         full_graph, _ = evaluate(paper_fragment().to_program())
         full_poly = extract_polynomial(full_graph, "mutualTrustPath(1,6)")
         assert normalized == full_poly
@@ -118,20 +113,16 @@ class TestEquivalence:
         # Exercises the base-fact bridge (know/2 is IDB with base facts)
         # and the recursive cycle.
         program = parse_program(ACQUAINTANCE)
-        magic = magic_transform(program, make_atom("know", "Ben", "Elena"))
-        graph, _ = evaluate(magic.program)
-        normalized = normalize_polynomial(
-            extract_polynomial(graph, 'know@bb("Ben","Elena")'), magic)
+        directed = goal_directed_query(program, "know", "Ben", "Elena")
+        normalized = directed.polynomial_of('know("Ben","Elena")')
         full_graph, _ = evaluate(parse_program(ACQUAINTANCE))
         assert normalized == extract_polynomial(
             full_graph, 'know("Ben","Elena")')
 
     def test_probability_identical(self):
         program = paper_fragment().to_program()
-        magic = magic_transform(program, make_atom("mutualTrustPath", 1, 6))
-        graph, _ = evaluate(magic.program)
-        normalized = normalize_polynomial(
-            extract_polynomial(graph, "mutualTrustPath@bb(1,6)"), magic)
+        directed = goal_directed_query(program, "mutualTrustPath", 1, 6)
+        normalized = directed.polynomial_of("mutualTrustPath(1,6)")
         full_graph, _ = evaluate(paper_fragment().to_program())
         probs = full_graph.probability_map()
         assert exact_probability(normalized, probs) == pytest.approx(
@@ -195,6 +186,17 @@ class TestGoalDirectedFacade:
         p3.evaluate()
         assert result.polynomial_of('know("Ben","Elena")') == \
             p3.polynomial_of("know", "Ben", "Elena")
+
+    def test_grounds_without_an_engine(self, monkeypatch):
+        from repro.datalog import engine as engine_module
+
+        def explode(self, *args, **kwargs):
+            raise AssertionError("goal_directed_query must not build an Engine")
+
+        monkeypatch.setattr(engine_module.Engine, "__init__", explode)
+        result = goal_directed_query(
+            paper_fragment().to_program(), "mutualTrustPath", 1, 6)
+        assert result.answers() == ["mutualTrustPath(1,6)"]
 
     def test_unknown_key_raises(self):
         result = goal_directed_query(

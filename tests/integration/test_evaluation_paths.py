@@ -1,23 +1,32 @@
-"""Differential test: full, incremental and query-directed evaluation agree.
+"""Differential test: every road to an evaluated model agrees.
 
 Every evaluation mode runs the same semi-naive fixpoint, but reaches it
 by a different road: one full evaluation of the program, a base
-evaluation grown by ``add_facts`` batches, or demand-driven grounding of
-each asked key.  On generated trust programs (the audit generator's
-shape: a recursive rule pair over a small, possibly cyclic digraph) with
-the facts split at random into a base and insertion batches, every
-derived key must get a byte-identical explanation envelope on all three
-roads, and the full and incremental roads must build identical
-provenance graphs.
+evaluation grown by ``add_facts`` batches, demand-driven grounding of
+each asked key (through the planner, and through
+``goal_directed_query``), a saved session restored with
+``P3.from_session``, or a ``ProvenanceStore`` warm start of the base
+grown by the same batches.  On generated trust programs (the audit
+generator's shape: a recursive rule pair over a small, possibly cyclic
+digraph, plus some ``trustPath`` base facts that the rules may also
+derive) with the facts split at random into a base and insertion
+batches, every derived key must get a byte-identical explanation
+envelope on every P3 road and the same answers and polynomial from
+``goal_directed_query``, and the roads that hold a whole model must
+build identical provenance graphs.
 """
 
 import json
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro import P3, P3Config
+from repro import P3, P3Config, goal_directed_query
 from repro.audit.generator import _NODE_NAMES, _TRUST_RULES
-from repro.io.serialize import dump_query_result, graph_to_json
+from repro.datalog.parser import parse_atom, parse_program
+from repro.io.serialize import dump_query_result, graph_to_json, save_session
+from repro.store import ProvenanceStore
 
 
 @st.composite
@@ -27,10 +36,14 @@ def split_trust_programs(draw):
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     edges = draw(st.permutations(pairs))[
         :draw(st.integers(min_value=2, max_value=len(nodes) + 2))]
+    probability = st.sampled_from((0.3, 0.55, 0.8, 0.95))
     facts = ['t%d %.2f: trust("%s","%s").'
-             % (index + 1, draw(st.sampled_from((0.3, 0.55, 0.8, 0.95))),
-                src, dst)
+             % (index + 1, draw(probability), src, dst)
              for index, (src, dst) in enumerate(edges)]
+    paths = draw(st.permutations(pairs))[:draw(st.integers(0, 2))]
+    facts += ['p%d %.2f: trustPath("%s","%s").'
+              % (index + 1, draw(probability), src, dst)
+              for index, (src, dst) in enumerate(paths)]
     facts = draw(st.permutations(facts))
     base_size = draw(st.integers(min_value=0, max_value=len(facts) - 1))
     rest = facts[base_size:]
@@ -51,21 +64,37 @@ def graph_bytes(system):
     return json.dumps(graph_to_json(system.graph), sort_keys=True)
 
 
+def warm_started(base_source, batches, directory):
+    """Snapshot the evaluated base into a store, warm-start from it, and
+    apply the batches to the restored system."""
+    path = os.path.join(directory, "prov.db")
+    base = P3.from_source(base_source)
+    base.evaluate()
+    with ProvenanceStore(path) as store:
+        base.attach_store(store)
+        base.detach_store()
+    system = P3.from_store(path)
+    for batch in batches:
+        system.add_facts("\n".join(batch))
+    return system
+
+
 class TestEvaluationPathsAgree:
     @settings(max_examples=40, deadline=None)
     @given(split_trust_programs())
     def test_full_incremental_and_query_paths(self, split):
         base, batches = split
         every_fact = base + [line for batch in batches for line in batch]
+        source = _TRUST_RULES + "\n".join(every_fact)
+        base_source = _TRUST_RULES + "\n".join(base)
 
-        full = P3.from_source(_TRUST_RULES + "\n".join(every_fact))
+        full = P3.from_source(source)
         full.evaluate()
-        incremental = P3.from_source(_TRUST_RULES + "\n".join(base))
+        incremental = P3.from_source(base_source)
         incremental.evaluate()
         for batch in batches:
             incremental.add_facts("\n".join(batch))
-        grounded = P3.from_source(_TRUST_RULES + "\n".join(every_fact),
-                                  P3Config(grounding="query"))
+        grounded = P3.from_source(source, P3Config(grounding="query"))
         grounded.evaluate()
 
         assert graph_bytes(incremental) == graph_bytes(full)
@@ -74,3 +103,24 @@ class TestEvaluationPathsAgree:
         expected = explanations(full, derived)
         assert explanations(incremental, derived) == expected
         assert explanations(grounded, derived) == expected
+
+        for key in derived:
+            goal = goal_directed_query(parse_program(source), "",
+                                       pattern=parse_atom(key))
+            assert goal.answers() == [key]
+            assert str(goal.polynomial_of(key)) == str(
+                full.polynomial_of(key))
+
+        with tempfile.TemporaryDirectory() as directory:
+            session = os.path.join(directory, "session.json")
+            save_session(full.program, full.graph, session, epoch=full.epoch)
+            restored = P3.from_session(session)
+            assert graph_bytes(restored) == graph_bytes(full)
+            assert explanations(restored, derived) == expected
+
+            warm = warm_started(base_source, batches, directory)
+            try:
+                assert graph_bytes(warm) == graph_bytes(full)
+                assert explanations(warm, derived) == expected
+            finally:
+                warm.detach_store().close()
