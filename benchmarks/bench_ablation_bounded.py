@@ -39,12 +39,12 @@ def test_bounded_anytime_fragment(benchmark):
 def test_bounded_anytime_large(benchmark):
     # On the 1199-monomial workload, a loose epsilon stops well before the
     # full hop-6 extraction while still bracketing its probability.
-    from repro.inference.parallel_mc import parallel_probability
+    from repro.inference.kernel import kernel_probability
 
     p3, key, poly = query_workload()
 
     def mc_evaluator(candidate, probs):
-        return parallel_probability(candidate, probs, 20000, seed=1).value
+        return kernel_probability(candidate, probs, 20000, seed=1).value
 
     reference = mc_evaluator(poly, p3.probabilities)
     result = bounded_probability(

@@ -14,8 +14,8 @@ from repro.inference import (
     bdd_probability,
     exact_probability,
     karp_luby_probability,
+    kernel_probability,
     monte_carlo_probability,
-    parallel_probability,
 )
 
 from reporting import record_table
@@ -42,7 +42,7 @@ def test_ablation_inference_small(benchmark):
         ("bdd", lambda: bdd_probability(poly, probs)),
         ("mc", lambda: monte_carlo_probability(
             poly, probs, SAMPLES, seed=1).value),
-        ("parallel", lambda: parallel_probability(
+        ("parallel", lambda: kernel_probability(
             poly, probs, SAMPLES, seed=1).value),
         ("karp-luby", lambda: karp_luby_probability(
             poly, probs, SAMPLES, seed=1).value),
@@ -66,14 +66,14 @@ def test_ablation_inference_large(benchmark):
     p3, key, poly = query_workload()
     probs = p3.probabilities
 
-    reference, ref_time = _time(lambda: parallel_probability(
+    reference, ref_time = _time(lambda: kernel_probability(
         poly, probs, 200000, seed=9).value)
 
     rows = [["parallel (200k ref)", reference, 0.0, 1000 * ref_time]]
     for name, fn in [
         ("mc (5k)", lambda: monte_carlo_probability(
             poly, probs, 5000, seed=1).value),
-        ("parallel (20k)", lambda: parallel_probability(
+        ("parallel (20k)", lambda: kernel_probability(
             poly, probs, SAMPLES, seed=1).value),
         ("karp-luby (5k)", lambda: karp_luby_probability(
             poly, probs, 5000, seed=1).value),
@@ -90,5 +90,5 @@ def test_ablation_inference_large(benchmark):
         rows,
     )
     benchmark.pedantic(
-        parallel_probability, args=(poly, probs, SAMPLES),
+        kernel_probability, args=(poly, probs, SAMPLES),
         kwargs={"seed": 1}, rounds=3, iterations=1)

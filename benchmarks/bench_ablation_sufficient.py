@@ -10,7 +10,7 @@ import time
 
 from repro import P3
 from repro.data import paper_fragment
-from repro.inference.parallel_mc import parallel_probability
+from repro.inference.kernel import kernel_probability
 from repro.queries.derivation import derivation_query
 
 from reporting import record_table
@@ -52,11 +52,11 @@ def test_ablation_sufficient_small(benchmark):
 def test_ablation_sufficient_large(benchmark):
     p3, key, poly = query_workload()
     probs = p3.probabilities
-    probability = parallel_probability(poly, probs, 20000, seed=1).value
+    probability = kernel_probability(poly, probs, 20000, seed=1).value
     epsilon = 0.05 * probability
 
     def mc_evaluator(candidate, candidate_probs):
-        return parallel_probability(
+        return kernel_probability(
             candidate, candidate_probs, 20000, seed=1).value
 
     rows = []

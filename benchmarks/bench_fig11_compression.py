@@ -9,7 +9,7 @@ means X percent of P[λ]").  The probability P[λ] is estimated with the
 vectorized Monte-Carlo backend, as in the paper's prototype.
 """
 
-from repro.inference.parallel_mc import parallel_probability
+from repro.inference.kernel import kernel_probability
 from repro.queries.derivation import derivation_query
 
 from reporting import record_table
@@ -18,7 +18,7 @@ from workloads import epsilon_grid, query_workload
 
 def test_fig11_compression_ratio(benchmark):
     p3, key, poly = query_workload()
-    probability = parallel_probability(
+    probability = kernel_probability(
         poly, p3.probabilities, samples=20000, seed=1).value
 
     rows = []

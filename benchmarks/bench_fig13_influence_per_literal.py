@@ -19,8 +19,8 @@ LITERALS_TIMED = 10
 def test_fig13_influence_time_per_literal(benchmark):
     p3, key, poly = query_workload()
     probabilities = p3.probabilities
-    from repro.inference.parallel_mc import parallel_probability
-    probability = parallel_probability(
+    from repro.inference.kernel import kernel_probability
+    probability = kernel_probability(
         poly, probabilities, samples=SAMPLES, seed=1).value
 
     rows = []

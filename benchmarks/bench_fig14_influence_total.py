@@ -9,7 +9,7 @@ around the 2% error limit while the top influential literals stay intact
 
 import time
 
-from repro.inference.parallel_mc import parallel_probability
+from repro.inference.kernel import kernel_probability
 from repro.queries.derivation import derivation_query
 from repro.queries.influence import influence_query
 
@@ -23,7 +23,7 @@ ERRORS = [0.0, 0.001, 0.005, 0.01, 0.02, 0.05, 0.08, 0.10]
 def test_fig14_total_influence_time(benchmark):
     p3, key, poly = query_workload()
     probabilities = p3.probabilities
-    probability = parallel_probability(
+    probability = kernel_probability(
         poly, probabilities, samples=SAMPLES, seed=1).value
 
     rows = []

@@ -14,7 +14,7 @@ by a large factor.
 import time
 
 from repro.inference.montecarlo import monte_carlo_probability
-from repro.inference.parallel_mc import parallel_probability
+from repro.inference.kernel import kernel_probability
 from repro.queries.derivation import derivation_query
 from repro.queries.modification import greedy_strategy
 
@@ -30,7 +30,7 @@ def _seq_evaluator(poly, probs):
 
 
 def _par_evaluator(poly, probs):
-    return parallel_probability(poly, probs, samples=SAMPLES, seed=7).value
+    return kernel_probability(poly, probs, samples=SAMPLES, seed=7).value
 
 
 #: Candidate pool: the greedy search considers the top influential
@@ -42,7 +42,7 @@ CANDIDATES = 8
 def test_table9_modification_methods(benchmark):
     p3, key, poly = query_workload()
     probabilities = p3.probabilities
-    initial = parallel_probability(
+    initial = kernel_probability(
         poly, probabilities, samples=20000, seed=1).value
     target = max(0.05, initial - DELTA)
 

@@ -21,15 +21,13 @@ class P3Config:
     ----------
     probability_method:
         Default backend for success probabilities
-        ("exact", "bdd", "mc", "parallel", "karp-luby").
+        ("exact", "bdd", "mc", "parallel", "karp-luby"; "parallel" is
+        a second name for "mc").
     influence_method:
         Default backend for influence queries ("exact", "mc", "parallel").
     derivation_method:
         Default algorithm for Derivation Queries ("naive", "naive-mc",
-        "union-bound", "match-group").  ``None`` keeps the historical
-        implicit default of "naive" but makes
-        :meth:`repro.core.system.P3.sufficient_provenance` emit a
-        ``DeprecationWarning`` when no method is passed explicitly.
+        "union-bound", "match-group").
     samples:
         Monte-Carlo sample budget for estimation backends.
     seed:
@@ -52,13 +50,6 @@ class P3Config:
     capture_tables:
         Maintain the relational ``prov_``/``rule_`` capture tables during
         evaluation (Section 3.2) in addition to the live graph.
-    inference_workers:
-        Shard-worker hint passed to the sampling kernel through every
-        :class:`repro.inference.request.InferenceRequest` the executor
-        builds (the ``parallel`` and ``karp-luby`` backends shard large
-        sample budgets across this many kernel-pool workers).  ``None``
-        (the default) means 4, so the "parallel" backend is actually
-        parallel out of the box.
     polynomial_cache_size / result_cache_size:
         LRU bounds for the executor's shared polynomial and result caches
         (None = unbounded).
@@ -102,7 +93,7 @@ class P3Config:
 
     probability_method: str = "exact"
     influence_method: str = "exact"
-    derivation_method: Optional[str] = None
+    derivation_method: str = "naive"
     samples: int = 10000
     seed: Optional[int] = None
     hop_limit: Optional[int] = None
@@ -111,7 +102,6 @@ class P3Config:
     max_tuples: Optional[int] = None
     grounding: str = "full"
     capture_tables: bool = True
-    inference_workers: Optional[int] = None
     polynomial_cache_size: Optional[int] = 2048
     result_cache_size: Optional[int] = 8192
     query_timeout: Optional[float] = None
@@ -132,7 +122,7 @@ class P3Config:
             raise ValueError(
                 "isolation must be 'thread', 'process', or 'auto', got %r"
                 % (self.isolation,))
-        for name in ("hop_limit", "inference_workers", "query_timeout",
+        for name in ("hop_limit", "query_timeout",
                      "isolation_workers", "worker_memory_bytes",
                      "polynomial_cache_size", "result_cache_size"):
             value = getattr(self, name)

@@ -21,7 +21,6 @@ their canonical key string (e.g. ``'know("Ben","Elena")'``).
 from __future__ import annotations
 
 import os
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -590,22 +589,10 @@ class P3:
                               ) -> SufficientProvenance:
         """Derivation Query (Section 4.2): ε-sufficient provenance.
 
-        ``method=None`` resolves to ``config.derivation_method``.  When
-        the config does not set one either, the historical implicit
-        default of ``"naive"`` is used and a ``DeprecationWarning`` is
-        emitted — pass ``method=`` or set
-        ``P3Config(derivation_method=...)`` to silence it.
+        ``method=None`` resolves to ``config.derivation_method``.
         """
         if method is None:
             method = self.config.derivation_method
-            if method is None:
-                warnings.warn(
-                    "sufficient_provenance() without an explicit method "
-                    "falls back to the implicit default 'naive'; this "
-                    "fallback is deprecated — pass method=... or set "
-                    "P3Config(derivation_method=...)",
-                    DeprecationWarning, stacklevel=2)
-                method = "naive"
         polynomial = self.polynomial_of(
             relation_or_key, *values, hop_limit=hop_limit)
         return derivation_query(

@@ -350,11 +350,6 @@ class QueryExecutor:
         if result_cache_size is None:
             result_cache_size = getattr(config, "result_cache_size", 8192)
         self.system = system
-        # Kernel shard-worker hint carried on every InferenceRequest this
-        # executor builds; defaults to 4 so the "parallel" backend is
-        # actually multi-worker out of the box.
-        self.inference_workers = getattr(
-            config, "inference_workers", None) or 4
         self._stats = stats or ExecutorStats()
         self._polynomials = LRUCache(polynomial_cache_size)
         self._results = LRUCache(result_cache_size)
@@ -466,7 +461,7 @@ class QueryExecutor:
         if kind == "influence":
             return config.influence_method
         if kind == "derive":
-            return getattr(config, "derivation_method", None) or "naive"
+            return config.derivation_method
         return config.probability_method
 
     def _resolve_seed(self, seed: Optional[int]) -> Optional[int]:
@@ -613,13 +608,11 @@ class QueryExecutor:
             return cached
         with self._budget_scope():
             polynomial = self.polynomial(key, hop_limit=limit)
-            # Workers and the thread-local deadline ride on the request so
-            # the sampling kernel actually shards (InferenceRequest.workers
-            # defaults to 1) and can truncate draws instead of relying
-            # solely on the deadline thread being abandoned.
+            # The thread-local deadline rides on the request so the
+            # sampling kernel can truncate draws instead of relying solely
+            # on the deadline thread being abandoned.
             request = InferenceRequest(
                 samples=samples, seed=_mix_seed(seed, key),
-                workers=self.inference_workers,
                 deadline=getattr(self._tl, "deadline", None))
             if self._ladder is not None:
                 with self._stats.time_stage("infer"):
@@ -782,7 +775,6 @@ class QueryExecutor:
             request = InferenceRequest(
                 samples=self._resolve_samples(params.get("samples")),
                 seed=_mix_seed(seed, spec.key),
-                workers=self.inference_workers,
                 deadline=getattr(self._tl, "deadline", None))
             # No budget scope on purpose: the partial polynomial is the
             # bounded artifact the budget produced; metering its scoring

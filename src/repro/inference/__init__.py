@@ -11,8 +11,8 @@ method           implementation                                  result
 ``bdd``          ROBDD compile + weighted model count            exact float
 ``brute-force``  2ⁿ enumeration (small polynomials; oracle)      exact float
 ``read-once``    linear pass over a read-once factorization      exact float
-``mc``           bitset-kernel Monte-Carlo (single stream)       estimate
-``parallel``     bitset-kernel Monte-Carlo, worker-sharded       estimate
+``mc``           bitset-kernel Monte-Carlo                       estimate
+``parallel``     second name for ``mc`` (the same runner)        estimate
 ``karp-luby``    Karp–Luby union sampler [14]                    estimate
 ===============  ==============================================  ==========
 
@@ -45,7 +45,12 @@ from .exact import (
     monomial_probabilities,
 )
 from .karp_luby import karp_luby_probability, union_bound
-from .kernel import CompiledPolynomial, kernel_karp_luby, kernel_probability
+from .kernel import (
+    CompiledPolynomial,
+    kernel_karp_luby,
+    kernel_probability,
+    parallel_conditioned_pair,
+)
 from .montecarlo import (
     MonteCarloEstimate,
     adaptive_probability,
@@ -53,10 +58,6 @@ from .montecarlo import (
     monte_carlo_probability,
     sample_assignment,
     sequential_probability,
-)
-from .parallel_mc import (
-    parallel_conditioned_pair,
-    parallel_probability,
 )
 from .registry import (
     BackendReading,
@@ -88,10 +89,9 @@ def probability(polynomial: Polynomial, probabilities: ProbabilityMap,
     error information — call the specific estimator directly, or
     :meth:`InferenceBackend.run`, when the standard error matters.
 
-    Pass ``request`` to control workers, deadline, or budget; the plain
+    Pass ``request`` to control the deadline or budget; the plain
     ``samples`` / ``seed`` keywords cover the common case (this
-    convenience front door builds the request itself, so they are *not*
-    deprecated here, unlike on :meth:`InferenceBackend.run`).
+    convenience front door builds the request itself).
     """
     backend = get_backend(method)
     if request is None:
@@ -134,7 +134,6 @@ __all__ = [
     "monomial_probabilities",
     "monte_carlo_probability",
     "parallel_conditioned_pair",
-    "parallel_probability",
     "probability",
     "register_backend",
     "sample_assignment",

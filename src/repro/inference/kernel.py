@@ -1,10 +1,11 @@
 """The bitset-packed NumPy sampling kernel shared by every MC backend.
 
 Table 8 of the paper frames DNF sampling as embarrassingly parallel; this
-module is the single compiled evaluation path behind the ``mc``,
-``parallel``, and ``karp-luby`` backends (plus the derivation and
-influence queries).  The design replaces the earlier BLAS
-membership-matrix evaluation with word-packed bitsets:
+module is the single compiled evaluation path behind the ``mc`` (alias
+``parallel``) and ``karp-luby`` backends, the derivation query, and the
+``parallel`` influence method (:func:`parallel_conditioned_pair`).  The
+design replaces the earlier BLAS membership-matrix evaluation with
+word-packed bitsets:
 
 - the whole sample matrix is drawn per literal at once
   (``Generator.random`` releases the GIL while filling);
@@ -25,12 +26,12 @@ NumPy ``Generator`` stream is consumed sequentially, chunked plain-MC
 draws are bit-identical to one monolithic draw — chunk size never
 changes results.
 
-Multi-worker sampling (``workers > 1``) splits the budget into
-fixed-size shards seeded via ``SeedSequence.spawn``.  The shard layout
-depends only on ``samples``, never on the worker count, so results are
-deterministic across worker counts; shards run on a shared daemon
-thread pool and achieve real concurrency because both the RNG fill and
-the packed-mask ufuncs release the GIL.
+A seeded budget larger than one shard is split into fixed-size shards
+seeded via ``SeedSequence.spawn``.  The shard layout depends only on
+``samples``, so a given ``(samples, seed)`` always produces the same
+estimate; shards run on a shared daemon thread pool and achieve real
+concurrency because both the RNG fill and the packed-mask ufuncs
+release the GIL.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +59,7 @@ __all__ = [
     "CompiledPolynomial",
     "kernel_probability",
     "kernel_karp_luby",
+    "parallel_conditioned_pair",
     "DEFAULT_CHUNK",
     "SHARD_SIZE",
 ]
@@ -67,8 +69,8 @@ __all__ = [
 #: enough to amortize Python overhead.
 DEFAULT_CHUNK = 65536
 
-#: Rows per worker shard.  The shard layout is a function of the sample
-#: budget only, so estimates are reproducible across worker counts.
+#: Rows per pool shard.  The shard layout is a function of the sample
+#: budget only, so estimates never depend on how the shards are scheduled.
 SHARD_SIZE = 16384
 
 _BITS = np.uint64(64)
@@ -247,7 +249,7 @@ class CompiledPolynomial:
             len(self.monomials), len(self.literals), self.words)
 
 
-# -- shared worker pool -----------------------------------------------------------
+# -- shared shard pool ------------------------------------------------------------
 
 _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
@@ -257,8 +259,7 @@ def _shared_pool() -> ThreadPoolExecutor:
     """A process-wide daemon pool for sample shards.
 
     Shared so per-call pool construction stays off the hot path; sized to
-    the machine, while each call's ``workers`` hint only decides whether
-    to use it at all.
+    the machine.
     """
     global _POOL
     with _POOL_LOCK:
@@ -327,6 +328,30 @@ def _degenerate(polynomial: Polynomial,
     return None
 
 
+def _run_shards(samples: int, seed: Optional[int],
+                shard: Callable[[int, np.random.Generator, bool],
+                                Tuple[int, int]]) -> Tuple[int, int]:
+    """Split ``samples`` into :data:`SHARD_SIZE` shards on the shared pool.
+
+    Shard ``i`` draws from ``SeedSequence(seed).spawn(n)[i]``; ``shard``
+    is called as ``shard(size, rng, first)`` and returns (hits, drawn),
+    which are summed.  Integer sums do not depend on the order the pool
+    finishes the shards in, so the result is a function of
+    ``(samples, seed)`` alone.
+    """
+    sizes = [SHARD_SIZE] * (samples // SHARD_SIZE)
+    if samples % SHARD_SIZE:
+        sizes.append(samples % SHARD_SIZE)
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    results = list(_shared_pool().map(
+        lambda index: shard(sizes[index],
+                            np.random.default_rng(streams[index]),
+                            index == 0),
+        range(len(sizes))))
+    return (sum(hits for hits, _ in results),
+            sum(drawn for _, drawn in results))
+
+
 def _mc_shard(compiled: CompiledPolynomial, prob_vector: np.ndarray,
               samples: int, rng: np.random.Generator,
               deadline: Optional[float], chunk: int,
@@ -355,7 +380,6 @@ def kernel_probability(polynomial: Polynomial,
                        seed: Optional[int] = None,
                        rng: Optional[np.random.Generator] = None,
                        compiled: Optional[CompiledPolynomial] = None,
-                       workers: int = 1,
                        deadline: Optional[float] = None
                        ) -> MonteCarloEstimate:
     """Vectorized Monte-Carlo estimate of P[λ] over the packed kernel.
@@ -364,11 +388,10 @@ def kernel_probability(polynomial: Polynomial,
     one sequential Generator stream — chunked internally, but
     bit-identical to a monolithic draw.  Larger seeded budgets are split
     into :data:`SHARD_SIZE` shards seeded by
-    ``SeedSequence(seed).spawn``; the shard layout depends only on
-    ``samples`` and ``workers`` decides nothing but concurrency, so a
-    given ``(samples, seed)`` produces the identical estimate for every
-    worker count.  A ``deadline`` truncates the draw; the estimate's
-    ``samples`` reports the rows actually drawn.
+    ``SeedSequence(seed).spawn`` and run on the shared pool; the shard
+    layout depends only on ``samples``, so a given ``(samples, seed)``
+    always produces the identical estimate.  A ``deadline`` truncates
+    the draw; the estimate's ``samples`` reports the rows actually drawn.
     """
     shortcut = _degenerate(polynomial, samples)
     if shortcut is not None:
@@ -385,24 +408,11 @@ def kernel_probability(polynomial: Polynomial,
                                 deadline, chunk, first=True)
         return MonteCarloEstimate(hits / drawn, drawn, hits)
 
-    shard_sizes = [SHARD_SIZE] * (samples // SHARD_SIZE)
-    if samples % SHARD_SIZE:
-        shard_sizes.append(samples % SHARD_SIZE)
-    streams = np.random.SeedSequence(seed).spawn(len(shard_sizes))
-
-    def run_shard(index: int) -> Tuple[int, int]:
-        return _mc_shard(
-            compiled, prob_vector, shard_sizes[index],
-            np.random.default_rng(streams[index]), deadline, chunk,
-            first=index == 0)
-
-    if workers <= 1:
-        results = [run_shard(i) for i in range(len(shard_sizes))]
-    else:
-        pool = _shared_pool()
-        results = list(pool.map(run_shard, range(len(shard_sizes))))
-    hits = sum(h for h, _ in results)
-    drawn = sum(d for _, d in results)
+    hits, drawn = _run_shards(
+        samples, seed,
+        lambda size, shard_rng, first: _mc_shard(
+            compiled, prob_vector, size, shard_rng, deadline, chunk,
+            first))
     return MonteCarloEstimate(hits / drawn, drawn, hits)
 
 
@@ -453,7 +463,6 @@ def kernel_karp_luby(polynomial: Polynomial,
                      seed: Optional[int] = None,
                      rng: Optional[np.random.Generator] = None,
                      compiled: Optional[CompiledPolynomial] = None,
-                     workers: int = 1,
                      deadline: Optional[float] = None
                      ) -> MonteCarloEstimate:
     """Vectorized Karp–Luby estimate over the packed kernel.
@@ -492,23 +501,98 @@ def kernel_karp_luby(polynomial: Polynomial,
         return MonteCarloEstimate((hits / drawn) * total_weight, drawn,
                                   hits, scale=total_weight)
 
-    shard_sizes = [SHARD_SIZE] * (samples // SHARD_SIZE)
-    if samples % SHARD_SIZE:
-        shard_sizes.append(samples % SHARD_SIZE)
-    streams = np.random.SeedSequence(seed).spawn(len(shard_sizes))
-
-    def run_shard(index: int) -> Tuple[int, int]:
-        return _kl_shard(
-            compiled, prob_vector, weights, total_weight,
-            shard_sizes[index], np.random.default_rng(streams[index]),
-            deadline, chunk, first=index == 0)
-
-    if workers <= 1:
-        results = [run_shard(i) for i in range(len(shard_sizes))]
-    else:
-        pool = _shared_pool()
-        results = list(pool.map(run_shard, range(len(shard_sizes))))
-    hits = sum(h for h, _ in results)
-    drawn = sum(d for _, d in results)
+    hits, drawn = _run_shards(
+        samples, seed,
+        lambda size, shard_rng, first: _kl_shard(
+            compiled, prob_vector, weights, total_weight, size, shard_rng,
+            deadline, chunk, first))
     return MonteCarloEstimate((hits / drawn) * total_weight, drawn, hits,
                               scale=total_weight)
+
+
+# -- conditioned pairs (influence) ------------------------------------------------
+
+#: Target transient bytes of one chunk of the conditioned pair: the
+#: float draw, its Boolean matrix, and two (monomials × words) bitsets.
+CONDITIONED_CHUNK_BYTES = 1 << 21
+
+
+def parallel_conditioned_pair(polynomial: Polynomial,
+                              probabilities: ProbabilityMap,
+                              literal: Literal,
+                              samples: int = 10000,
+                              seed: Optional[int] = None,
+                              rng: Optional[np.random.Generator] = None,
+                              compiled: Optional[CompiledPolynomial] = None
+                              ) -> tuple:
+    """Estimate (P[λ|x=1], P[λ|x=0]) with common random numbers.
+
+    Both estimates come from one shared sample matrix (the difference is
+    the literal's influence, Definition 4.1, with far lower variance
+    than independent sampling) and from one per-monomial satisfaction
+    pass over it, with the literal's column forced to 1: a row satisfies
+    λ|x=1 when any monomial holds, and λ|x=0 when any monomial *not
+    containing* the literal holds.
+
+    The pass packs the matrix sample-major — one bitset over the rows
+    per literal — so a monomial's truth on 64 rows at once is the AND of
+    its literals' words.  Rows are drawn in chunks of about
+    :data:`CONDITIONED_CHUNK_BYTES` of transient; the Generator stream is
+    consumed as by one monolithic draw, so the counts do not depend on
+    the chunking.
+    """
+    if samples <= 0:
+        raise InferenceConfigurationError("samples must be positive")
+    if compiled is None:
+        compiled = CompiledPolynomial(polynomial)
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    prob_vector = compiled.probability_vector(probabilities)
+    variables = prob_vector.size
+    column = compiled.index_of(literal)
+    members = compiled.member_matrix
+    containing = (members == column).any(axis=1)
+    # Monomials without the literal first, so each side is a slice.
+    members = members[np.argsort(containing, kind="stable")]
+    split = len(members) - int(containing.sum())
+    word_bytes = 64 * 9 * variables + 16 * len(members)
+    chunk = 64 * max(1, CONDITIONED_CHUNK_BYTES // word_bytes)
+
+    hits_true = hits_false = drawn = 0
+    while drawn < samples:
+        step = min(chunk, samples - drawn)
+        # Column ``variables`` is the always-true padding literal.
+        rows = np.ones((step, variables + 1), dtype=bool)
+        np.less(rng.random((step, variables)), prob_vector,
+                out=rows[:, :variables])
+        rows[:, column] = True
+        bits = _sample_major(rows)
+        satisfied = bits[members[:, 0]]
+        for position in range(1, members.shape[1]):
+            satisfied &= bits[members[:, position]]
+        without = np.bitwise_or.reduce(satisfied[:split], axis=0)
+        hits_false += _popcount(without)
+        hits_true += _popcount(
+            without | np.bitwise_or.reduce(satisfied[split:], axis=0))
+        drawn += step
+
+    return (
+        MonteCarloEstimate(hits_true / samples, samples, hits_true),
+        MonteCarloEstimate(hits_false / samples, samples, hits_false),
+    )
+
+
+def _sample_major(rows: np.ndarray) -> np.ndarray:
+    """Column v of ``rows`` as row v of ``uint64`` words, 64 rows a word.
+
+    Bits past the last row are 0, so every monomial is false there.
+    """
+    packed = np.packbits(rows, axis=0, bitorder="little")
+    words = -(-rows.shape[0] // 64)
+    bits = np.zeros((rows.shape[1], words * 8), dtype=np.uint8)
+    bits[:, :packed.shape[0]] = packed.T
+    return bits.view(np.uint64)
+
+
+def _popcount(words: np.ndarray) -> int:
+    return int(np.unpackbits(words.view(np.uint8)).sum())

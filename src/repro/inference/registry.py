@@ -12,16 +12,8 @@ A backend is an :class:`InferenceBackend`: a name, a kind (``"exact"`` or
 polynomials, read-once refuses non-read-once structure), and a runner
 ``(polynomial, probabilities, request) → BackendReading`` taking a single
 typed :class:`~repro.inference.request.InferenceRequest` — samples, seed,
-workers, depth, deadline, budget — instead of the per-backend keyword
-sprawl this replaced.  The old conventions still work as thin shims:
-
-- ``backend.run(poly, probs, samples=…, seed=…)`` builds a request and
-  emits :class:`DeprecationWarning`;
-- a four-positional-argument backend function passed to
-  :func:`register_backend` / :func:`override_backend` is adapted (with a
-  warning) to the request convention.
-
-See docs/INFERENCE.md for migration notes.
+deadline, budget — instead of per-backend keywords.  See
+docs/INFERENCE.md.
 
 Registered backends
 -------------------
@@ -32,8 +24,8 @@ name             kind      implementation
 ``exact``        exact     memoised Shannon expansion
 ``bdd``          exact     ROBDD compile + weighted model count
 ``read-once``    exact     linear-time over a read-once factorization
-``mc``           sampling  bitset-kernel Monte-Carlo (single stream)
-``parallel``     sampling  bitset-kernel Monte-Carlo (worker-sharded)
+``mc``           sampling  bitset-kernel Monte-Carlo
+``parallel``     sampling  second name for ``mc`` (the same runner)
 ``karp-luby``    sampling  Karp–Luby union sampler (unbiased, value may be >1)
 ===============  ========  ====================================================
 """
@@ -41,9 +33,7 @@ name             kind      implementation
 from __future__ import annotations
 
 import contextlib
-import inspect
 import time
-import warnings
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import telemetry
@@ -115,42 +105,6 @@ class BackendReading:
             self.backend, self.value, self.stderr or 0.0)
 
 
-def _adapt_backend_fn(fn: Callable, name: str) -> BackendFn:
-    """Coerce ``fn`` to the request convention.
-
-    New-style functions — ``(polynomial, probabilities, request)`` — pass
-    through untouched.  Legacy four-positional-argument functions
-    ``(polynomial, probabilities, samples, seed)`` are wrapped (the shim
-    unpacks the request) and a :class:`DeprecationWarning` is emitted at
-    adaptation time.  ``*args`` signatures are assumed new-style.
-    """
-    try:
-        parameters = [
-            p for p in inspect.signature(fn).parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        has_var_positional = any(
-            p.kind == p.VAR_POSITIONAL
-            for p in inspect.signature(fn).parameters.values())
-    except (TypeError, ValueError):
-        return fn  # uninspectable: trust the caller
-    if has_var_positional or len(parameters) != 4:
-        return fn
-    warnings.warn(
-        "Backend function for %r uses the legacy (polynomial, "
-        "probabilities, samples, seed) signature; migrate to "
-        "(polynomial, probabilities, request) taking an InferenceRequest"
-        % name,
-        DeprecationWarning, stacklevel=3)
-
-    def legacy_shim(polynomial: Polynomial, probabilities: ProbabilityMap,
-                    request: InferenceRequest) -> "BackendReading":
-        return fn(polynomial, probabilities, request.samples, request.seed)
-
-    legacy_shim.__name__ = getattr(fn, "__name__", "legacy_backend")
-    return legacy_shim
-
-
 class InferenceBackend:
     """One registered way to compute P[λ], with a uniform signature."""
 
@@ -160,7 +114,7 @@ class InferenceBackend:
     KIND_EXACT = "exact"
     KIND_SAMPLING = "sampling"
 
-    def __init__(self, name: str, kind: str, fn: Callable,
+    def __init__(self, name: str, kind: str, fn: BackendFn,
                  supports: Optional[Callable[[Polynomial], bool]] = None,
                  description: str = "") -> None:
         if kind not in (self.KIND_EXACT, self.KIND_SAMPLING):
@@ -169,7 +123,7 @@ class InferenceBackend:
         self.name = name
         self.kind = kind
         self.description = description
-        self._fn = _adapt_backend_fn(fn, name)
+        self._fn = fn
         self._supports = supports
         # (runtime, handles) pair; rebuilt when telemetry.configure swaps
         # the runtime object (identity check — see _bound_metrics).
@@ -214,16 +168,12 @@ class InferenceBackend:
         return handles
 
     def run(self, polynomial: Polynomial, probabilities: ProbabilityMap,
-            request: Optional[InferenceRequest] = None,
-            samples: Optional[int] = None,
-            seed: Optional[int] = None) -> BackendReading:
+            request: Optional[InferenceRequest] = None) -> BackendReading:
         """Evaluate P[λ] and return a :class:`BackendReading`.
 
         ``request`` is the one typed parameter object all backends share
-        (:class:`~repro.inference.request.InferenceRequest`).  The legacy
-        ``samples=`` / ``seed=`` keywords still work but emit
-        :class:`DeprecationWarning`; an integer passed positionally where
-        ``request`` now sits is treated as the legacy ``samples``.
+        (:class:`~repro.inference.request.InferenceRequest`); ``None``
+        means the defaults.
 
         With telemetry enabled, every call produces an ``infer.backend``
         span (backend name, polynomial size, sample budget, value, and —
@@ -231,23 +181,7 @@ class InferenceBackend:
         per-backend ``p3_infer_seconds`` latency histogram plus the
         ``p3_infer_calls_total`` / ``p3_infer_samples_total`` counters.
         """
-        if isinstance(request, int):
-            # backend.run(poly, probs, 5000[, seed]) — the legacy
-            # positional form.
-            samples, request = request, None
-        if samples is not None or seed is not None:
-            warnings.warn(
-                "backend.run(samples=..., seed=...) is deprecated; pass "
-                "request=InferenceRequest(samples=..., seed=...) instead",
-                DeprecationWarning, stacklevel=2)
-            base = request if request is not None else _DEFAULT_REQUEST
-            changes: Dict[str, object] = {}
-            if samples is not None:
-                changes["samples"] = samples
-            if seed is not None:
-                changes["seed"] = seed
-            request = base.replace(**changes)
-        elif request is None:
+        if request is None:
             request = _DEFAULT_REQUEST
 
         if request.budget is not None and active_meter() is None:
@@ -346,15 +280,14 @@ def is_deterministic(name: str) -> bool:
 
 
 @contextlib.contextmanager
-def override_backend(name: str, fn: Callable) -> Iterator[InferenceBackend]:
+def override_backend(name: str, fn: BackendFn) -> Iterator[InferenceBackend]:
     """Temporarily replace a backend's implementation.
 
     Exists for fault injection: the audit harness's own test suite swaps a
     known bug in (e.g. the historical Karp–Luby clamp) and asserts the
     differential oracle catches it.  The original backend is restored on
     exit no matter what.  ``fn`` follows the request convention
-    ``(polynomial, probabilities, request)``; legacy four-argument
-    functions are adapted with a :class:`DeprecationWarning`.
+    ``(polynomial, probabilities, request)``.
     """
     original = get_backend(name)
     replacement = InferenceBackend(
@@ -402,23 +335,11 @@ def _run_mc(polynomial: Polynomial, probabilities: ProbabilityMap,
         "mc", estimate.value, stderr=estimate.standard_error, exact=False)
 
 
-def _run_parallel(polynomial: Polynomial, probabilities: ProbabilityMap,
-                  request: InferenceRequest) -> BackendReading:
-    estimate = kernel_probability(
-        polynomial, probabilities, samples=request.samples,
-        seed=request.seed, workers=request.workers,
-        deadline=request.deadline)
-    return BackendReading(
-        "parallel", estimate.value, stderr=estimate.standard_error,
-        exact=False)
-
-
 def _run_karp_luby(polynomial: Polynomial, probabilities: ProbabilityMap,
                    request: InferenceRequest) -> BackendReading:
     estimate = kernel_karp_luby(
         polynomial, probabilities, samples=request.samples,
-        seed=request.seed, workers=request.workers,
-        deadline=request.deadline)
+        seed=request.seed, deadline=request.deadline)
     return BackendReading(
         "karp-luby", estimate.value, stderr=estimate.standard_error,
         exact=False)
@@ -444,10 +365,10 @@ register_backend(InferenceBackend(
     description="linear-time over a read-once factorization"))
 register_backend(InferenceBackend(
     "mc", InferenceBackend.KIND_SAMPLING, _run_mc,
-    description="bitset-kernel Monte-Carlo (single stream)"))
+    description="bitset-kernel Monte-Carlo"))
 register_backend(InferenceBackend(
-    "parallel", InferenceBackend.KIND_SAMPLING, _run_parallel,
-    description="bitset-kernel Monte-Carlo (worker-sharded)"))
+    "parallel", InferenceBackend.KIND_SAMPLING, _run_mc,
+    description="bitset-kernel Monte-Carlo (second name for mc)"))
 register_backend(InferenceBackend(
     "karp-luby", InferenceBackend.KIND_SAMPLING, _run_karp_luby,
     description="Karp-Luby union sampler (unbiased)"))

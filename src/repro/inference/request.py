@@ -1,28 +1,19 @@
 """The unified inference-backend request object.
 
-Before this module, every backend grew its own keyword convention —
-``samples=`` and ``seed=`` on the sampling backends, worker counts on
-the batch path, deadlines threaded through thread-locals, budgets through
-an ambient context variable — and every caller (executor, fallback
-ladder, audit oracle, CLI) had to know which backend accepted which.
-:class:`InferenceRequest` collapses that sprawl into one typed value
-accepted by all seven registered backends:
+Every caller of a backend (executor, fallback ladder, audit oracle,
+CLI) hands it one typed value, accepted by all seven registered
+backends:
 
 ================  =============================================================
 field             meaning
 ================  =============================================================
 ``samples``       Monte-Carlo sample budget (ignored by exact backends)
 ``seed``          RNG seed; None = non-reproducible entropy
-``workers``       intra-call parallelism hint for vectorized kernels
-``depth``         search/deepening depth hint (bounded evaluation)
 ``deadline``      *absolute* ``time.monotonic()`` instant to stop by
 ``budget``        a :class:`~repro.resilience.budgets.ResourceBudget` to meter
 ================  =============================================================
 
 Requests are immutable; derive variants with :meth:`InferenceRequest.replace`.
-The legacy keyword paths (``backend.run(poly, probs, samples=…, seed=…)``
-and four-positional-argument backend functions) still work but emit
-:class:`DeprecationWarning` — see docs/INFERENCE.md for migration notes.
 """
 
 from __future__ import annotations
@@ -38,25 +29,16 @@ DEFAULT_SAMPLES = 10000
 class InferenceRequest:
     """Typed, immutable parameters for one backend invocation."""
 
-    __slots__ = ("samples", "seed", "workers", "depth", "deadline",
-                 "budget")
+    __slots__ = ("samples", "seed", "deadline", "budget")
 
     def __init__(self, samples: int = DEFAULT_SAMPLES,
                  seed: Optional[int] = None,
-                 workers: int = 1,
-                 depth: Optional[int] = None,
                  deadline: Optional[float] = None,
                  budget: Optional[Any] = None) -> None:
         if samples <= 0:
             raise ValueError("samples must be positive")
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        if depth is not None and depth <= 0:
-            raise ValueError("depth must be positive or None")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "workers", workers)
-        object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "deadline", deadline)
         object.__setattr__(self, "budget", budget)
 
@@ -98,10 +80,7 @@ class InferenceRequest:
         document: Dict[str, Any] = {
             "samples": self.samples,
             "seed": self.seed,
-            "workers": self.workers,
         }
-        if self.depth is not None:
-            document["depth"] = self.depth
         if self.deadline is not None:
             document["deadline"] = self.deadline
         if self.budget is not None:
@@ -119,16 +98,12 @@ class InferenceRequest:
     def __hash__(self) -> int:
         return hash(tuple(
             getattr(self, name) for name in
-            ("samples", "seed", "workers", "depth", "deadline")))
+            ("samples", "seed", "deadline")))
 
     def __repr__(self) -> str:
         parts = ["samples=%d" % self.samples]
         if self.seed is not None:
             parts.append("seed=%d" % self.seed)
-        if self.workers != 1:
-            parts.append("workers=%d" % self.workers)
-        if self.depth is not None:
-            parts.append("depth=%d" % self.depth)
         if self.deadline is not None:
             parts.append("deadline=%.3f" % self.deadline)
         if self.budget is not None:

@@ -154,10 +154,10 @@ def _derivation_query(polynomial: Polynomial,
         if method == "naive-mc":
             # Keep reporting consistent with the search: estimate with the
             # same vectorized sampler (fresh, independent samples).
-            from ..inference.parallel_mc import parallel_probability
+            from ..inference.kernel import kernel_probability
 
             def evaluator(poly, probs):  # noqa: F811
-                return parallel_probability(
+                return kernel_probability(
                     poly, probs, samples=samples, seed=seed).value
         else:
             evaluator = exact_probability
@@ -227,7 +227,7 @@ def _naive_mc_sufficient(polynomial: Polynomial,
     """
     import numpy as np
 
-    from ..inference.parallel_mc import CompiledPolynomial
+    from ..inference.kernel import CompiledPolynomial
 
     if len(polynomial) <= 1:
         return polynomial

@@ -25,8 +25,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
+from ..core.errors import InferenceConfigurationError
 from ..inference.bdd import BDD, bdd_gradient, from_polynomial
-from ..inference.parallel_mc import CompiledPolynomial, parallel_conditioned_pair
+from ..inference.kernel import CompiledPolynomial, parallel_conditioned_pair
 from ..provenance.polynomial import Literal, Polynomial, ProbabilityMap
 from .result import QueryResult, register_result
 
@@ -211,7 +212,7 @@ def mc_influence(polynomial: Polynomial,
     an unbiased estimate of E[λ|x=1 − λ|x=0] (Definition 4.1).
     """
     if samples <= 0:
-        raise ValueError("samples must be positive")
+        raise InferenceConfigurationError("samples must be positive")
     if rng is None:
         rng = random.Random(seed)
     others = sorted(polynomial.literals() - {literal})

@@ -10,7 +10,7 @@ the harness that proves it:
 - :class:`~repro.resilience.budgets.ResourceBudget` — configurable caps on
   monomial count, monomial width, extraction node visits, and
   compiled-polynomial memory, enforced *inside* provenance extraction and
-  :class:`~repro.inference.parallel_mc.CompiledPolynomial` through an
+  :class:`~repro.inference.kernel.CompiledPolynomial` through an
   ambient (contextvar-scoped) budget meter.  A blown budget raises a typed
   :class:`~repro.core.errors.BudgetExceededError` carrying partial
   progress.

@@ -14,7 +14,7 @@ that actually explode:
 - ``max_node_visits`` — DFS expansion steps during extraction (bounds
   time even when absorption keeps the polynomial small);
 - ``max_compiled_bytes`` — memory of the
-  :class:`~repro.inference.parallel_mc.CompiledPolynomial` membership
+  :class:`~repro.inference.kernel.CompiledPolynomial` membership
   matrix (variables × monomials × dtype), checked *before* allocation.
 
 Enforcement is ambient: the executor activates a budget around each query

@@ -277,24 +277,8 @@ def run_chaos(seed: int = 0,
     """
     program = build_chaos_program(people=people, seed=seed)
     started = time.perf_counter()
-
-    # Reference values from a clean, unfaulted system: exact inference,
-    # no resilience machinery in the way.
-    clean = P3.from_source(program, config=P3Config(
-        probability_method="exact", hop_limit=4, seed=seed))
-    clean.evaluate()
-    keys: List[str] = []
-    references: Dict[str, float] = {}
-    with QueryExecutor(clean) as reference_executor:
-        for key in _candidate_keys(clean, people):
-            try:
-                references[key] = reference_executor.probability(
-                    key, method="exact")
-            except Exception:  # noqa: BLE001 — not derivable / too big
-                continue
-            keys.append(key)
-            if len(keys) >= spec_count - 1:
-                break
+    keys, references = _clean_references(program, seed, people,
+                                         spec_count - 1)
 
     specs: List[object] = list(keys)
     hang_key = keys[0] if keys else None
@@ -304,17 +288,7 @@ def run_chaos(seed: int = 0,
         # identity), so it does not collapse into its clean twin.
         specs.append(_hang_spec(hang_key))
 
-    resilience = ResilienceConfig(
-        budget=ResourceBudget(max_monomials=200000, max_node_visits=2000000),
-        ladder=("exact", "bdd", "parallel"),
-        retry=RetryPolicy(max_attempts=3, backoff_seconds=0.001,
-                          max_backoff_seconds=0.01),
-        breaker=BreakerPolicy(failure_threshold=0.5, window_size=8,
-                              min_calls=4, cooldown_seconds=30.0),
-    )
-    config = P3Config(probability_method="exact", hop_limit=4, seed=seed,
-                      samples=samples, resilience=resilience)
-
+    config = _resilient_config(seed, samples)
     report = ChaosReport(seed, len(specs))
     chaos_plan = plan if plan is not None else FaultPlan(seed)
     try:
@@ -335,6 +309,48 @@ def run_chaos(seed: int = 0,
     report.faults_observed = dict(chaos_plan.observed)
     report.seconds = time.perf_counter() - started
     return report
+
+
+def _clean_references(program: str, seed: int, people: int,
+                      limit: int) -> Tuple[List[str], Dict[str, float]]:
+    """Up to ``limit`` keys and their exact values from a clean system.
+
+    The reference system is unfaulted: exact inference, no resilience
+    machinery in the way.  Candidate keys that are not derivable (or
+    too big) are skipped; at least one answering key is always taken.
+    """
+    clean = P3.from_source(program, config=P3Config(
+        probability_method="exact", hop_limit=4, seed=seed))
+    clean.evaluate()
+    keys: List[str] = []
+    references: Dict[str, float] = {}
+    with QueryExecutor(clean) as reference_executor:
+        for key in _candidate_keys(clean, people):
+            try:
+                references[key] = reference_executor.probability(
+                    key, method="exact")
+            except Exception:  # noqa: BLE001 — not derivable / too big
+                continue
+            keys.append(key)
+            if len(keys) >= limit:
+                break
+    return keys, references
+
+
+def _resilient_config(seed: int, samples: int) -> P3Config:
+    """The faulted system's config in the library and service chaos runs:
+    a resource budget, the exact → bdd → parallel ladder, fast retries
+    and a breaker that trips within one run."""
+    resilience = ResilienceConfig(
+        budget=ResourceBudget(max_monomials=200000, max_node_visits=2000000),
+        ladder=("exact", "bdd", "parallel"),
+        retry=RetryPolicy(max_attempts=3, backoff_seconds=0.001,
+                          max_backoff_seconds=0.01),
+        breaker=BreakerPolicy(failure_threshold=0.5, window_size=8,
+                              min_calls=4, cooldown_seconds=30.0),
+    )
+    return P3Config(probability_method="exact", hop_limit=4, seed=seed,
+                    samples=samples, resilience=resilience)
 
 
 def _hang_spec(key: str) -> dict:
@@ -515,24 +531,11 @@ def run_process_chaos(seed: int = 0,
     started = time.perf_counter()
 
     program = build_chaos_program(people=people, seed=seed)
-    clean = P3.from_source(program, config=P3Config(
-        probability_method="exact", hop_limit=4, seed=seed))
-    clean.evaluate()
-    keys: List[str] = []
-    references: Dict[str, float] = {}
-    with QueryExecutor(clean) as reference_executor:
-        for key in _candidate_keys(clean, people):
-            try:
-                references[key] = reference_executor.probability(
-                    key, method="exact")
-            except Exception:  # noqa: BLE001 — not derivable / too big
-                continue
-            keys.append(key)
-            # One distinct key per probe: a repeated key would answer
-            # from the executor's result cache instead of proving a
-            # live worker exchange after the fault.
-            if len(keys) >= 3 * rounds + 1:
-                break
+    # One distinct key per probe: a repeated key would answer from the
+    # executor's result cache instead of proving a live worker exchange
+    # after the fault.
+    keys, references = _clean_references(program, seed, people,
+                                         3 * rounds + 1)
     if len(keys) < 2:
         report.unhandled = "chaos program yielded %d keys" % len(keys)
         return report
@@ -795,17 +798,7 @@ def run_service_chaos(seed: int = 0,
         start_in_background)
 
     program = build_chaos_program(people=people, seed=seed)
-    resilience = ResilienceConfig(
-        budget=ResourceBudget(max_monomials=200000, max_node_visits=2000000),
-        ladder=("exact", "bdd", "parallel"),
-        retry=RetryPolicy(max_attempts=3, backoff_seconds=0.001,
-                          max_backoff_seconds=0.01),
-        breaker=BreakerPolicy(failure_threshold=0.5, window_size=8,
-                              min_calls=4, cooldown_seconds=30.0),
-    )
-    config = P3Config(probability_method="exact", hop_limit=4, seed=seed,
-                      samples=samples, resilience=resilience)
-
+    config = _resilient_config(seed, samples)
     report = ServiceChaosReport(seed)
     started = time.perf_counter()
     registry = TenantRegistry(base_config=config)

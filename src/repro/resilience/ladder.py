@@ -30,8 +30,6 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import warnings
-
 from .. import telemetry
 from ..core.errors import InferenceError
 from .breaker import BreakerBoard, CircuitOpenError
@@ -290,17 +288,14 @@ class FallbackLadder:
     def run(self, polynomial, probabilities,
             request: "Optional[InferenceRequest]" = None,
             requested: Optional[str] = None,
-            deadline: Optional[float] = None,
-            samples: Optional[int] = None,
-            seed: Optional[int] = None
+            deadline: Optional[float] = None
             ) -> Tuple[BackendReading, ResilienceRecord]:
         """Answer P[λ] through the ladder.
 
         ``request`` carries the sampling parameters
         (:class:`~repro.inference.request.InferenceRequest`) handed to
-        each rung's backend; per-rung ``samples`` overrides are applied
-        on top.  The legacy ``samples=`` / ``seed=`` keywords still work
-        but emit :class:`DeprecationWarning`.
+        each rung's backend (``None`` means the defaults); per-rung
+        ``samples`` overrides are applied on top.
 
         ``deadline`` is an *absolute* monotonic-clock instant (matching
         the injectable ``clock``); rungs that cannot fit in the remaining
@@ -317,19 +312,7 @@ class FallbackLadder:
         :class:`LadderExhaustedError` when no rung answers.
         """
         from ..inference.registry import _DEFAULT_REQUEST  # lazy: see _get_backend
-        if samples is not None or seed is not None:
-            warnings.warn(
-                "FallbackLadder.run(samples=..., seed=...) is deprecated; "
-                "pass request=InferenceRequest(samples=..., seed=...)",
-                DeprecationWarning, stacklevel=2)
-            base = request if request is not None else _DEFAULT_REQUEST
-            changes: Dict[str, Any] = {}
-            if samples is not None:
-                changes["samples"] = samples
-            if seed is not None:
-                changes["seed"] = seed
-            request = base.replace(**changes)
-        elif request is None:
+        if request is None:
             request = _DEFAULT_REQUEST
         rungs = self.rungs_for(requested)
         record = ResilienceRecord(requested or rungs[0].method)

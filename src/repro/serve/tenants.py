@@ -46,8 +46,7 @@ _NAME_PATTERN = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 #: Per-tenant config fields a POSTed tenant definition may override.
 _CONFIG_OVERRIDE_FIELDS = (
     "probability_method", "samples", "seed", "hop_limit", "query_timeout",
-    "inference_workers", "grounding",
-    "isolation", "isolation_workers", "worker_memory_bytes",
+    "grounding", "isolation", "isolation_workers", "worker_memory_bytes",
 )
 
 

@@ -196,7 +196,7 @@ def save_recording(store: Any, name: str, config: Any,
                 "derivation_method, samples, seed, hop_limit, query_count) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (name, config.probability_method, config.influence_method,
-                 getattr(config, "derivation_method", None),
+                 config.derivation_method,
                  config.samples, config.seed, config.hop_limit,
                  len(queries)))
             recording_id = cursor.lastrowid
@@ -354,7 +354,7 @@ def replay_recording(store: Any, name: Optional[str] = None,
     config = P3Config(
         probability_method=fields["probability_method"] or "exact",
         influence_method=fields["influence_method"] or "exact",
-        derivation_method=fields["derivation_method"],
+        derivation_method=fields["derivation_method"] or "naive",
         samples=fields["samples"],
         seed=fields["seed"],
         hop_limit=fields["hop_limit"],

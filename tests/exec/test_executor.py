@@ -3,7 +3,7 @@
 import pytest
 
 from repro import P3, P3Config
-from repro.core.errors import UnknownTupleError
+from repro.core.errors import InferenceConfigurationError, UnknownTupleError
 from repro.data import ACQUAINTANCE
 from repro.exec import BatchResult, QueryExecutor, QuerySpec
 from repro.queries import Explanation, InfluenceReport, ModificationPlan
@@ -114,6 +114,14 @@ class TestRun:
         assert isinstance(batch[1].exception, UnknownTupleError)
         assert batch.errors()[0][0].key == 'know("Nobody","Here")'
         assert executor.stats()["errors"] == 1
+
+    @pytest.mark.parametrize("method", ["mc", "parallel"])
+    def test_zero_sample_influence_is_a_typed_error(self, executor, method):
+        batch = executor.run([QuerySpec(
+            "influence", KEY, {"method": method, "samples": 0})])
+        assert not batch.ok
+        assert isinstance(batch[0].exception, InferenceConfigurationError)
+        assert batch[0].error.startswith("InferenceConfigurationError")
 
     def test_batch_equals_direct_calls(self, system):
         keys = sorted(str(atom) for atom in system.derived_atoms("know"))

@@ -1,13 +1,10 @@
 """The executor front door must hand backends a *complete*
-:class:`InferenceRequest`: sample budget, mixed seed, worker count, and
-the per-query deadline.  Historically only samples/seed were plumbed, so
-the parallel kernel always ran single-shard no matter how many workers
-were configured — these tests pin the fix.
+:class:`InferenceRequest`: sample budget, mixed seed, and the per-query
+deadline, with seeded budgets larger than one shard reaching the sharded
+kernel.
 """
 
 import time
-
-import pytest
 
 from repro import P3, P3Config
 from repro.data import ACQUAINTANCE
@@ -16,7 +13,6 @@ from repro.inference.exact import exact_probability
 from repro.inference.registry import BackendReading, override_backend
 
 KEY = 'know("Ben","Elena")'
-KEY_PROBABILITY = 0.163840
 
 
 def _spy_backend(name, seen):
@@ -34,60 +30,50 @@ def _system(**config_overrides):
 
 
 class TestWorkersPlumbing:
-    def test_configured_inference_workers_reach_the_backend(self):
-        seen = []
-        p3 = _system(inference_workers=6)
-        with override_backend("parallel", _spy_backend("parallel", seen)):
-            with QueryExecutor(p3) as executor:
-                value = executor.probability(KEY, method="parallel")
-        assert value == pytest.approx(KEY_PROBABILITY)
-        assert seen[0].workers == 6
-
-    def test_workers_default_to_executor_width(self):
-        """Unset ``inference_workers`` resolves to the constant 4."""
-        seen = []
-        p3 = _system()
-        with override_backend("parallel", _spy_backend("parallel", seen)):
-            with QueryExecutor(p3) as executor:
-                executor.probability(KEY, method="parallel")
-        assert seen[0].workers == 4
-
-    def test_batch_path_carries_workers_too(self):
-        seen = []
-        p3 = _system(inference_workers=5)
-        with override_backend("parallel", _spy_backend("parallel", seen)):
-            with QueryExecutor(p3) as executor:
-                batch = executor.run([QuerySpec.probability(
-                    KEY, method="parallel")])
-        assert batch.ok
-        assert seen[0].workers == 5
+    """The executor plumbs no worker count: the shard layout is a
+    function of the sample budget alone."""
 
     def test_parallel_kernel_actually_shards(self):
-        """End-to-end: with workers > 1 the kernel splits the sample
-        budget across shard streams, which changes the RNG layout
-        relative to a single-worker run of the same seed."""
-        from repro.exec.executor import _mix_seed
-        from repro.inference.kernel import SHARD_SIZE, kernel_probability
+        """End-to-end: a seeded budget larger than one shard runs the
+        kernel's sharded layout (one ``SeedSequence`` child stream per
+        shard), and the executor's answer is that layout's answer, bit
+        for bit."""
+        import numpy as np
 
-        p3 = _system(inference_workers=4, seed=7)
+        from repro.exec.executor import _mix_seed
+        from repro.inference.kernel import (
+            SHARD_SIZE,
+            CompiledPolynomial,
+            _mc_shard,
+            kernel_probability,
+        )
+
+        p3 = _system(seed=7)
         poly = p3.polynomial_of(KEY)
         samples = 4 * SHARD_SIZE
-        wide = kernel_probability(poly, p3.probabilities,
-                                  samples=samples,
-                                  seed=_mix_seed(7, KEY), workers=4)
-        assert wide.samples == samples
+        seed = _mix_seed(7, KEY)
+        sharded = kernel_probability(poly, p3.probabilities,
+                                     samples=samples, seed=seed)
+        assert sharded.samples == samples
+        # The shards, drawn one after another on this thread, sum to the
+        # pooled estimate; a single stream of the same seed does not.
+        compiled = CompiledPolynomial(poly)
+        vector = compiled.probability_vector(p3.probabilities)
+        streams = np.random.SeedSequence(seed).spawn(4)
+        hits = sum(
+            _mc_shard(compiled, vector, SHARD_SIZE,
+                      np.random.default_rng(stream), None, SHARD_SIZE,
+                      first=index == 0)[0]
+            for index, stream in enumerate(streams))
+        assert sharded.hits == hits
+        single = kernel_probability(
+            poly, p3.probabilities, samples=samples,
+            rng=np.random.default_rng(seed))
+        assert single.value != sharded.value
         with QueryExecutor(p3) as executor:
             via_executor = executor.probability(
                 KEY, method="parallel", samples=samples, seed=7)
-        # The executor's answer must be the wide (multi-worker) kernel's
-        # answer, bit for bit — proof the worker count arrived.
-        assert via_executor == wide.value
-
-    def test_config_validates_inference_workers(self):
-        assert P3Config(inference_workers=2).inference_workers == 2
-        assert P3Config().inference_workers is None
-        with pytest.raises(ValueError):
-            P3Config(inference_workers=0)
+        assert via_executor == sharded.value
 
 
 class TestDeadlinePlumbing:

@@ -2,12 +2,13 @@
 
 Covers the three properties the vectorization must not break:
 statistical agreement with the pure-Python sequential baseline, estimate
-determinism across worker counts, and resource-budget enforcement inside
-the vectorized path.
+determinism however the pool schedules the shards, and resource-budget
+enforcement inside the vectorized path.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from tests.conftest import make_polynomial, random_probabilities
@@ -15,7 +16,11 @@ from tests.conftest import make_polynomial, random_probabilities
 from repro.core.errors import BudgetExceededError
 from repro.inference.exact import exact_probability
 from repro.inference.kernel import (
+    DEFAULT_CHUNK,
     SHARD_SIZE,
+    CompiledPolynomial,
+    _kl_shard,
+    _mc_shard,
     kernel_karp_luby,
     kernel_probability,
 )
@@ -51,29 +56,45 @@ class TestStatisticalEquivalence:
 
 
 class TestWorkerDeterminism:
-    """(samples, seed) fixes the estimate for *any* worker count: the
-    shard layout depends only on the sample budget, workers just decide
-    how concurrently the same shards execute."""
+    """(samples, seed) fixes the estimate: the shard layout depends only
+    on the sample budget, and the shared pool running the shards
+    concurrently gives the same answer as running them one after
+    another on the calling thread."""
 
     SAMPLES = 3 * SHARD_SIZE + 500  # forces the sharded path, ragged tail
 
+    def _serial_hits(self, shard):
+        sizes = [SHARD_SIZE] * 3 + [500]
+        streams = np.random.SeedSequence(7).spawn(len(sizes))
+        return sum(
+            shard(size, np.random.default_rng(stream), index == 0)[0]
+            for index, (size, stream) in enumerate(zip(sizes, streams)))
+
     def test_mc_identical_across_worker_counts(self, case):
         poly, probs = case
-        values = {
-            kernel_probability(poly, probs, samples=self.SAMPLES,
-                               seed=7, workers=workers).value
-            for workers in (1, 2, 4)
-        }
-        assert len(values) == 1
+        compiled = CompiledPolynomial(poly)
+        vector = compiled.probability_vector(probs)
+        pooled = [kernel_probability(poly, probs, samples=self.SAMPLES,
+                                     seed=7) for _ in range(3)]
+        serial = self._serial_hits(
+            lambda size, rng, first: _mc_shard(
+                compiled, vector, size, rng, None, DEFAULT_CHUNK, first))
+        assert {estimate.hits for estimate in pooled} == {serial}
+        assert len({estimate.value for estimate in pooled}) == 1
 
     def test_karp_luby_identical_across_worker_counts(self, case):
         poly, probs = case
-        values = {
-            kernel_karp_luby(poly, probs, samples=self.SAMPLES,
-                             seed=7, workers=workers).value
-            for workers in (1, 2, 4)
-        }
-        assert len(values) == 1
+        compiled = CompiledPolynomial(poly)
+        vector = compiled.probability_vector(probs)
+        weights = compiled.monomial_weights(probs)
+        pooled = [kernel_karp_luby(poly, probs, samples=self.SAMPLES,
+                                   seed=7) for _ in range(3)]
+        serial = self._serial_hits(
+            lambda size, rng, first: _kl_shard(
+                compiled, vector, weights, float(weights.sum()), size, rng,
+                None, DEFAULT_CHUNK, first))
+        assert {estimate.hits for estimate in pooled} == {serial}
+        assert len({estimate.value for estimate in pooled}) == 1
 
     def test_seeded_runs_reproduce(self, case):
         poly, probs = case

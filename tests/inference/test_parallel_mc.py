@@ -1,4 +1,6 @@
-"""Unit tests for the vectorized Monte-Carlo backend."""
+"""Unit tests for the vectorized Monte-Carlo kernel: the compiled
+polynomial, the ``mc``/``parallel`` estimator and the conditioned pair
+behind the ``parallel`` influence method."""
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ import pytest
 from tests.conftest import make_polynomial, random_probabilities
 
 from repro.inference.exact import exact_probability
-from repro.inference.parallel_mc import (
+from repro.inference import kernel
+from repro.inference.kernel import (
     CompiledPolynomial,
+    kernel_probability,
     parallel_conditioned_pair,
-    parallel_probability,
 )
 from repro.provenance.polynomial import Monomial, Polynomial, tuple_literal
 
@@ -60,25 +63,25 @@ class TestCompiledPolynomial:
 
 class TestParallelProbability:
     def test_terminal_polynomials(self):
-        assert parallel_probability(Polynomial.zero(), {}, 10).value == 0.0
-        assert parallel_probability(Polynomial.one(), {}, 10).value == 1.0
+        assert kernel_probability(Polynomial.zero(), {}, 10).value == 0.0
+        assert kernel_probability(Polynomial.one(), {}, 10).value == 1.0
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
-            parallel_probability(Polynomial.of([A]), {A: 0.5}, samples=-1)
+            kernel_probability(Polynomial.of([A]), {A: 0.5}, samples=-1)
 
     def test_seed_reproducible(self):
         poly = make_polynomial(("a", "b"), ("c",))
         probs = random_probabilities(poly)
-        first = parallel_probability(poly, probs, 1000, seed=42)
-        second = parallel_probability(poly, probs, 1000, seed=42)
+        first = kernel_probability(poly, probs, 1000, seed=42)
+        second = kernel_probability(poly, probs, 1000, seed=42)
         assert first.value == second.value
 
     def test_converges_to_exact(self):
         poly = make_polynomial(("a", "b"), ("b", "c"), ("d",))
         probs = random_probabilities(poly, seed=9)
         truth = exact_probability(poly, probs)
-        estimate = parallel_probability(poly, probs, 60000, seed=1)
+        estimate = kernel_probability(poly, probs, 60000, seed=1)
         low, high = estimate.confidence_interval(z=4.0)
         assert low <= truth <= high
 
@@ -87,9 +90,9 @@ class TestParallelProbability:
         probs = random_probabilities(poly)
         compiled = CompiledPolynomial(poly)
         rng = np.random.default_rng(0)
-        first = parallel_probability(
+        first = kernel_probability(
             poly, probs, 2000, rng=rng, compiled=compiled)
-        second = parallel_probability(
+        second = kernel_probability(
             poly, probs, 2000, rng=rng, compiled=compiled)
         assert 0.0 <= first.value <= 1.0
         assert 0.0 <= second.value <= 1.0
@@ -141,11 +144,10 @@ class TestOnePassConditionedPair:
 
     @pytest.mark.parametrize("chunk_bytes", [None, 4000])
     def test_bit_identical_to_two_pass(self, monkeypatch, chunk_bytes):
-        from repro.inference import parallel_mc
         if chunk_bytes is not None:
             # Force several chunks (and a ragged last one) per literal.
             monkeypatch.setattr(
-                parallel_mc, "CONDITIONED_CHUNK_BYTES", chunk_bytes)
+                kernel, "CONDITIONED_CHUNK_BYTES", chunk_bytes)
         for seed in (0, 1):
             poly = self._wide_polynomial(seed)
             probs = random_probabilities(poly, seed=seed)
@@ -166,14 +168,13 @@ class TestOnePassConditionedPair:
                 assert high.samples == low.samples == 997
 
     def test_chunking_never_changes_counts(self, monkeypatch):
-        from repro.inference import parallel_mc
         poly = self._wide_polynomial(3)
         probs = random_probabilities(poly, seed=3)
         literal = sorted(poly.literals())[70]
         counts = []
         for chunk_bytes in (1, 1000, 1 << 21):
             monkeypatch.setattr(
-                parallel_mc, "CONDITIONED_CHUNK_BYTES", chunk_bytes)
+                kernel, "CONDITIONED_CHUNK_BYTES", chunk_bytes)
             high, low = parallel_conditioned_pair(
                 poly, probs, literal, samples=500, seed=9)
             counts.append((high.hits, low.hits))
@@ -254,6 +255,6 @@ class TestBitsetPacking:
         probs = random_probabilities(poly, seed=2)
         truth = exact_probability(poly, probs)
         compiled = CompiledPolynomial(poly)
-        estimate = parallel_probability(
+        estimate = kernel_probability(
             poly, probs, samples=60000, seed=3, compiled=compiled)
         assert estimate.value == pytest.approx(truth, abs=0.02)

@@ -6,7 +6,7 @@ from repro.inference.bdd import bdd_probability
 from repro.inference.exact import brute_force_probability, exact_probability
 from repro.inference.karp_luby import union_bound
 from repro.inference.montecarlo import monte_carlo_probability
-from repro.inference.parallel_mc import parallel_probability
+from repro.inference.kernel import kernel_probability
 from repro.provenance.polynomial import Monomial, Polynomial, tuple_literal
 
 LITERAL_POOL = [tuple_literal(name) for name in "abcdefg"]
@@ -58,7 +58,7 @@ class TestBackendAgreement:
     def test_parallel_mc_within_tolerance(self, case, seed):
         poly, probs = case
         truth = exact_probability(poly, probs)
-        estimate = parallel_probability(poly, probs, 4000, seed=seed)
+        estimate = kernel_probability(poly, probs, 4000, seed=seed)
         bound = 5 * max(estimate.standard_error, 0.008)
         assert abs(estimate.value - truth) <= bound
 

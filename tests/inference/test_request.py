@@ -1,8 +1,7 @@
-"""Tests for the unified InferenceRequest and the deprecation shims.
+"""Tests for the unified InferenceRequest.
 
 The request object is the one typed parameter set all seven backends
-accept; the legacy keyword spellings must keep working — but loudly —
-for one deprecation cycle.
+accept, and ``backend.run`` takes nothing else.
 """
 
 import pytest
@@ -22,18 +21,17 @@ class TestInferenceRequest:
         request = InferenceRequest()
         assert request.samples == DEFAULT_SAMPLES
         assert request.seed is None
-        assert request.workers == 1
-        assert request.depth is None
         assert request.deadline is None
         assert request.budget is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             InferenceRequest(samples=0)
-        with pytest.raises(ValueError):
-            InferenceRequest(workers=0)
-        with pytest.raises(ValueError):
-            InferenceRequest(depth=-1)
+        # The request has no worker or depth field.
+        with pytest.raises(TypeError):
+            InferenceRequest(workers=2)
+        with pytest.raises(TypeError):
+            InferenceRequest(depth=3)
 
     def test_immutable(self):
         request = InferenceRequest()
@@ -69,14 +67,15 @@ class TestInferenceRequest:
 
     def test_to_dict_omits_unset_optionals(self):
         assert InferenceRequest(samples=5).to_dict() == {
-            "samples": 5, "seed": None, "workers": 1}
-        document = InferenceRequest(
-            samples=5, depth=3, deadline=1.5).to_dict()
-        assert document["depth"] == 3
+            "samples": 5, "seed": None}
+        document = InferenceRequest(samples=5, deadline=1.5).to_dict()
         assert document["deadline"] == 1.5
 
 
 class TestDeprecationShims:
+    """``backend.run`` takes a request and backend functions follow the
+    request convention; both paths stay warning-free."""
+
     def setup_method(self):
         self.poly = make_polynomial(("a", "b"), ("c",))
         self.probs = random_probabilities(self.poly, seed=0)
@@ -86,53 +85,6 @@ class TestDeprecationShims:
         reading = backend.run(self.poly, self.probs,
                               InferenceRequest(samples=500, seed=1))
         assert 0.0 <= reading.value <= 1.0
-
-    def test_legacy_samples_seed_keywords_warn_but_work(self):
-        backend = get_backend("mc")
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = backend.run(self.poly, self.probs,
-                                 samples=500, seed=1)
-        modern = backend.run(self.poly, self.probs,
-                             InferenceRequest(samples=500, seed=1))
-        assert legacy.value == modern.value
-
-    def test_legacy_positional_samples_warns(self):
-        backend = get_backend("mc")
-        with pytest.warns(DeprecationWarning):
-            reading = backend.run(self.poly, self.probs, 500, seed=1)
-        assert 0.0 <= reading.value <= 1.0
-
-    def test_legacy_keyword_overrides_merge_into_request(self):
-        backend = get_backend("mc")
-        base = InferenceRequest(samples=9999, seed=7)
-        with pytest.warns(DeprecationWarning):
-            merged = backend.run(self.poly, self.probs, base, samples=500)
-        reference = backend.run(self.poly, self.probs,
-                                InferenceRequest(samples=500, seed=7))
-        assert merged.value == reference.value
-
-    def test_legacy_four_argument_backend_fn_adapted_with_warning(self):
-        def old_style(polynomial, probabilities, samples, seed):
-            return BackendReading("mc", 0.25, stderr=0.01, exact=False)
-
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            with override_backend("mc", old_style) as backend:
-                reading = backend.run(self.poly, self.probs,
-                                      InferenceRequest(samples=123, seed=9))
-        assert reading.value == 0.25
-
-    def test_legacy_fn_receives_unpacked_request_fields(self):
-        seen = {}
-
-        def old_style(polynomial, probabilities, samples, seed):
-            seen["samples"], seen["seed"] = samples, seed
-            return BackendReading("mc", 0.5, stderr=0.01, exact=False)
-
-        with pytest.warns(DeprecationWarning):
-            with override_backend("mc", old_style) as backend:
-                backend.run(self.poly, self.probs,
-                            InferenceRequest(samples=123, seed=9))
-        assert seen == {"samples": 123, "seed": 9}
 
     def test_new_style_override_is_warning_free(self):
         import warnings
@@ -146,3 +98,8 @@ class TestDeprecationShims:
                 reading = backend.run(self.poly, self.probs,
                                       InferenceRequest(samples=10))
         assert reading.value == 0.5
+
+    def test_legacy_keywords_are_rejected(self):
+        backend = get_backend("mc")
+        with pytest.raises(TypeError):
+            backend.run(self.poly, self.probs, samples=500, seed=1)

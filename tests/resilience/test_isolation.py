@@ -6,6 +6,7 @@ tests share one module-scoped pool wherever possible and keep fault
 rounds small.
 """
 
+import json
 import time
 
 import pytest
@@ -195,6 +196,34 @@ class TestExecutorIsolation:
         p3.evaluate()
         with QueryExecutor(p3) as executor:
             assert executor.isolation == "process"
+
+    def test_sampled_answers_match_thread_isolation(self, system):
+        """The kernel's shard pool inside an isolation worker gives the
+        thread path's seeded answers, bit for bit."""
+        from repro.exec import QuerySpec
+        from repro.inference.kernel import SHARD_SIZE
+
+        specs = [QuerySpec.probability('know("Ben","Elena")', method=method,
+                                       samples=2 * SHARD_SIZE + 100, seed=5)
+                 for method in ("mc", "parallel", "karp-luby")]
+        reference = P3.from_source(ACQUAINTANCE)
+        reference.evaluate()
+        with QueryExecutor(reference) as executor:
+            assert executor.isolation == "thread"
+            threaded = executor.run(specs)
+        with QueryExecutor(system) as executor:
+            assert executor.isolation == "process"
+            isolated = executor.run(specs)
+        assert threaded.ok and isolated.ok
+        assert isolated.values() == threaded.values()
+
+        def untimed(batch):
+            documents = [outcome.to_dict() for outcome in batch]
+            for document in documents:
+                del document["seconds"]
+            return json.dumps(documents, sort_keys=True)
+
+        assert untimed(isolated) == untimed(threaded)
 
     def test_outcome_documents_stay_well_formed(self, system):
         with QueryExecutor(system) as executor:

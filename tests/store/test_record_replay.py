@@ -101,6 +101,20 @@ class TestReplay:
         report = replay_recording(store, "mc")
         assert report.ok
 
+    def test_null_derivation_method_replays_as_naive(self, store):
+        # Recordings made while the config field could be unset store
+        # NULL; replay must read it as the "naive" default.
+        record_session(fresh_system(), store, "derive",
+                       [QuerySpec.derive(KEY, 0.05)])
+        store._connection.execute(
+            "UPDATE recordings SET derivation_method = NULL")
+        store._connection.commit()
+        recording = load_recording(store, "derive")
+        assert recording.config_fields["derivation_method"] is None
+        report = replay_recording(store, "derive")
+        assert report.ok
+        assert report.matched == report.total == 1
+
     def test_tampered_envelope_detected(self, store):
         record_session(fresh_system(), store, "demo",
                        [QuerySpec.probability(KEY)])
