@@ -9,7 +9,7 @@ models stay identical.
 
 import time
 
-from repro import P3, P3Config
+from repro import P3
 from repro.datalog.ast import Fact
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
@@ -34,7 +34,7 @@ def test_ablation_incremental_insertion(benchmark):
         if len(new_edges) >= INSERTIONS:
             break
 
-    system = P3(sample.to_program(), P3Config(capture_tables=False))
+    system = P3(sample.to_program())
     system.evaluate()
     base_atoms = system.database.count()
 
@@ -49,8 +49,7 @@ def test_ablation_incremental_insertion(benchmark):
         incremental_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        full = Engine(parse_program(accumulated_source),
-                      capture_tables=False).run()
+        full = Engine(parse_program(accumulated_source)).run()
         scratch_time = time.perf_counter() - start
 
         # Identical models.
@@ -73,7 +72,7 @@ def test_ablation_incremental_insertion(benchmark):
     assert sum(speedups) / len(speedups) > 2
 
     def run_one():
-        fresh = P3(sample.to_program(), P3Config(capture_tables=False))
+        fresh = P3(sample.to_program())
         fresh.evaluate()
         src, dst = new_edges[0]
         fresh.add_fact(Fact(make_atom("trust", src, dst), 0.6, "bench"))

@@ -241,9 +241,7 @@ def _add_common(parser: argparse.ArgumentParser,
 
 def _cmd_run(args: argparse.Namespace) -> int:
     p3 = _build_system(args)
-    relations = ([args.relation] if args.relation
-                 else sorted(r for r in p3.database.relations()
-                             if not r.endswith("_")))
+    relations = [args.relation] if args.relation else p3.database.relations()
     for relation in relations:
         for atom in sorted(map(str, p3.derived_atoms(relation))):
             if args.probabilities:

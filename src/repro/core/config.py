@@ -47,9 +47,6 @@ class P3Config:
         ``"query"`` for large programs (see
         :data:`repro.ground.planner.AUTO_FACT_THRESHOLD`) and ``"full"``
         otherwise.  Programs with negation always evaluate fully.
-    capture_tables:
-        Maintain the relational ``prov_``/``rule_`` capture tables during
-        evaluation (Section 3.2) in addition to the live graph.
     polynomial_cache_size / result_cache_size:
         LRU bounds for the executor's shared polynomial and result caches
         (None = unbounded).
@@ -101,7 +98,6 @@ class P3Config:
     max_rounds: Optional[int] = None
     max_tuples: Optional[int] = None
     grounding: str = "full"
-    capture_tables: bool = True
     polynomial_cache_size: Optional[int] = 2048
     result_cache_size: Optional[int] = 8192
     query_timeout: Optional[float] = None

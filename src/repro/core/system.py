@@ -38,7 +38,7 @@ from ..datalog.ast import Fact, Program
 from ..datalog.engine import Engine, EvaluationResult
 from ..datalog.parser import parse_atom, parse_facts, parse_program
 from ..datalog.terms import Atom, atom as make_atom
-from ..provenance.graph import GraphBuilder, ProvenanceGraph, register_program
+from ..provenance.graph import ProvenanceGraph, add_firings, register_program
 from ..provenance.polynomial import (
     Literal,
     Polynomial,
@@ -81,6 +81,8 @@ class P3:
         #: The evaluation engine, kept for negation-free programs so
         #: :meth:`add_facts` can extend the model in place.
         self._engine: Optional[Engine] = None
+        #: How many of the engine's firings the graph holds.
+        self._firings = 0
         #: Query-directed grounding planner (``config.grounding`` 'query'
         #: or 'auto'); None under classic full evaluation.
         self._planner: Optional["GroundingPlanner"] = None
@@ -215,20 +217,19 @@ class P3:
                 self._probabilities = self._graph.probability_map()
                 self._warm_started = False
                 return self._result
-            builder = GraphBuilder()
-            register_program(builder.graph, self.program)
             engine = Engine(
                 self.program,
-                recorder=builder,
-                capture_tables=self.config.capture_tables,
                 max_rounds=self.config.max_rounds,
                 max_tuples=self.config.max_tuples,
             )
             self._result = engine.run()
             if not any(rule.negations for rule in self.program.rules):
                 self._engine = engine
-            self._graph = builder.graph
-            self._probabilities = builder.graph.probability_map()
+            graph = ProvenanceGraph()
+            register_program(graph, self.program)
+            self._firings = add_firings(graph, engine)
+            self._graph = graph
+            self._probabilities = graph.probability_map()
             self._warm_started = False
             self._sync_store()
         return self._result
@@ -355,13 +356,14 @@ class P3:
         if not fresh:
             return delta  # every fact was a duplicate; nothing changed
         self._epoch += 1
-        # The graph grew in place through the engine's recorder; grow the
-        # probability map to match.
-        assert self._graph is not None and self._probabilities is not None
+        # Grow the graph and the probability map by the delta in place.
+        graph, probabilities = self._graph, self._probabilities
+        assert graph is not None and probabilities is not None
         for fact in fresh:
             key = str(fact.atom)
-            self._probabilities[tuple_literal(key)] = (
-                self._graph.base_probability(key))
+            graph.add_base_tuple(key, fact.probability, fact.label)
+            probabilities[tuple_literal(key)] = graph.base_probability(key)
+        self._firings = add_firings(graph, self._engine, self._firings)
         self._sync_store()
         return delta
 

@@ -17,9 +17,9 @@ from .rewrite import (
     PROV_RELATION,
     RULE_RELATION,
     CompiledRule,
+    FiringTable,
     RewriteError,
     compile_program,
-    execution_id,
 )
 from .terms import Atom, Constant, Substitution, Term, Variable, atom, unify_atom
 
@@ -33,6 +33,7 @@ __all__ = [
     "EvaluationError",
     "EvaluationResult",
     "Fact",
+    "FiringTable",
     "ModelView",
     "ParseError",
     "Program",
@@ -48,7 +49,6 @@ __all__ = [
     "atom",
     "compile_program",
     "evaluate",
-    "execution_id",
     "parse_clause",
     "parse_file",
     "parse_program",

@@ -18,11 +18,11 @@ this module's representation instead:
   owns only the magic/adorned relations it derives, so repeated goals
   against one program never re-intern the EDB.
 
-Atoms only materialize again at the edge — once per new row for the
-engine's recorder, when the grounder renders provenance keys, or when
-:class:`ModelView` (the read surface of an evaluated model) renders a
-row — through the same ``str(Atom(...))`` path, which keeps key bytes
-identical between every evaluation mode.
+Atoms only materialize again at the edge — once per new row when the
+engine renders its tuple key, when the grounder renders provenance keys,
+or when :class:`ModelView` (the read surface of an evaluated model)
+renders a row — through the same ``str(Atom(...))`` path, which keeps key
+bytes identical between every evaluation mode.
 """
 
 from __future__ import annotations
@@ -316,19 +316,11 @@ class ModelView:
     names, counts, membership and pattern matches, answered from the
     stores' tables (matches go through their column indexes) and rendered
     as atoms on read, so the stores stay the only copy of the model.
-    ``captures`` (:class:`~repro.datalog.rewrite.CaptureTables`) supplies
-    the ``prov_``/``rule_`` relations once they hold rows.  Only the
-    owner repoints ``stores`` or ``captures``.
+    Only the owner repoints ``stores``.
     """
 
-    def __init__(self, stores: Sequence[FactStore],
-                 captures: Optional[Any] = None) -> None:
+    def __init__(self, stores: Sequence[FactStore]) -> None:
         self.stores = list(stores)
-        self.captures = captures
-
-    def _captured(self, relation: str) -> bool:
-        return (self.captures is not None
-                and relation in self.captures.relations())
 
     def _tables(self, relation: str
                 ) -> Iterator[Tuple[FactStore, RelationTable]]:
@@ -338,16 +330,12 @@ class ModelView:
                 yield store, table
 
     def relations(self) -> List[str]:
-        names = {name for store in self.stores for name in store.relations()}
-        if self.captures is not None:
-            names.update(self.captures.relations())
-        return sorted(names)
+        return sorted({name for store in self.stores
+                       for name in store.relations()})
 
     def count(self, relation: Optional[str] = None) -> int:
         if relation is None:
             return sum(self.count(name) for name in self.relations())
-        if self._captured(relation):
-            return self.captures.size(relation)
         return sum(len(table) for _, table in self._tables(relation))
 
     def snapshot_counts(self) -> Dict[str, int]:
@@ -360,17 +348,12 @@ class ModelView:
             for name in self.relations():
                 yield from self.atoms(name)
             return
-        if self._captured(relation):
-            yield from list(self.captures.atoms(relation))
-            return
         for store, table in self._tables(relation):
             constant = store.arena.constant
             for row in table.rows:
                 yield Atom(relation, tuple(constant(tid) for tid in row))
 
     def __contains__(self, atom: Atom) -> bool:
-        if self._captured(atom.relation):
-            return atom in self.captures.atoms(atom.relation)
         if not atom.is_ground:
             return False
         values = atom.as_values()
@@ -389,12 +372,7 @@ class ModelView:
         """Like :meth:`match`, but also yields the matched atom (why-not
         analysis names the stored tuple behind each partial match)."""
         base: Substitution = subst or {}
-        relation = pattern.relation
-        if self._captured(relation):
-            candidates: Iterable[Atom] = list(self.captures.atoms(relation))
-        else:
-            candidates = self._candidates(pattern, base)
-        for atom in candidates:
+        for atom in self._candidates(pattern, base):
             extended = unify_atom(pattern, atom, base)
             if extended is not None:
                 yield atom, extended

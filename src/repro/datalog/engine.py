@@ -7,44 +7,27 @@ firing** be enumerated — a firing that re-derives an existing tuple is a new
 derivation and must appear in the provenance graph.  The semi-naive loop
 that guarantees this lives in :mod:`repro.datalog.fixpoint` and runs over
 interned rows; the engine seeds it, stratifies programs with negation, and
-materialises each new tuple once as an atom, for the recorder.  The
-evaluated model is the fact store's rows, read through a
-:class:`~repro.datalog.arena.ModelView`.
+renders each new row's tuple key once.  The evaluated model is the fact
+store's rows, read through a :class:`~repro.datalog.arena.ModelView`.
 
-Provenance is captured two ways simultaneously (both per Section 3.2):
-
-- a :class:`ProvenanceRecorder` callback receives facts and firings as they
-  happen (the live path used to build the provenance graph), and
-- ``prov_``/``rule_`` capture tuples join the model itself (the
-  relational-tables path; see :class:`~repro.datalog.rewrite.CaptureTables`),
-  unless disabled for baseline timing runs.
+Provenance is captured once (Section 3.2): each firing lands in the
+engine's packed :class:`~repro.datalog.rewrite.FiringTable`, from which
+:func:`repro.provenance.graph.add_firings` builds the provenance graph.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from .arena import FactStore, ModelView
-from .ast import ClauseError, Fact, Program, Rule
+from .ast import ClauseError, Fact, Program
 from .fixpoint import EvaluationError, FiringSink, Fixpoint, RulePlan
-from .rewrite import CaptureTables, CompiledRule, compile_program
+from .rewrite import CompiledRule, FiringTable, compile_program
 from .terms import Atom
 
-__all__ = ["Engine", "EvaluationError", "EvaluationResult",
-           "ProvenanceRecorder", "evaluate"]
-
-
-class ProvenanceRecorder(Protocol):
-    """Callback protocol for live provenance capture."""
-
-    def record_fact(self, fact: Fact) -> None:
-        """Called once per base fact seeded into the model."""
-
-    def record_firing(self, rule: Rule, head: Atom,
-                      body: Tuple[Atom, ...]) -> None:
-        """Called once per distinct rule firing (head and ground body)."""
+__all__ = ["Engine", "EvaluationError", "EvaluationResult", "evaluate"]
 
 
 class EvaluationResult:
@@ -79,29 +62,22 @@ class Engine:
     ----------
     program:
         The parsed program to evaluate.
-    recorder:
-        Optional live provenance recorder (e.g.
-        :class:`repro.provenance.graph.GraphBuilder`).
-    capture_tables:
-        When True (default), keep the ``prov_``/``rule_`` capture tables
-        of the Section 3.2 rewrite in the model.  Disable to measure
-        the "without provenance" baseline of Figure 9.
     max_rounds / max_tuples:
         Safety limits; exceeding either raises :class:`EvaluationError`.
-        ``max_tuples`` counts every stored tuple, capture rows included.
+        ``max_tuples`` counts every stored tuple plus the rows of the
+        paper's ``prov``/``rule`` tables
+        (:meth:`~repro.datalog.rewrite.FiringTable.row_count`).
 
-    After :meth:`run`, :meth:`extend` propagates inserted base facts into
-    the evaluated model (negation-free programs only).
+    After :meth:`run`, ``firings`` holds every firing and ``keys`` the
+    tuple key of every stored row, by gid; :meth:`extend` propagates
+    inserted base facts into the evaluated model (negation-free programs
+    only) and appends to both.
     """
 
     def __init__(self, program: Program,
-                 recorder: Optional[ProvenanceRecorder] = None,
-                 capture_tables: bool = True,
                  max_rounds: Optional[int] = None,
                  max_tuples: Optional[int] = None) -> None:
         self.program = program
-        self.recorder = recorder
-        self.capture_tables = capture_tables
         self.max_rounds = max_rounds
         self.max_tuples = max_tuples
         compiled: List[CompiledRule] = compile_program(program)
@@ -120,6 +96,9 @@ class Engine:
         else:
             self._strata = [compiled] if compiled else [[]]
         self._fixpoint: Optional[Fixpoint] = None
+        self.firings = FiringTable()
+        #: gid → tuple key, for every stored row (base facts and derived).
+        self.keys: List[str] = []
 
     @property
     def database(self) -> ModelView:
@@ -155,18 +134,16 @@ class Engine:
 
     def _run(self) -> EvaluationResult:
         start = time.perf_counter()
-        self._store = FactStore()
-        #: gid → atom, for every stored row (base facts and derived).
-        self._atoms: List[Atom] = []
-        captures = CaptureTables(self._atoms) if self.capture_tables else None
-        self._model = ModelView([self._store], captures)
-        # The sinks close over the evaluation state, not the engine, so a
-        # discarded engine is freed by reference counting alone.
+        store = self._store = FactStore()
+        firings = self.firings = FiringTable()
+        self.keys = []
+        self._model = ModelView([store])
+        # The callbacks close over the evaluation state, not the engine,
+        # so a discarded engine is freed by reference counting alone.
         self._fixpoint = Fixpoint(
-            self._store, self._strata,
-            _firing_sink(self._store, self._atoms, captures, self.recorder),
+            store, self._strata, _firing_sink(store, self.keys, firings),
             max_rounds=self.max_rounds, max_tuples=self.max_tuples,
-            stored_rows=_row_counter(self._store, captures))
+            stored_rows=lambda: store.count() + firings.row_count())
         for fact in self.program.facts:
             self._seed(fact)
         base_count = self._store.count()
@@ -209,63 +186,44 @@ class Engine:
     # -- internals ---------------------------------------------------------
 
     def _seed(self, fact: Fact) -> bool:
-        """Store and record one base fact; True when it added a row.
+        """Store one base fact; True when it added a row.
 
-        A fact whose row was derived before is recorded too — it adds a
-        base derivation, not a row.  A repeated base fact is skipped.
+        A fact whose row was derived before becomes a base fact too — it
+        adds a base derivation, not a row.  A repeated base fact is
+        skipped.
         """
         atom = fact.atom
         meta = (fact.probability, fact.label)
         gid, inserted = self._store.add(atom.relation, atom.as_values(),
                                         meta=meta)
         if inserted:
-            self._atoms.append(atom)
+            self.keys.append(str(atom))
         elif self._store.meta(gid) is None:
             self._store.set_meta(gid, meta)
-        else:
-            return False
-        if self.recorder is not None:
-            self.recorder.record_fact(fact)
         return inserted
 
 
-def _firing_sink(store: FactStore, atoms: List[Atom],
-                 captures: Optional[CaptureTables],
-                 recorder: Optional[ProvenanceRecorder]) -> FiringSink:
-    """The per-firing callback: materialise a new head once, capture the
-    firing by id, and report it to the recorder as atoms."""
+def _firing_sink(store: FactStore, keys: List[str],
+                 firings: FiringTable) -> FiringSink:
+    """The per-firing callback: render a new head's key once and pack the
+    firing into the table."""
     constant = store.arena.constant
+    append = firings.append
 
     def on_firing(plan: RulePlan, head: int, body: Tuple[int, ...],
                   inserted: bool) -> None:
         if inserted:
             table, position = store.location(head)
-            atom = Atom(table.name, tuple(
-                constant(tid) for tid in table.rows[position]))
-            atoms.append(atom)
-        if captures is not None:
-            captures.append(plan.compiled, head, body)
-        if recorder is not None:
-            recorder.record_firing(
-                plan.rule, atoms[head], tuple(atoms[gid] for gid in body))
+            keys.append(str(Atom(table.name, tuple(
+                constant(tid) for tid in table.rows[position]))))
+        append(plan, head, body)
 
     return on_firing
 
 
-def _row_counter(store: FactStore, captures: Optional[CaptureTables]
-                 ) -> Callable[[], int]:
-    """Every stored row, capture rows included (the ``max_tuples`` count)."""
-    if captures is None:
-        return store.count
-    return lambda: store.count() + captures.row_count()
-
-
 def evaluate(program: Program,
-             recorder: Optional[ProvenanceRecorder] = None,
-             capture_tables: bool = True,
              max_rounds: Optional[int] = None,
              max_tuples: Optional[int] = None) -> EvaluationResult:
     """Convenience wrapper: build an :class:`Engine` and run it."""
-    engine = Engine(program, recorder=recorder, capture_tables=capture_tables,
-                    max_rounds=max_rounds, max_tuples=max_tuples)
-    return engine.run()
+    return Engine(program, max_rounds=max_rounds,
+                  max_tuples=max_tuples).run()

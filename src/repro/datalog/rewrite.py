@@ -10,14 +10,10 @@ evaluates its body *once* per match and then performs three actions:
 3. record that ``H`` has a derivation from this rule execution (the
    paper's ``prov(H, p, rid)`` table).
 
-The two capture tables are relations (:data:`PROV_RELATION` and
-:data:`RULE_RELATION`) of the evaluated model, so provenance is
-"maintained in relational tables" and the provenance graph can be
-reconstructed from them after the fact (see
-:func:`repro.provenance.graph.graph_from_tables`).
-While the fixpoint runs they grow in interned-id form
-(:class:`CaptureTables`): one entry per firing, rendered as the paper-form
-tuples only when the tables are read.
+Both tables are kept once, in interned-id form: a :class:`FiringTable`
+holds one packed entry per firing — the ``prov`` row — whose body gids
+are its ``rule`` rows, and the provenance graph is built from it.  The
+tables are not relations of the evaluated model.
 
 The compiler also schedules each comparison guard at the earliest body
 position where all its variables are bound, so joins prune eagerly.
@@ -26,18 +22,21 @@ position where all its variables are bound, so joins prune eagerly.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from .ast import Program, Rule
 from .builtins import Comparison
-from .terms import Atom, Constant
+from .terms import Atom
 
-#: Relation storing ``prov(head_repr, probability, rule_execution_id)`` tuples.
+if TYPE_CHECKING:
+    from .fixpoint import RulePlan
+
+#: The paper's ``prov(head, probability, rule_execution)`` table name.
 PROV_RELATION = "prov_"
-#: Relation storing ``rule(rule_execution_id, rule_label, body_repr)`` tuples.
+#: The paper's ``rule(rule_execution, rule_label, body)`` table name.
 RULE_RELATION = "rule_"
 
-#: Relations reserved for provenance capture; user programs may not define them.
+#: Names reserved for the provenance tables; user programs may not define them.
 RESERVED_RELATIONS = frozenset({PROV_RELATION, RULE_RELATION})
 
 
@@ -45,13 +44,8 @@ class RewriteError(ValueError):
     """Raised when a program cannot be compiled (e.g. reserved relation use)."""
 
 
-def execution_id(rule_label: str, body_atoms: Sequence[Atom]) -> str:
-    """Deterministic identifier for one rule execution (rid + ground body)."""
-    return "%s[%s]" % (rule_label, ";".join(str(atom) for atom in body_atoms))
-
-
 class CompiledRule:
-    """A source rule plus its guard schedule and provenance-capture recipe."""
+    """A source rule plus its guard and negation schedules."""
 
     __slots__ = ("rule", "guard_schedule", "negation_schedule")
 
@@ -72,94 +66,58 @@ class CompiledRule:
     def body(self) -> Tuple[Atom, ...]:
         return self.rule.body
 
-    def capture_atoms(self, head: Atom, body_atoms: Sequence[Atom]) -> List[Atom]:
-        """Build the ``prov``/``rule`` capture tuples for one firing."""
-        exec_id = execution_id(self.label, body_atoms)
-        prov = Atom(PROV_RELATION, (
-            Constant(str(head)),
-            Constant(float(self.rule.probability)),
-            Constant(exec_id),
-        ))
-        captures = [prov]
-        for body_atom in body_atoms:
-            captures.append(Atom(RULE_RELATION, (
-                Constant(exec_id),
-                Constant(self.label),
-                Constant(str(body_atom)),
-            )))
-        return captures
-
     def __repr__(self) -> str:
         return "CompiledRule(%s)" % self.rule
 
 
-class CaptureTables:
-    """The ``prov_``/``rule_`` capture tables of one evaluation, by id.
+class FiringTable:
+    """Every firing of one evaluation, packed by id: the paper's tables.
 
-    The evaluator appends each firing as its compiled rule, head gid and
-    body gids — packed into integer arrays, so captured firings cost no
-    per-firing Python objects.  ``atom_of`` maps a gid to its (already
-    materialised) atom.  Table sizes are known without rendering — one
-    ``prov_`` row per firing, one ``rule_`` row per distinct body tuple —
-    and the paper-form rows are built on the first read that needs them
-    (:meth:`atoms`).
+    The fixpoint appends each firing (:meth:`append` is a
+    :data:`~repro.datalog.fixpoint.FiringSink`) as its rule, head gid and
+    body gids — packed into integer arrays, so a firing costs no
+    per-firing Python objects.  One firing is one ``prov`` row of the
+    Section 3.2 rewrite; its distinct body tuples are its ``rule`` rows.
+    The provenance graph is built from this table
+    (:func:`repro.provenance.graph.add_firings`).
     """
 
-    def __init__(self, atom_of: Sequence[Atom]) -> None:
-        self._atom_of = atom_of
-        self._rules: List[CompiledRule] = []
+    def __init__(self) -> None:
+        self._rules: List[Rule] = []
         self._heads = array("q")
         self._bodies = array("q")  # every firing's body gids, concatenated
         self._ends = array("q")    # end offset of each firing's body
         self._rule_rows = 0
         self._counted = 0
-        self._rendered = 0
-        self._atoms: Dict[str, Set[Atom]] = {
-            PROV_RELATION: set(), RULE_RELATION: set()}
 
-    def append(self, compiled: "CompiledRule", head: int,
-               body: Tuple[int, ...]) -> None:
-        self._rules.append(compiled)
+    def append(self, plan: "RulePlan", head: int, body: Tuple[int, ...],
+               inserted: bool = False) -> None:
+        """Record one firing of ``plan.rule``."""
+        self._rules.append(plan.rule)
         self._heads.append(head)
         self._bodies.extend(body)
         self._ends.append(len(self._bodies))
 
-    def _body(self, index: int) -> Sequence[int]:
+    def __len__(self) -> int:
+        return len(self._rules)
+
+    def body(self, index: int) -> Sequence[int]:
+        """The body gids of firing ``index``, in source order."""
         ends = self._ends
         return self._bodies[ends[index - 1] if index else 0:ends[index]]
 
-    def size(self, relation: str) -> int:
-        if relation == PROV_RELATION:
-            return len(self._rules)
-        for index in range(self._counted, len(self._rules)):
-            self._rule_rows += len(set(self._body(index)))
-        self._counted = len(self._rules)
-        return self._rule_rows
+    def rows(self, start: int = 0) -> Iterator[Tuple[Rule, int, Sequence[int]]]:
+        """``(rule, head gid, body gids)`` of every firing from ``start``."""
+        for index in range(start, len(self._rules)):
+            yield self._rules[index], self._heads[index], self.body(index)
 
     def row_count(self) -> int:
-        """Rows across both tables."""
-        return self.size(PROV_RELATION) + self.size(RULE_RELATION)
-
-    def relations(self) -> Tuple[str, ...]:
-        """The tables' relation names, once any firing is captured."""
-        return (PROV_RELATION, RULE_RELATION) if self._rules else ()
-
-    def atoms(self, relation: str) -> Set[Atom]:
-        """One table's paper-form rows, rendering new firings first."""
-        self.render()
-        return self._atoms[relation]
-
-    def render(self) -> None:
-        """Materialise every not-yet-rendered firing's capture atoms."""
-        atom_of = self._atom_of
-        prov, rule = self._atoms[PROV_RELATION], self._atoms[RULE_RELATION]
-        for index in range(self._rendered, len(self._rules)):
-            captures = self._rules[index].capture_atoms(
-                atom_of[self._heads[index]],
-                [atom_of[gid] for gid in self._body(index)])
-            prov.add(captures[0])
-            rule.update(captures[1:])
-        self._rendered = len(self._rules)
+        """Rows of the paper's tables: one ``prov`` row per firing plus
+        one ``rule`` row per distinct body tuple of a firing."""
+        for index in range(self._counted, len(self._rules)):
+            self._rule_rows += len(set(self.body(index)))
+        self._counted = len(self._rules)
+        return len(self._rules) + self._rule_rows
 
 
 def _schedule_guards(rule: Rule) -> List[List[Comparison]]:

@@ -23,11 +23,11 @@ Fallback ladder
 ---------------
 Goals the magic fragment cannot handle (negation never reaches here —
 ``supports`` rejects it — but e.g. programmatic reserved names can) drop
-to the ``'full'`` rung: one ordinary fixpoint evaluation, merged into the
-same graph in place, with the planner's model view repointed at the full
-model, after which the planner answers everything from it.  Budget trips
-(:class:`~repro.datalog.engine.EvaluationError` from
-``max_rounds``/``max_tuples``) are *not* a fallback trigger: full
+to the ``'full'`` rung: one ordinary fixpoint evaluation whose firings
+are added to the same graph in place, with the planner's model view
+repointed at the full model, after which the planner answers everything
+from it.  Budget trips (:class:`~repro.datalog.engine.EvaluationError`
+from ``max_rounds``/``max_tuples``) are *not* a fallback trigger: full
 evaluation would only hit the same rail harder, so they propagate.
 """
 
@@ -44,8 +44,7 @@ from ..datalog.engine import Engine, EvaluationResult
 from ..datalog.magic import MagicTransformError
 from ..datalog.parser import ParseError, parse_atom
 from ..datalog.terms import Atom, unify_atom
-from ..provenance.graph import (
-    GraphBuilder, ProvenanceGraph, register_program)
+from ..provenance.graph import ProvenanceGraph, add_firings, register_program
 from .relevance import GroundedGoal, ground_goal
 
 #: ``grounding='auto'`` switches to query-directed grounding at this many
@@ -116,9 +115,6 @@ class GroundingPlanner:
         the base facts until goals start landing.
         """
         register_program(self.graph, self._program)
-        for fact in self._program.facts:
-            self.graph.add_base_tuple(
-                str(fact.atom), fact.probability, fact.label)
         return EvaluationResult(
             self.database, rounds=0, firing_count=0, elapsed_seconds=0.0,
             derived_count=0)
@@ -230,25 +226,12 @@ class GroundingPlanner:
             rt.metrics.counter(
                 "p3_ground_fallbacks_total",
                 help="Planner drops to full evaluation").inc()
-        builder = GraphBuilder()
-        engine = Engine(
-            self._program, recorder=builder,
-            capture_tables=config.capture_tables,
-            max_rounds=config.max_rounds, max_tuples=config.max_tuples)
+        engine = Engine(self._program, max_rounds=config.max_rounds,
+                        max_tuples=config.max_tuples)
         with rt.tracer.span("ground.fallback", reason=reason):
             result = engine.run()
-        full = builder.graph
-        graph = self.graph
-        for key in full.tuple_keys():
-            if full.is_base(key):
-                graph.add_base_tuple(key, full.base_probability(key),
-                                     full.base_label(key))
-        for label, probability in full.rules().items():
-            graph.add_rule(label, probability)
-        for execution in full.executions():
-            graph.add_execution(execution)
-        full_model = result.database
-        self.database.stores = full_model.stores
-        self.database.captures = full_model.captures
+        # Bootstrap registered the base facts and rules already.
+        add_firings(self.graph, engine)
+        self.database.stores = result.database.stores
         self._fallback = True
         self.stats["fallbacks"] += 1

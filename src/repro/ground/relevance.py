@@ -19,23 +19,23 @@ This is the only magic-set evaluation path: the planner
 (:mod:`repro.ground.planner`) and
 :func:`repro.core.goal.goal_directed_query` both run it.  Tuple keys are
 rendered through ``str(Atom(...))`` — the same code path the engine's
-:class:`~repro.provenance.graph.GraphBuilder` uses — so extraction over
-the grounded subgraph yields polynomials byte-identical to full
-evaluation (asserted in ``tests/ground/``).
+tuple keys take — so extraction over the grounded subgraph yields
+polynomials byte-identical to full evaluation (asserted in
+``tests/ground/``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..datalog.arena import FactStore
 from ..datalog.ast import Program, Rule
-from ..datalog.fixpoint import Fixpoint, RulePlan
+from ..datalog.fixpoint import Fixpoint
 from ..datalog.magic import (
     ADORN_SEP, MAGIC_PREFIX, MagicProgram, magic_transform)
-from ..datalog.rewrite import compile_program
+from ..datalog.rewrite import FiringTable, compile_program
 from ..datalog.terms import Atom, unify_atom
 from ..provenance.graph import ProvenanceGraph, RuleExecution
 
@@ -43,8 +43,6 @@ from ..provenance.graph import ProvenanceGraph, RuleExecution
 _KIND_MAGIC = "magic"      # derives m_* demand tuples; pure bookkeeping
 _KIND_ADORNED = "adorned"  # adorned copy of an original rule
 _KIND_BRIDGE = "bridge"    # wraps a stored IDB fact into its adorned copy
-
-Firing = Tuple[RulePlan, int, Tuple[int, ...]]
 
 
 class GroundedGoal:
@@ -128,11 +126,9 @@ def _ground_goal(program: Program, pattern: Atom,
     for fact in magic.program.facts:
         store.add(fact.atom.relation, fact.atom.as_values())
 
-    firings: List[Firing] = []
+    firings = FiringTable()
     fixpoint = Fixpoint(
-        store, [compile_program(magic.program)],
-        lambda plan, head, body, inserted: firings.append(
-            (plan, head, body)),
+        store, [compile_program(magic.program)], firings.append,
         max_rounds=max_rounds, max_tuples=max_tuples)
     fixpoint.run()
 
@@ -159,7 +155,7 @@ def _rule_kind(rule: Rule, magic: MagicProgram) -> str:
 
 
 def _translate(store: FactStore, magic: MagicProgram,
-               firings: Sequence[Firing], pattern: Atom
+               firings: FiringTable, pattern: Atom
                ) -> Tuple[ProvenanceGraph, List[str], List[Atom]]:
     graph = ProvenanceGraph()
     for rule in magic.program.rules:
@@ -176,7 +172,7 @@ def _translate(store: FactStore, magic: MagicProgram,
 
         Adorned and original spellings of one tuple render to the same
         bytes because both go through ``str(Atom(...))`` — the exact key
-        path :class:`~repro.provenance.graph.GraphBuilder` uses.
+        path of the engine's tuple keys.
         """
         key = key_of.get(gid)
         if key is not None:
@@ -209,8 +205,7 @@ def _translate(store: FactStore, magic: MagicProgram,
 
     kinds = {rule.label: _rule_kind(rule, magic)
              for rule in magic.program.rules}
-    for plan, head_gid, body_gids in firings:
-        rule = plan.rule
+    for rule, head_gid, body_gids in firings.rows():
         kind = kinds[rule.label]
         if kind == _KIND_MAGIC:
             continue

@@ -13,22 +13,22 @@ when the program is recursive; cycle *handling* happens at polynomial
 extraction time (see :mod:`repro.provenance.extraction`), the graph itself
 records every firing faithfully.
 
-:class:`GraphBuilder` implements the engine's recorder protocol and builds
-the graph live during evaluation; :func:`graph_from_tables` rebuilds an
-identical graph from the relational ``prov_``/``rule_`` capture tables,
-demonstrating the Section 3.2 storage path.
+:func:`add_firings` builds the graph from an engine's
+:class:`~repro.datalog.rewrite.FiringTable` — the Section 3.2 ``prov``/
+``rule`` tables, packed by id — one firing per rule-execution vertex.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple)
 
-from ..datalog.ast import Fact, Program, Rule
-from ..datalog.arena import ModelView
-from ..datalog.rewrite import PROV_RELATION, RULE_RELATION, execution_id
-from ..datalog.terms import Atom
+from ..datalog.ast import Program
 from .polynomial import Literal, ProbabilityMap, rule_literal, tuple_literal
+
+if TYPE_CHECKING:
+    from ..datalog.engine import Engine
 
 
 class RuleExecution:
@@ -291,74 +291,28 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-class GraphBuilder:
-    """Live provenance recorder: plugs into the engine, produces the graph."""
-
-    def __init__(self) -> None:
-        self.graph = ProvenanceGraph()
-
-    def record_fact(self, fact: Fact) -> None:
-        self.graph.add_base_tuple(str(fact.atom), fact.probability, fact.label)
-
-    def record_firing(self, rule: Rule, head: Atom,
-                      body: Tuple[Atom, ...]) -> None:
-        execution = RuleExecution(
-            rule.label or "?",
-            str(head),
-            tuple(str(atom) for atom in body),
-            rule.probability,
-        )
-        self.graph.add_execution(execution)
-
-
 def register_program(graph: ProvenanceGraph, program: Program) -> None:
-    """Register every rule of ``program`` (labels + probabilities) in the graph."""
+    """Register ``program``'s rules (labels + probabilities) and base
+    facts in the graph; of repeated base facts the first one counts."""
     for rule in program.rules:
         graph.add_rule(rule.label or "?", rule.probability)
-
-
-def graph_from_tables(database: ModelView, program: Program) -> ProvenanceGraph:
-    """Rebuild the provenance graph from the ``prov_``/``rule_`` capture tables.
-
-    This is the Section 3.2 relational-storage path: the graph produced here
-    is identical to the one :class:`GraphBuilder` records live (tested in
-    ``tests/provenance/test_graph.py``).
-    """
-    graph = ProvenanceGraph()
     for fact in program.facts:
-        graph.add_base_tuple(str(fact.atom), fact.probability, fact.label)
-    register_program(graph, program)
-
-    # rule_ rows: (exec_id, rule_label, body_atom_repr) — body in insert order.
-    bodies: Dict[str, List[str]] = defaultdict(list)
-    labels: Dict[str, str] = {}
-    for atom in database.atoms(RULE_RELATION):
-        exec_id, rule_label, body_repr = atom.as_values()
-        bodies[str(exec_id)].append(str(body_repr))
-        labels[str(exec_id)] = str(rule_label)
-
-    # prov_ rows: (head_repr, probability, exec_id).
-    for atom in database.atoms(PROV_RELATION):
-        head_repr, probability, exec_id = atom.as_values()
-        exec_id = str(exec_id)
-        rule_label = labels.get(exec_id, exec_id.split("[", 1)[0])
-        body = _ordered_body(exec_id, bodies.get(exec_id, []))
-        graph.add_execution(RuleExecution(
-            rule_label, str(head_repr), tuple(body), float(probability),
-        ))
-    return graph
+        key = str(fact.atom)
+        if not graph.is_base(key):
+            graph.add_base_tuple(key, fact.probability, fact.label)
 
 
-def _ordered_body(exec_id: str, body_rows: List[str]) -> List[str]:
-    """Recover source-order body atoms from the execution id encoding.
+def add_firings(graph: ProvenanceGraph, engine: "Engine",
+                start: int = 0) -> int:
+    """Add ``engine``'s firings from index ``start`` on to ``graph``.
 
-    The execution id embeds the body as ``rid[b1;b2;...]`` (see
-    :func:`repro.datalog.rewrite.execution_id`), which preserves order even
-    though relational storage does not.
+    Each firing becomes one rule-execution vertex, its tuples keyed by
+    the engine's per-gid keys.  Returns the firing count — the ``start``
+    of the next call — so a live system adds only an insertion's delta.
     """
-    if "[" in exec_id and exec_id.endswith("]"):
-        encoded = exec_id.split("[", 1)[1][:-1]
-        ordered = encoded.split(";") if encoded else []
-        if sorted(ordered) == sorted(body_rows):
-            return ordered
-    return sorted(body_rows)
+    keys = engine.keys
+    for rule, head, body in engine.firings.rows(start):
+        graph.add_execution(RuleExecution(
+            rule.label or "?", keys[head], tuple(keys[gid] for gid in body),
+            rule.probability))
+    return len(engine.firings)

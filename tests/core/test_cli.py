@@ -29,6 +29,14 @@ class TestRun:
         output = capsys.readouterr().out
         assert "prov_" not in output
 
+    def test_all_relations_include_underscore_names(self, tmp_path, capsys):
+        path = tmp_path / "underscore.pl"
+        path.write_text("0.5: edge_(1,2). "
+                        "0.9: reach_(X,Y) :- edge_(X,Y). 0.7: other(1).")
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out.split() == [
+            "edge_(1,2)", "other(1)", "reach_(1,2)"]
+
 
 class TestExplain:
     def test_text(self, program_file, capsys):

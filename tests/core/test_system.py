@@ -188,14 +188,6 @@ class TestConfig:
         full.evaluate()
         assert full.probability_of("path", 1, 4) == pytest.approx(0.125)
 
-    def test_capture_tables_toggle(self):
-        p3 = P3.from_source(ACQUAINTANCE, P3Config(capture_tables=False))
-        p3.evaluate()
-        assert p3.database.count("prov_") == 0
-        # Live-recorded graph still works.
-        assert p3.probability_of("know", "Ben", "Elena") == pytest.approx(
-            0.16384)
-
     def test_seeded_estimation_reproducible(self):
         config = P3Config(probability_method="mc", samples=2000, seed=11)
         first = P3.from_source(ACQUAINTANCE, config)

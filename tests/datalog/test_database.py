@@ -152,17 +152,17 @@ class TestCaptureRelations:
         r1 1.0: path(X,Y) :- edge(X,Y).
     """
 
-    def test_capture_tables_are_relations_of_the_model(self):
-        view = Engine(parse_program(self.SOURCE)).run().database
-        assert view.relations() == ["edge", "path", PROV_RELATION,
-                                    RULE_RELATION]
-        assert view.count(PROV_RELATION) == 2
-        [row] = view.match(Atom(PROV_RELATION, (
-            Constant("path(1,2)"), Variable("P"), Variable("E"))))
-        assert row[Variable("E")] == Constant("r1[edge(1,2)]")
+    def test_firings_stay_out_of_the_model(self):
+        engine = Engine(parse_program(self.SOURCE))
+        view = engine.run().database
+        assert len(engine.firings) == 2
+        assert view.relations() == ["edge", "path"]
+        assert view.count(PROV_RELATION) == 0
+        assert list(view.match(Atom(PROV_RELATION, (
+            Constant("path(1,2)"), Variable("P"), Variable("E"))))) == []
         assert Atom(RULE_RELATION, (
             Constant("r1[edge(2,3)]"), Constant("r1"),
-            Constant("edge(2,3)"))) in view
+            Constant("edge(2,3)"))) not in view
 
     def test_no_capture_relations_without_firings(self):
         view = Engine(parse_program("edge(1,2).")).run().database

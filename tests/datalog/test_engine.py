@@ -5,8 +5,8 @@ import pytest
 from repro.datalog.ast import Fact
 from repro.datalog.engine import Engine, EvaluationError, evaluate
 from repro.datalog.parser import parse_program
-from repro.datalog.rewrite import PROV_RELATION, RULE_RELATION
 from repro.datalog.terms import atom
+from repro.provenance.graph import ProvenanceGraph, register_program
 
 
 TC = """
@@ -18,19 +18,11 @@ r2 1.0: path(X,Z) :- edge(X,Y), path(Y,Z).
 """
 
 
-class RecordingRecorder:
-    """Captures every fact and firing the engine reports."""
-
-    def __init__(self):
-        self.facts = []
-        self.firings = []
-
-    def record_fact(self, fact):
-        self.facts.append(fact)
-
-    def record_firing(self, rule, head, body):
-        self.firings.append((rule.label, str(head),
-                             tuple(str(b) for b in body)))
+def firings_of(engine):
+    """Every firing in the engine's table as (label, head, body) keys."""
+    keys = engine.keys
+    return [(rule.label, keys[head], tuple(keys[gid] for gid in body))
+            for rule, head, body in engine.firings.rows()]
 
 
 def derived(result, relation):
@@ -100,55 +92,62 @@ class TestBasicEvaluation:
 
 class TestFiringCapture:
     def test_every_distinct_firing_recorded(self):
-        recorder = RecordingRecorder()
-        Engine(parse_program(TC), recorder=recorder).run()
+        engine = Engine(parse_program(TC))
+        engine.run()
+        firings = firings_of(engine)
         # r1 fires 3× (one per edge); r2 fires once per (edge, path) pair:
         # (1,2)+path(2,*): 2 firings; (2,3)+path(3,4): 1; total 3.
-        r1 = [f for f in recorder.firings if f[0] == "r1"]
-        r2 = [f for f in recorder.firings if f[0] == "r2"]
+        r1 = [f for f in firings if f[0] == "r1"]
+        r2 = [f for f in firings if f[0] == "r2"]
         assert len(r1) == 3
         assert len(r2) == 3
 
     def test_no_duplicate_firings(self):
-        recorder = RecordingRecorder()
-        Engine(parse_program(TC), recorder=recorder).run()
-        assert len(recorder.firings) == len(set(recorder.firings))
+        engine = Engine(parse_program(TC))
+        engine.run()
+        firings = firings_of(engine)
+        assert len(firings) == len(set(firings))
 
     def test_rederivation_of_base_fact_recorded(self):
         # know(Ben,Steve) is base AND re-derivable through the recursive
         # rule — the paper's cyclic-provenance situation.
         from repro.data import ACQUAINTANCE
-        recorder = RecordingRecorder()
-        Engine(parse_program(ACQUAINTANCE), recorder=recorder).run()
-        heads = [head for _, head, _ in recorder.firings]
+        engine = Engine(parse_program(ACQUAINTANCE))
+        engine.run()
+        heads = [head for _, head, _ in firings_of(engine)]
         assert 'know("Ben","Steve")' in heads
 
     def test_multiple_derivations_same_tuple_all_recorded(self):
-        recorder = RecordingRecorder()
-        Engine(parse_program("""
+        engine = Engine(parse_program("""
             p(1). q(1).
             r1 1.0: d(X) :- p(X).
             r2 1.0: d(X) :- q(X).
-        """), recorder=recorder).run()
-        derivations = [f for f in recorder.firings if f[1] == "d(1)"]
+        """))
+        engine.run()
+        derivations = [f for f in firings_of(engine) if f[1] == "d(1)"]
         assert {f[0] for f in derivations} == {"r1", "r2"}
 
     def test_facts_recorded(self):
-        recorder = RecordingRecorder()
-        Engine(parse_program("t1 0.5: p(1)."), recorder=recorder).run()
-        assert len(recorder.facts) == 1
-        assert recorder.facts[0].probability == 0.5
+        program = parse_program("t1 0.5: p(1). t2 0.7: p(1).")
+        engine = Engine(program)
+        engine.run()
+        assert engine.keys == ["p(1)"]
+        graph = ProvenanceGraph()
+        register_program(graph, program)
+        # The first of repeated base facts counts, as in the store.
+        assert graph.base_probability("p(1)") == 0.5
+        assert graph.base_label("p(1)") == "t1"
 
     def test_firing_count_matches_recorder(self):
-        recorder = RecordingRecorder()
-        result = Engine(parse_program(TC), recorder=recorder).run()
-        assert result.firing_count == len(recorder.firings)
+        engine = Engine(parse_program(TC))
+        result = engine.run()
+        assert result.firing_count == len(engine.firings)
 
     def test_semi_naive_matches_naive_firings(self):
         # Ground truth: enumerate firings naively on the final database.
         program = parse_program(TC)
-        recorder = RecordingRecorder()
-        result = Engine(program, recorder=recorder).run()
+        engine = Engine(program)
+        result = engine.run()
         paths = derived(result, "path")
         edges = derived(result, "edge")
         expected = set()
@@ -164,23 +163,22 @@ class TestFiringCapture:
                     expected.add(("r2", "path(%d,%d)" % (x, z),
                                   ("edge(%d,%d)" % (x, y),
                                    "path(%d,%d)" % (y, z))))
-        assert set(recorder.firings) == expected
+        assert set(firings_of(engine)) == expected
 
 
 class TestCaptureTables:
     def test_capture_tables_present_by_default(self):
-        result = evaluate(parse_program(TC))
-        assert result.database.count(PROV_RELATION) > 0
-        assert result.database.count(RULE_RELATION) > 0
-
-    def test_capture_tables_disabled(self):
-        result = evaluate(parse_program(TC), capture_tables=False)
-        assert result.database.count(PROV_RELATION) == 0
-        assert result.database.count(RULE_RELATION) == 0
+        engine = Engine(parse_program(TC))
+        result = engine.run()
+        # One prov row per firing plus one rule row per body tuple: r1's
+        # three firings have one body tuple each, r2's three have two.
+        assert engine.firings.row_count() == 6 + 3 + 3 * 2
+        assert result.database.relations() == ["edge", "path"]
 
     def test_one_prov_row_per_firing(self):
-        result = evaluate(parse_program(TC))
-        assert result.database.count(PROV_RELATION) == result.firing_count
+        engine = Engine(parse_program(TC))
+        result = engine.run()
+        assert len(engine.firings) == result.firing_count
 
     def test_derived_count_excludes_capture_rows(self):
         result = evaluate(parse_program(TC))
@@ -194,7 +192,7 @@ class TestLimits:
 
     def test_max_tuples(self):
         with pytest.raises(EvaluationError):
-            evaluate(parse_program(TC), max_tuples=4, capture_tables=False)
+            evaluate(parse_program(TC), max_tuples=4)
 
     def test_limits_permit_normal_run(self):
         result = evaluate(parse_program(TC), max_rounds=10, max_tuples=1000)

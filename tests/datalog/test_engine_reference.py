@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
+from repro.provenance.graph import ProvenanceGraph, add_firings
 
 
 def naive_reference(program):
@@ -54,17 +55,6 @@ def _all_bindings(rule, atoms):
     yield from extend(0, {})
 
 
-class RecordingRecorder:
-    def __init__(self):
-        self.firings = set()
-
-    def record_fact(self, fact):
-        pass
-
-    def record_firing(self, rule, head, body):
-        self.firings.add((rule.label, str(head), tuple(map(str, body))))
-
-
 @st.composite
 def random_programs(draw):
     """Small random edge/path-style programs, possibly cyclic."""
@@ -89,22 +79,26 @@ class TestSemiNaiveCompleteness:
     @given(random_programs())
     def test_same_model_and_firings(self, source):
         program = parse_program(source)
-        recorder = RecordingRecorder()
-        result = Engine(program, recorder=recorder,
-                        capture_tables=False).run()
+        engine = Engine(program)
+        result = engine.run()
+        graph = ProvenanceGraph()
+        add_firings(graph, engine)
+        engine_firings = {(e.rule_label, e.head, e.body)
+                          for e in graph.executions()}
         engine_atoms = {str(atom) for atom in result.database.atoms()}
 
         reference_atoms, reference_firings = naive_reference(
             parse_program(source))
 
         assert engine_atoms == reference_atoms
-        assert recorder.firings == reference_firings
+        assert len(engine.firings) == len(reference_firings)
+        assert engine_firings == reference_firings
 
     @settings(max_examples=20, deadline=None)
     @given(random_programs())
     def test_deterministic_across_runs(self, source):
-        first = Engine(parse_program(source), capture_tables=False).run()
-        second = Engine(parse_program(source), capture_tables=False).run()
+        first = Engine(parse_program(source)).run()
+        second = Engine(parse_program(source)).run()
         assert {str(a) for a in first.database.atoms()} == \
             {str(a) for a in second.database.atoms()}
         assert first.firing_count == second.firing_count
@@ -122,8 +116,7 @@ class TestParserRoundTripProperty:
     @settings(max_examples=25, deadline=None)
     @given(random_programs())
     def test_reparsed_program_evaluates_identically(self, source):
-        original = Engine(parse_program(source), capture_tables=False).run()
-        reparsed = Engine(parse_program(str(parse_program(source))),
-                          capture_tables=False).run()
+        original = Engine(parse_program(source)).run()
+        reparsed = Engine(parse_program(str(parse_program(source)))).run()
         assert {str(a) for a in original.database.atoms()} == \
             {str(a) for a in reparsed.database.atoms()}

@@ -2,10 +2,10 @@
 
 Every number below was recorded from the engine and must not drift when
 the evaluation loop changes underneath: round counts, firing counts,
-derived-tuple counts, per-relation cardinalities (including the
-``prov_``/``rule_`` capture tables), a digest of the sorted rule
-execution ids, and whether the ``max_rounds``/``max_tuples`` safety
-rails trip.
+derived-tuple counts, per-relation cardinalities, the row count of the
+paper's ``prov``/``rule`` tables (the engine's firing table), a digest of
+the sorted rule execution ids, and whether the
+``max_rounds``/``max_tuples`` safety rails trip.
 
 Regenerate a pin only when evaluation semantics change on purpose, by
 calling :func:`print_pins` (with ``src`` on the path, from the
@@ -21,9 +21,9 @@ from repro.data import ACQUAINTANCE, generate_network
 from repro.datalog.ast import Fact
 from repro.datalog.engine import Engine, EvaluationError
 from repro.datalog.parser import parse_program
-from repro.datalog.rewrite import PROV_RELATION
 from repro.datalog.terms import atom as make_atom
-from repro.provenance.graph import GraphBuilder, register_program
+from repro.provenance.graph import (
+    ProvenanceGraph, add_firings, register_program)
 
 STRATIFIED = """
 node(1). node(2). node(3). node(4).
@@ -60,41 +60,37 @@ def digest(exec_ids):
         "\n".join(sorted(exec_ids)).encode("utf-8")).hexdigest()
 
 
-def observe(result, graph, capture):
+def observe(result, graph, engine):
     """The pinned view of one evaluation."""
     exec_ids = [execution.exec_id for execution in graph.executions()]
-    observed = {
+    return {
         "rounds": result.rounds,
         "firings": result.firing_count,
         "derived": result.derived_count,
         "counts": dict(sorted(result.database.snapshot_counts().items())),
+        "table_rows": engine.firings.row_count(),
         "exec_sha256": digest(exec_ids),
     }
-    if capture:
-        # The capture tables name exactly the recorded executions.
-        prov_ids = [str(row.args[2].value)
-                    for row in result.database.atoms(PROV_RELATION)]
-        assert digest(prov_ids) == observed["exec_sha256"]
-    return observed
 
 
-def run_engine(source, capture=True, **limits):
+def run_engine(source, **limits):
     program = parse_program(source)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    result = Engine(program, recorder=builder, capture_tables=capture,
-                    **limits).run()
-    return observe(result, builder.graph, capture)
+    engine = Engine(program, **limits)
+    result = engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
+    return observe(result, graph, engine)
 
 
-def run_session(source, capture=True, inserted=()):
+def run_session(source, inserted=()):
     """P3 initial run plus one ``add_facts`` batch; both observed."""
-    system = P3(parse_program(source), P3Config(capture_tables=capture))
-    initial = observe(system.evaluate(), system.graph, capture)
+    system = P3(parse_program(source), P3Config())
+    initial = observe(system.evaluate(), system.graph, system._engine)
     if not inserted:
         return initial, None
     delta = system.add_facts(list(inserted))
-    after = observe(delta, system.graph, capture)
+    after = observe(delta, system.graph, system._engine)
     return initial, after
 
 
@@ -108,33 +104,31 @@ def trips(source, **limits):
 
 ACQ_PIN = {
     "rounds": 3, "firings": 6, "derived": 3,
-    "counts": {"know": 4, "like": 2, "live": 3, "prov_": 6, "rule_": 12},
+    "counts": {"know": 4, "like": 2, "live": 3},
+    # prov_ + rule_ rows
+    "table_rows": 6 + 12,
     "exec_sha256":
         "145720185fac11e20b157beb0322984898ffc452591c7789163ce43a78081405",
 }
 TRUST_PIN = {
     "rounds": 10, "firings": 22737, "derived": 11350,
-    "counts": {"mutualTrustPath": 4556, "prov_": 22737, "rule_": 45250,
-               "trust": 224, "trustPath": 6794},
+    "counts": {"mutualTrustPath": 4556, "trust": 224, "trustPath": 6794},
+    "table_rows": 22737 + 45250,
     "exec_sha256":
         "5677dce79da0438ccb61b013ed9e02e457c4e924a3888e9c38e8dee211ce87da",
-}
-TRUST_NOCAPTURE_PIN = {
-    "rounds": 10, "firings": 22737, "derived": 11350,
-    "counts": {"mutualTrustPath": 4556, "trust": 224, "trustPath": 6794},
-    "exec_sha256": TRUST_PIN["exec_sha256"],
 }
 STRATIFIED_PIN = {
     "rounds": 7, "firings": 27, "derived": 23,
     "counts": {"clean": 3, "edge": 4, "flag": 1, "goodpair": 4,
-               "island": 6, "node": 4, "prov_": 27, "reach": 10,
-               "rule_": 47},
+               "island": 6, "node": 4, "reach": 10},
+    "table_rows": 27 + 47,
     "exec_sha256":
         "f6d31c708780fc78f136fae70015a30c23f114fd4285f3ae2912ebf635c8b095",
 }
 TC_INITIAL_PIN = {
     "rounds": 4, "firings": 6, "derived": 6,
-    "counts": {"edge": 3, "path": 6, "prov_": 6, "rule_": 9},
+    "counts": {"edge": 3, "path": 6},
+    "table_rows": 6 + 9,
     "exec_sha256":
         "80cf7d56ee22bad75f5e5b74e9ef6cd98e2c19edcad8b2d50273ac6cf28c68f7",
 }
@@ -142,7 +136,8 @@ TC_INITIAL_PIN = {
 #: digest of the whole grown model.
 TC_DELTA_PIN = {
     "rounds": 5, "firings": 19, "derived": 14,
-    "counts": {"edge": 5, "path": 20, "prov_": 25, "rule_": 45},
+    "counts": {"edge": 5, "path": 20},
+    "table_rows": 25 + 45,
     "exec_sha256":
         "394310da933d6d49ebec68658304258abd27926d10aba8452ceab3994b3d196b",
 }
@@ -150,8 +145,8 @@ TC_DELTA_PIN = {
 TC_INSERTED = (Fact(make_atom("edge", 4, 1), 0.5, "n1"),
                Fact(make_atom("edge", 4, 5), 0.5, "n2"))
 
-#: (source name, limits, trips?).  Tuple limits count every stored row,
-#: capture rows included; each pair sits on either side of the model's
+#: (source name, limits, trips?).  Tuple limits count every stored row
+#: plus the ``table_rows``; each pair sits on either side of the model's
 #: final size or round count.
 LIMIT_PINS = [
     ("tc", {"max_rounds": 4}, False),
@@ -181,8 +176,6 @@ def print_pins():
     for name, value in (
             ("ACQ_PIN", run_engine(ACQUAINTANCE)),
             ("TRUST_PIN", run_engine(trust_sample_source())),
-            ("TRUST_NOCAPTURE_PIN",
-             run_engine(trust_sample_source(), capture=False)),
             ("STRATIFIED_PIN", run_engine(STRATIFIED)),
             ("TC_INITIAL_PIN / TC_DELTA_PIN",
              run_session(TC, inserted=TC_INSERTED))):
@@ -198,10 +191,6 @@ class TestEnginePins:
     def test_trust_sample(self):
         assert run_engine(trust_sample_source()) == TRUST_PIN
 
-    def test_trust_sample_capture_off(self):
-        assert (run_engine(trust_sample_source(), capture=False)
-                == TRUST_NOCAPTURE_PIN)
-
     def test_stratified_negation(self):
         assert run_engine(STRATIFIED) == STRATIFIED_PIN
 
@@ -210,9 +199,8 @@ class TestSessionPins:
     def test_session_initial_matches_engine_pins(self):
         initial, _ = run_session(trust_sample_source())
         assert initial == TRUST_PIN
-        initial, _ = run_session(ACQUAINTANCE, capture=False)
-        expected = run_engine(ACQUAINTANCE, capture=False)
-        assert initial == expected
+        initial, _ = run_session(ACQUAINTANCE)
+        assert initial == run_engine(ACQUAINTANCE)
 
     def test_insertion_delta(self):
         initial, after = run_session(TC, inserted=TC_INSERTED)

@@ -14,13 +14,11 @@ from repro import P3, P3Config
 from repro.datalog.ast import ClauseError, Fact
 from repro.datalog.engine import Engine, EvaluationError
 from repro.datalog.parser import parse_program
-from repro.datalog.rewrite import PROV_RELATION, RULE_RELATION
-from repro.datalog.terms import Atom, Constant, Variable
 from repro.datalog.terms import atom as make_atom
 from repro.io.serialize import graph_to_json
 from repro.provenance.extraction import extract_polynomial
 from repro.provenance.graph import (
-    GraphBuilder, graph_from_tables, register_program)
+    ProvenanceGraph, add_firings, register_program)
 from repro.provenance.polynomial import tuple_literal
 
 TC = """
@@ -37,17 +35,18 @@ def atoms(database, relation=None):
 def scratch(source):
     """From-scratch evaluation returning (atoms, firing_count, graph)."""
     program = parse_program(source)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    result = Engine(program, recorder=builder, capture_tables=False).run()
+    engine = Engine(program)
+    result = engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
     return ({str(a) for a in result.database.atoms()},
-            result.firing_count, builder.graph)
+            result.firing_count, graph)
 
 
-def live(source, capture_tables=False, **config):
+def live(source, **config):
     """An evaluated P3 system whose ``add_facts`` extends its engine."""
-    system = P3(parse_program(source),
-                P3Config(capture_tables=capture_tables, **config))
+    system = P3(parse_program(source), P3Config(**config))
     system.evaluate()
     return system
 
@@ -127,7 +126,8 @@ class TestInsertion:
         assert system.epoch == 1
 
     def test_max_tuples_enforced_on_insertion(self):
-        system = live(TC, max_tuples=8)
+        # 5 rows and 7 prov/rule table rows before the insertion.
+        system = live(TC, max_tuples=16)
         with pytest.raises(EvaluationError):
             system.add_facts([
                 Fact(make_atom("edge", 3, 4), 1.0, "n1"),
@@ -157,27 +157,21 @@ class TestProvenanceGrowth:
 
 class TestCaptureTablesGrow:
     def test_tables_follow_insertions(self):
-        system = live(TC, capture_tables=True)
-        database = system.database
-        r2_rows = Atom(RULE_RELATION,
-                       (Variable("E"), Constant("r2"), Variable("B")))
+        system = live(TC)
+        table = system._engine.firings
 
-        def expected_r2_rows():
-            return sum(len(set(execution.body))
-                       for execution in system.graph.executions()
-                       if execution.rule_label == "r2")
+        def expected_rows():
+            return sum(1 + len(set(execution.body))
+                       for execution in system.graph.executions())
 
-        # Read the tables (building a match index) before inserting.
-        assert len(list(database.match(r2_rows))) == expected_r2_rows()
+        assert table.row_count() == expected_rows()
         system.add_fact(Fact(make_atom("edge", 3, 4), 1.0, "n1"))
-        assert database.count(PROV_RELATION) == firings(system)
-        # Reading prov_ first renders both tables; the rule_ index must
-        # still see the new rows.
-        assert len(list(database.atoms(PROV_RELATION))) == \
-            firings(system)
-        assert len(list(database.match(r2_rows))) == expected_r2_rows()
-        rebuilt = graph_from_tables(database, system.program)
+        assert len(table) == firings(system)
+        assert table.row_count() == expected_rows()
+        rebuilt = ProvenanceGraph()
+        add_firings(rebuilt, system._engine)
         assert rebuilt.executions() == system.graph.executions()
+        assert system.database.relations() == ["edge", "path"]
 
 
 CHAIN = """
@@ -203,7 +197,7 @@ class TestBatchIsAllOrNothing:
             system.add_facts(CLASHING_BATCH)
         self.assert_untouched(system)
         assert not system.holds("path(1,3)")
-        assert graph_bytes(system) == graph_bytes(live(CHAIN, True))
+        assert graph_bytes(system) == graph_bytes(live(CHAIN))
 
     def test_query_grounding(self):
         system = P3.from_source(CHAIN, P3Config(grounding="query"))
@@ -244,11 +238,11 @@ class TestBaseFactOverDerivedRow:
     INSERTED = "p9 0.4: path(1,2)."
 
     def test_matches_from_scratch(self):
-        system = live(CHAIN, capture_tables=True)
+        system = live(CHAIN)
         assert system.probability_of("path(1,2)", method="bdd") == \
             pytest.approx(0.5)
         system.add_facts(self.INSERTED)
-        fresh = live(CHAIN + self.INSERTED, capture_tables=True)
+        fresh = live(CHAIN + self.INSERTED)
         assert system.epoch == 1
         assert system.probability_of("path(1,2)", method="bdd") == \
             pytest.approx(0.7)

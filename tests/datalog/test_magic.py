@@ -16,7 +16,8 @@ from repro.datalog.terms import Atom, Constant, Variable, atom as make_atom
 from repro.data import ACQUAINTANCE, paper_fragment
 from repro.inference import exact_probability
 from repro.provenance import (
-    GraphBuilder,
+    ProvenanceGraph,
+    add_firings,
     extract_polynomial,
     register_program,
 )
@@ -29,10 +30,12 @@ r2 1.0: path(X,Z) :- edge(X,Y), path(Y,Z).
 
 
 def evaluate(program):
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    result = Engine(program, recorder=builder, capture_tables=False).run()
-    return builder.graph, result
+    engine = Engine(program)
+    result = engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
+    return graph, result
 
 
 class TestAdornments:

@@ -1,17 +1,18 @@
 """Unit tests for the ExSPAN-style rule rewrite."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_clause, parse_program
 from repro.datalog.rewrite import (
-    PROV_RELATION,
-    RULE_RELATION,
     CompiledRule,
+    FiringTable,
     RewriteError,
     compile_program,
-    execution_id,
 )
-from repro.datalog.terms import atom
+from repro.provenance.graph import ProvenanceGraph, RuleExecution, add_firings
 
 
 class TestGuardScheduling:
@@ -35,49 +36,55 @@ class TestGuardScheduling:
 
 
 class TestExecutionId:
+    """``RuleExecution.exec_id``: the one rule-execution id format."""
+
     def test_deterministic(self):
-        body = (atom("p", 1), atom("q", 2))
-        assert execution_id("r1", body) == execution_id("r1", body)
+        body = ("p(1)", "q(2)")
+        assert (RuleExecution("r1", "d(1)", body, 0.5).exec_id
+                == RuleExecution("r1", "d(1)", body, 0.5).exec_id)
 
     def test_embeds_label_and_body(self):
-        exec_id = execution_id("r7", (atom("p", 1),))
+        exec_id = RuleExecution("r7", "d(1)", ("p(1)",), 0.5).exec_id
         assert exec_id == "r7[p(1)]"
 
     def test_body_order_matters(self):
-        a, b = atom("p", 1), atom("q", 2)
-        assert execution_id("r1", (a, b)) != execution_id("r1", (b, a))
+        forward = RuleExecution("r1", "d(1)", ("p(1)", "q(2)"), 0.5)
+        backward = RuleExecution("r1", "d(1)", ("q(2)", "p(1)"), 0.5)
+        assert forward.exec_id != backward.exec_id
+
+
+def fired(source, head, body):
+    """A firing table holding one firing of the rule ``source``."""
+    table = FiringTable()
+    table.append(SimpleNamespace(rule=parse_clause(source)), head, body)
+    return table
 
 
 class TestCaptureAtoms:
+    """One packed firing stands for the paper's three-way rewrite: a
+    ``prov`` row and one ``rule`` row per distinct body tuple."""
+
     def test_three_way_rewrite_shape(self):
-        rule = parse_clause("r1 0.8: q(X) :- p(X), s(X).")
-        compiled = CompiledRule(rule)
-        head = atom("q", 1)
-        body = (atom("p", 1), atom("s", 1))
-        captures = compiled.capture_atoms(head, body)
+        table = fired("r1 0.8: q(X) :- p(X), s(X).", 2, (0, 1))
         # One prov row plus one rule row per body atom.
-        assert captures[0].relation == PROV_RELATION
-        assert [c.relation for c in captures[1:]] == [RULE_RELATION] * 2
+        assert len(table) == 1
+        assert table.row_count() == 1 + 2
 
     def test_prov_row_contents(self):
-        rule = parse_clause("r1 0.8: q(X) :- p(X).")
-        compiled = CompiledRule(rule)
-        head = atom("q", 1)
-        body = (atom("p", 1),)
-        prov = compiled.capture_atoms(head, body)[0]
-        head_repr, probability, exec_id = prov.as_values()
-        assert head_repr == "q(1)"
-        assert probability == 0.8
-        assert exec_id == "r1[p(1)]"
+        engine = Engine(parse_program("p(1). r1 0.8: q(X) :- p(X)."))
+        engine.run()
+        graph = ProvenanceGraph()
+        add_firings(graph, engine)
+        [execution] = graph.executions()
+        assert execution.head == "q(1)"
+        assert execution.probability == 0.8
+        assert execution.exec_id == "r1[p(1)]"
 
     def test_rule_row_contents(self):
-        rule = parse_clause("r1 0.8: q(X) :- p(X).")
-        compiled = CompiledRule(rule)
-        rows = compiled.capture_atoms(atom("q", 1), (atom("p", 1),))[1:]
-        exec_id, label, body_repr = rows[0].as_values()
-        assert exec_id == "r1[p(1)]"
-        assert label == "r1"
-        assert body_repr == "p(1)"
+        table = fired("r1 0.8: q(X) :- p(X), s(X), p(X).", 2, (0, 1, 0))
+        # Body gids keep source order; a repeated tuple is one rule row.
+        assert list(table.body(0)) == [0, 1, 0]
+        assert table.row_count() == 1 + 2
 
 
 class TestCompileProgram:

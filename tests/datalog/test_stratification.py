@@ -188,7 +188,8 @@ class TestStratifiedEvaluation:
         assert derived(result, "eligible") == {"eligible(1)"}
 
     def test_provenance_recorded_for_negation_rules(self):
-        from repro.provenance import GraphBuilder, register_program
+        from repro.provenance import (
+            ProvenanceGraph, add_firings, register_program)
         from repro.datalog.engine import Engine
         from repro.provenance import extract_polynomial
         program = parse_program("""
@@ -196,10 +197,12 @@ class TestStratifiedEvaluation:
             banned(2).
             r1 0.6: eligible(X) :- person(X), not banned(X).
         """)
-        builder = GraphBuilder()
-        register_program(builder.graph, program)
-        Engine(program, recorder=builder).run()
-        poly = extract_polynomial(builder.graph, "eligible(1)")
+        engine = Engine(program)
+        engine.run()
+        graph = ProvenanceGraph()
+        register_program(graph, program)
+        add_firings(graph, engine)
+        poly = extract_polynomial(graph, "eligible(1)")
         # Negated subgoals contribute nothing to the polynomial.
         keys = {lit.key for lit in poly.literals()}
         assert keys == {"r1", "person(1)"}

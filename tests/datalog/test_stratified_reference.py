@@ -80,8 +80,7 @@ class TestStratifiedEngineReference:
     @settings(max_examples=40, deadline=None)
     @given(stratified_programs())
     def test_same_model(self, source):
-        engine_result = Engine(parse_program(source),
-                               capture_tables=False).run()
+        engine_result = Engine(parse_program(source)).run()
         engine_atoms = {str(a) for a in engine_result.database.atoms()}
         reference = naive_stratified_reference(parse_program(source))
         assert engine_atoms == reference
@@ -94,9 +93,8 @@ class TestStratifiedEngineReference:
         positive_only = "\n".join(
             line for line in source.splitlines()
             if not line.startswith(("r3", "r4", "r5")))
-        full = Engine(parse_program(source), capture_tables=False).run()
-        plain = Engine(parse_program(positive_only),
-                       capture_tables=False).run()
+        full = Engine(parse_program(source)).run()
+        plain = Engine(parse_program(positive_only)).run()
         full_reach = {str(a) for a in full.database.atoms("reach")}
         plain_reach = {str(a) for a in plain.database.atoms("reach")}
         assert full_reach == plain_reach

@@ -16,7 +16,8 @@ from repro.datalog.engine import Engine, EvaluationError
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Atom, Constant, Variable, atom as make_atom
 from repro.ground import FactStore, ground_goal
-from repro.provenance import GraphBuilder, extract_polynomial, register_program
+from repro.provenance import (
+    ProvenanceGraph, add_firings, extract_polynomial, register_program)
 
 TC = """
 edge(1,2). edge(2,3). edge(3,4). edge(4,5). edge(10,11).
@@ -28,10 +29,12 @@ r2 1.0: path(X,Z) :- edge(X,Y), path(Y,Z).
 def full_graph(source_or_program):
     program = (parse_program(source_or_program)
                if isinstance(source_or_program, str) else source_or_program)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    Engine(program, recorder=builder, capture_tables=False).run()
-    return builder.graph
+    engine = Engine(program)
+    engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
+    return graph
 
 
 def assert_matches_full(source_or_program, pattern, expected_answers=None):

@@ -10,15 +10,18 @@ from repro.datalog.parser import parse_program
 from repro.inference.bounded import BoundedResult, bounded_probability
 from repro.inference.exact import exact_probability
 from repro.provenance.extraction import extract_bounds, extract_polynomial
-from repro.provenance.graph import GraphBuilder, register_program
+from repro.provenance.graph import (
+    ProvenanceGraph, add_firings, register_program)
 
 
 def build(source):
     program = parse_program(source)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    Engine(program, recorder=builder).run()
-    return builder.graph
+    engine = Engine(program)
+    engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
+    return graph
 
 
 CHAIN = """

@@ -13,7 +13,8 @@ derive) with the facts split at random into a base and insertion
 batches, every derived key must get a byte-identical explanation
 envelope on every P3 road and the same answers and polynomial from
 ``goal_directed_query``, and the roads that hold a whole model must
-build identical provenance graphs.
+build identical provenance graphs and read back the same model: the
+same atoms in the same relations, the program's relations only.
 """
 
 import json
@@ -64,6 +65,12 @@ def graph_bytes(system):
     return json.dumps(graph_to_json(system.graph), sort_keys=True)
 
 
+def model(system):
+    """The evaluated model as read through ``derived_atoms``/``database``."""
+    return (sorted(map(str, system.derived_atoms())),
+            system.database.relations())
+
+
 def warm_started(base_source, batches, directory):
     """Snapshot the evaluated base into a store, warm-start from it, and
     apply the batches to the restored system."""
@@ -98,6 +105,7 @@ class TestEvaluationPathsAgree:
         grounded.evaluate()
 
         assert graph_bytes(incremental) == graph_bytes(full)
+        assert model(incremental) == model(full)
         derived = sorted(key for key in full.graph.tuple_keys()
                          if full.graph.is_derived(key))
         expected = explanations(full, derived)
@@ -116,11 +124,13 @@ class TestEvaluationPathsAgree:
             save_session(full.program, full.graph, session, epoch=full.epoch)
             restored = P3.from_session(session)
             assert graph_bytes(restored) == graph_bytes(full)
+            assert model(restored) == model(full)
             assert explanations(restored, derived) == expected
 
             warm = warm_started(base_source, batches, directory)
             try:
                 assert graph_bytes(warm) == graph_bytes(full)
+                assert model(warm) == model(full)
                 assert explanations(warm, derived) == expected
             finally:
                 warm.detach_store().close()

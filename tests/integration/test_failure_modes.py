@@ -21,8 +21,7 @@ class TestEngineLimits:
             ["edge(%d,%d)." % (i, i + 1) for i in range(20)]
             + ["r1 1.0: path(X,Y) :- edge(X,Y).",
                "r2 1.0: path(X,Z) :- edge(X,Y), path(Y,Z)."])
-        p3 = P3.from_source(source, P3Config(max_tuples=10,
-                                             capture_tables=False))
+        p3 = P3.from_source(source, P3Config(max_tuples=10))
         with pytest.raises(EvaluationError):
             p3.evaluate()
 

@@ -12,15 +12,18 @@ from repro.provenance.cycles import (
     tuple_dependency_edges,
     verify_cycle_elimination,
 )
-from repro.provenance.graph import GraphBuilder, register_program
+from repro.provenance.graph import (
+    ProvenanceGraph, add_firings, register_program)
 
 
 def build(source):
     program = parse_program(source)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    Engine(program, recorder=builder).run()
-    return builder.graph
+    engine = Engine(program)
+    engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
+    return graph
 
 
 ACYCLIC = """

@@ -10,7 +10,8 @@ from repro.provenance.extraction import (
     extract_polynomial,
     extract_unrolled,
 )
-from repro.provenance.graph import GraphBuilder, register_program
+from repro.provenance.graph import (
+    ProvenanceGraph, add_firings, register_program)
 from repro.provenance.polynomial import (
     Polynomial,
     rule_literal,
@@ -20,10 +21,12 @@ from repro.provenance.polynomial import (
 
 def build(source):
     program = parse_program(source)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    Engine(program, recorder=builder).run()
-    return builder.graph
+    engine = Engine(program)
+    engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
+    return graph
 
 
 class TestAcyclicExtraction:
@@ -253,12 +256,11 @@ class TestExtractMany:
         from repro.data import paper_fragment
         from repro.provenance.extraction import extract_many
         program = paper_fragment().to_program()
-        from repro.datalog.engine import Engine
-        from repro.provenance.graph import GraphBuilder, register_program
-        builder = GraphBuilder()
-        register_program(builder.graph, program)
-        Engine(program, recorder=builder).run()
-        graph = builder.graph
+        engine = Engine(program)
+        engine.run()
+        graph = ProvenanceGraph()
+        register_program(graph, program)
+        add_firings(graph, engine)
         roots = sorted(key for key in graph.tuple_keys()
                        if key.startswith("trustPath("))
         batch = extract_many(graph, roots, hop_limit=6)

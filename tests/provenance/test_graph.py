@@ -1,15 +1,16 @@
-"""Unit tests for the provenance graph and its two construction paths."""
+"""Unit tests for the provenance graph and its construction from the
+engine's firing table."""
 
 import pytest
 
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.provenance.extraction import extract_polynomial
+from repro import P3, P3Config
 from repro.provenance.graph import (
-    GraphBuilder,
     ProvenanceGraph,
     RuleExecution,
-    graph_from_tables,
+    add_firings,
     register_program,
 )
 from repro.provenance.polynomial import rule_literal, tuple_literal
@@ -18,10 +19,12 @@ from repro.provenance.polynomial import rule_literal, tuple_literal
 def build(source):
     """Evaluate a program and return (graph, program, result)."""
     program = parse_program(source)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    result = Engine(program, recorder=builder).run()
-    return builder.graph, program, result
+    engine = Engine(program)
+    result = engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
+    return graph, program, result
 
 
 SIMPLE = """
@@ -107,35 +110,33 @@ class TestProbabilityMap:
 
 
 class TestTableReconstruction:
+    """The graph is built from the engine's firing table; built in one
+    pass it equals the live graph grown batch by batch from a cursor."""
+
     def test_matches_live_graph(self):
-        program = parse_program(SIMPLE)
-        builder = GraphBuilder()
-        register_program(builder.graph, program)
-        result = Engine(program, recorder=builder).run()
-        rebuilt = graph_from_tables(result.database, program)
-        assert rebuilt.tuple_keys() >= builder.graph.tuple_keys() - {"d(1)"}
-        assert rebuilt.executions() == builder.graph.executions()
-        assert rebuilt.probability_map() == builder.graph.probability_map()
+        live = P3.from_source(SIMPLE)
+        live.evaluate()
+        live.add_facts(["t3 0.7: p(2).", "t4 0.9: q(2)."])
+        graph, _, _ = build(SIMPLE + "t3 0.7: p(2). t4 0.9: q(2).")
+        assert graph.tuple_keys() == live.graph.tuple_keys()
+        assert graph.executions() == live.graph.executions()
+        assert graph.probability_map() == live.graph.probability_map()
 
     def test_matches_on_recursive_program(self):
         from repro.data import ACQUAINTANCE
-        program = parse_program(ACQUAINTANCE)
-        builder = GraphBuilder()
-        register_program(builder.graph, program)
-        result = Engine(program, recorder=builder).run()
-        rebuilt = graph_from_tables(result.database, program)
+        graph, _, _ = build(ACQUAINTANCE)
+        grounded = P3.from_source(ACQUAINTANCE, P3Config(grounding="query"))
+        grounded.evaluate()
         key = 'know("Ben","Elena")'
-        live = extract_polynomial(builder.graph, key)
-        reconstructed = extract_polynomial(rebuilt, key)
-        assert live == reconstructed
+        assert extract_polynomial(graph, key) == extract_polynomial(
+            grounded.provenance_for(key), key)
 
     def test_body_order_recovered(self):
-        graph, program, result = build("""
+        graph, _, _ = build("""
             p(1). q(1).
             r1 1.0: d(X) :- q(X), p(X).
         """)
-        rebuilt = graph_from_tables(result.database, program)
-        [execution] = rebuilt.derivations_of("d(1)")
+        [execution] = graph.derivations_of("d(1)")
         assert execution.body == ("q(1)", "p(1)")
 
 

@@ -8,7 +8,8 @@ from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.inference.exact import brute_force_probability, exact_probability
 from repro.provenance.extraction import extract_polynomial, extract_unrolled
-from repro.provenance.graph import GraphBuilder, register_program
+from repro.provenance.graph import (
+    ProvenanceGraph, add_firings, register_program)
 from repro.provenance.polynomial import (
     Monomial,
     Polynomial,
@@ -108,10 +109,12 @@ def random_trust_programs(draw):
 
 def _build_graph(source):
     program = parse_program(source)
-    builder = GraphBuilder()
-    register_program(builder.graph, program)
-    Engine(program, recorder=builder).run()
-    return builder.graph
+    engine = Engine(program)
+    engine.run()
+    graph = ProvenanceGraph()
+    register_program(graph, program)
+    add_firings(graph, engine)
+    return graph
 
 
 class TestCycleEliminationProperty:
