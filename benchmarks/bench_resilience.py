@@ -20,6 +20,7 @@ from repro.exec.specs import QuerySpec
 from repro.resilience import ResilienceConfig
 from repro.resilience.chaos import (
     CHAOS_FAULT_CLASSES,
+    ExecutorTransport,
     build_chaos_program,
     run_chaos,
 )
@@ -73,21 +74,22 @@ def test_chaos_survival(benchmark):
     """One seeded chaos run: every spec survives, answers stay accurate."""
     report = benchmark.pedantic(
         run_chaos,
-        kwargs={"seed": 0, "spec_count": 30, "people": 11,
-                "samples": 10000},
+        args=(ExecutorTransport(specs=30, people=11, samples=10000),),
+        kwargs={"seed": 0},
         rounds=1, iterations=1)
 
     assert report.ok, report.to_dict()
-    assert report.well_formed == report.specs
-    assert not report.accuracy_failures
+    assert report.well_formed == report.details["specs"]
+    assert not report.malformed
+    resilience = report.details["resilience"]
     record_table(
         "resilience_chaos",
         "Resilience: chaos survival (seed 0, %d specs, %.2fs)"
-        % (report.specs, report.seconds),
+        % (report.details["specs"], report.seconds),
         ["fault class", "injections"],
         [[name, report.faults_observed.get(name, 0)]
          for name in CHAOS_FAULT_CLASSES]
-        + [["— retries", report.retries],
-           ["— fallbacks", report.fallbacks],
-           ["— breaker trips", report.breaker_trips]],
+        + [["— retries", resilience["retries"]],
+           ["— fallbacks", resilience["fallbacks"]],
+           ["— breaker trips", resilience["breaker_trips"]]],
     )

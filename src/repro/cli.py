@@ -12,7 +12,7 @@ modify     Modification Query (reach a target probability).
 audit      Differential audit of every inference backend and query path.
 chaos      Chaos harness: inject backend faults, assert every query
            still yields a well-formed answer through the resilience layer.
-           ``--service`` drives the HTTP service end-to-end instead.
+           ``--service`` / ``--process`` target the HTTP service / workers.
 serve      Long-lived multi-tenant HTTP/JSON service over the executor.
 trace      Traced explanation query; prints the telemetry span tree.
 generate   Emit a synthetic trust-network program to stdout.
@@ -701,47 +701,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .io.serialize import chaos_report_to_json
     from .resilience.chaos import (
-        run_chaos, run_process_chaos, run_service_chaos)
+        ExecutorTransport, ProcessTransport, ServiceTransport, run_chaos)
     if args.process:
-        report = run_process_chaos(
-            seed=args.seed,
-            rounds=args.rounds,
-            people=args.people,
-            samples=args.samples,
-            workers=args.workers,
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.summary())
-            if report.unhandled:
-                print("  unhandled exception: %s" % report.unhandled)
-            for entry in report.malformed:
-                print("  malformed exchange: %s" % entry)
-        return 0 if report.ok else 1
-    if args.service:
-        report = run_service_chaos(
-            seed=args.seed,
-            request_count=args.requests,
-            people=args.people,
-            samples=args.samples,
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.summary())
-            if report.unhandled:
-                print("  unhandled exception: %s" % report.unhandled)
-            for entry in report.malformed:
-                print("  malformed exchange: %s" % entry)
-        return 0 if report.ok else 1
-    report = run_chaos(
-        seed=args.seed,
-        spec_count=args.specs,
-        people=args.people,
-        samples=args.samples,
-        include_outcomes=args.outcomes,
-    )
+        transport = ProcessTransport(
+            rounds=args.rounds, people=args.people, samples=args.samples)
+    elif args.service:
+        transport = ServiceTransport(
+            requests=args.requests, people=args.people, samples=args.samples)
+    else:
+        transport = ExecutorTransport(
+            specs=args.specs, people=args.people, samples=args.samples,
+            include_outcomes=args.outcomes)
+    report = run_chaos(transport, seed=args.seed)
     if args.json:
         print(json.dumps(chaos_report_to_json(report), indent=2,
                          sort_keys=True))
@@ -749,11 +720,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(report.summary())
         if report.unhandled:
             print("  unhandled exception: %s" % report.unhandled)
-        for failure in report.accuracy_failures:
-            print("  accuracy failure: %s = %.6f vs reference %.6f "
-                  "(tolerance %.2e, answered by %s)"
-                  % (failure["key"], failure["value"], failure["reference"],
-                     failure["tolerance"], failure["answered_by"]))
+        for entry in report.malformed:
+            print("  malformed exchange: %s" % entry)
     return 0 if report.ok else 1
 
 
@@ -1026,29 +994,27 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--samples", type=int, default=20000,
                               help="Monte-Carlo budget for sampling "
                               "rungs (default: 20000)")
-    chaos_parser.add_argument("--workers", type=int, default=4,
-                              help="isolation workers for --process "
-                              "(default: 4)")
     chaos_parser.add_argument("--outcomes", action="store_true",
                               help="include every per-spec outcome in "
                               "the report (verbose)")
     chaos_parser.add_argument("--json", action="store_true",
                               help="emit the chaos report JSON envelope")
-    chaos_parser.add_argument("--service", action="store_true",
-                              help="drive the HTTP service end-to-end "
-                              "instead of the library executor: boot "
-                              "repro.serve in-process, inject the same "
-                              "faults, and assert every HTTP exchange "
-                              "is well-formed")
+    transport_group = chaos_parser.add_mutually_exclusive_group()
+    transport_group.add_argument("--service", action="store_true",
+                                 help="drive the HTTP service end-to-end "
+                                 "instead of the library executor: boot "
+                                 "repro.serve in-process, inject the same "
+                                 "faults, and assert every HTTP exchange "
+                                 "is well-formed")
     chaos_parser.add_argument("--requests", type=int, default=60,
                               help="HTTP requests to issue in service "
                               "mode (default: 60)")
-    chaos_parser.add_argument("--process", action="store_true",
-                              help="target subprocess isolation workers "
-                              "instead: SIGKILL, OOM, and wedge live "
-                              "workers and assert typed errors, bounded "
-                              "respawns, and correct answers after every "
-                              "fault")
+    transport_group.add_argument("--process", action="store_true",
+                                 help="target subprocess isolation workers "
+                                 "instead: SIGKILL, OOM, and wedge live "
+                                 "workers and assert typed errors, bounded "
+                                 "respawns, and correct answers after "
+                                 "every fault")
     chaos_parser.add_argument("--rounds", type=int, default=3,
                               help="process-mode fault rounds; each "
                               "delivers every fault class once "

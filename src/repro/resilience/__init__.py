@@ -35,10 +35,9 @@ the harness that proves it:
   :class:`~repro.core.errors.WorkerTimeoutError` outcomes, never a dead
   service.
 - :func:`~repro.resilience.chaos.run_chaos` — the chaos harness
-  (``p3 chaos``): inject backend exceptions, delays, budget blowups, and
-  a query hang into a live batch and assert every spec still yields a
-  well-formed outcome; process-level faults (``kill9``, ``oom``,
-  ``wedge-native``) exercise the isolation pool's recovery paths.
+  (``p3 chaos``): one driver over a transport (executor, service or
+  process) that injects backend or worker faults and asserts every
+  exchange stays well-formed and every fault class is observed.
 
 Configuration enters through :class:`ResilienceConfig` — the
 ``P3Config(resilience=...)`` knob group — and every resilience event

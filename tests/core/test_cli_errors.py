@@ -1,11 +1,14 @@
 """CLI failure behaviour: nonzero exits and the JSON error envelope."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
 from repro.data import ACQUAINTANCE
+from repro.io.serialize import chaos_report_to_json
+from repro.resilience.isolation import process_isolation_supported
 
 
 @pytest.fixture()
@@ -85,7 +88,8 @@ class TestResilientFlag:
         assert "0.163840" in capsys.readouterr().out
 
     def test_chaos_smoke(self, capsys):
-        # Tiny chaos run through the CLI: seeded, JSON, exit 0 on ok.
+        # Tiny chaos runs through the CLI, one per transport: seeded,
+        # JSON, exit 0 on ok, and every document a valid chaos report.
         code = main(["chaos", "--seed", "0", "--specs", "12",
                      "--people", "8", "--samples", "4000", "--json"])
         captured = capsys.readouterr()
@@ -93,3 +97,22 @@ class TestResilientFlag:
         assert document["kind"] == "chaos_report"
         assert code == (0 if document["ok"] else 1)
         assert document["well_formed"] == document["specs"]
+
+        runs = {"service": ["--service", "--json"]}
+        if process_isolation_supported():
+            runs["process"] = ["--process", "--rounds", "1", "--people", "8",
+                               "--json"]
+        for transport, flags in runs.items():
+            code = main(["chaos", "--seed", "0"] + flags)
+            document = json.loads(capsys.readouterr().out)
+            printed = SimpleNamespace(to_dict=lambda: document)
+            assert chaos_report_to_json(printed) == document
+            assert document["transport"] == transport
+            assert document["well_formed"] == document["exchanges"]
+            assert code == 0, document
+
+    def test_chaos_transports_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--service", "--process"])
+        assert exit_info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err

@@ -23,10 +23,6 @@ from repro.core.system import P3
 from repro.data import ACQUAINTANCE
 from repro.exec.executor import QueryExecutor
 from repro.inference.exact import exact_probability
-from repro.resilience.chaos import (
-    PROCESS_FAULT_CLASSES,
-    run_process_chaos,
-)
 from repro.resilience.isolation import (
     ProcessWorkerPool,
     process_isolation_supported,
@@ -77,8 +73,9 @@ class TestConfigSurface:
                            default_isolation="fibers")
 
     def test_fault_classes_mirror_worker_faults(self):
+        from repro.resilience.chaos import ProcessTransport
         from repro.resilience.isolation import WORKER_FAULTS
-        assert PROCESS_FAULT_CLASSES == WORKER_FAULTS
+        assert ProcessTransport.fault_classes == WORKER_FAULTS
 
     def test_pool_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -232,23 +229,3 @@ class TestExecutorIsolation:
         for outcome in batch:
             assert outcome.ok, outcome.to_dict()
             assert (outcome.value is None) != (outcome.error is None)
-
-
-# -- the chaos harness ------------------------------------------------------
-
-
-@needs_processes
-def test_process_chaos_round_is_fully_well_formed():
-    report = run_process_chaos(seed=0, rounds=1, people=8)
-    assert report.ok, report.to_dict()
-    assert report.well_formed == report.exchanges
-    for fault in PROCESS_FAULT_CLASSES:
-        assert report.faults_observed[fault] == 1, fault
-    # Bounded recovery: at most one respawn per worker-killing fault,
-    # and no leaked processes beyond the configured pool size.
-    assert report.pool["respawned"] <= report.respawn_bound
-    assert report.pool["live"] <= report.pool["workers"]
-    document = report.to_dict()
-    assert document["kind"] == "process_chaos_report"
-    import json
-    json.dumps(document)

@@ -327,13 +327,3 @@ class TestOperationalEndpoints:
             handle.stop()
             registry.close()
             telemetry.disable()
-
-
-class TestServiceChaos:
-    def test_service_survives_chaos(self):
-        from repro.resilience.chaos import run_service_chaos
-        report = run_service_chaos(seed=5, request_count=40)
-        assert report.unhandled is None
-        assert report.well_formed == report.requests
-        assert report.server_errors == 0
-        assert report.ok, report.summary()
