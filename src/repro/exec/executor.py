@@ -17,11 +17,18 @@ Distinct specs run in input order on the calling thread.  Work leaves
 that thread in exactly two ways:
 
 - a spec with a deadline (its ``timeout`` parameter, or
-  ``config.query_timeout``) runs on a reusable deadline-runner thread, so
-  the caller can stop waiting when the deadline passes;
+  ``config.query_timeout``) runs on a reusable deadline-runner thread
+  (:class:`~repro.resilience.runners.DeadlineRunnerPool`), so the caller
+  can stop waiting when the deadline passes; a fallback rung with its
+  own ``timeout`` runs there too;
 - under ``isolation="process"`` backend calls run on the subprocess
   workers of :class:`~repro.resilience.isolation.ProcessWorkerPool`,
   which are killed instead of abandoned when they wedge.
+
+Every backend call — plain probabilities, each fallback rung, and the
+partial answer for a blown budget — goes through one method,
+:meth:`QueryExecutor._call`, and a reading becomes an answer by one rule
+(:attr:`~repro.inference.registry.BackendReading.answer`).
 
 Stochastic backends derive a per-spec seed from the configured seed and
 the spec identity, so batch results are reproducible and independent
@@ -53,12 +60,11 @@ and cache hit rates.
 from __future__ import annotations
 
 import contextlib
-import contextvars
-import queue
 import threading
 import time
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .. import telemetry
 from ..core.errors import (
@@ -66,12 +72,13 @@ from ..core.errors import (
     QueryTimeoutError,
     UnknownTupleError,
 )
-from ..inference import probability as compute_probability
-from ..inference.registry import is_deterministic
+from ..inference.registry import BackendReading, is_deterministic
 from ..inference.request import InferenceRequest
 from ..provenance.extraction import extract_polynomial
 from ..provenance.polynomial import Polynomial
 from ..resilience.budgets import activate_budget, active_meter
+from ..resilience.ladder import call_backend
+from ..resilience.runners import DeadlineRunnerPool
 from .cache import LRUCache
 from .specs import QuerySpec
 from .stats import ExecutorStats
@@ -180,150 +187,6 @@ class BatchResult:
             len(self.outcomes), failed, self.seconds)
 
 
-class _DeadlineTask:
-    """One unit of deadlined work plus its abandonment bookkeeping."""
-
-    __slots__ = ("target", "abandoned", "finished")
-
-    def __init__(self, target: Any) -> None:
-        self.target = target
-        self.abandoned = False
-        self.finished = False
-
-
-class _DeadlineRunner(threading.Thread):
-    """A reusable daemon thread executing deadlined tasks in sequence."""
-
-    def __init__(self, pool: "_DeadlineRunnerPool") -> None:
-        super().__init__(name="p3-deadline", daemon=True)
-        self._pool = pool
-        self._tasks: "queue.SimpleQueue[Optional[_DeadlineTask]]" = (
-            queue.SimpleQueue())
-        self.start()
-
-    def submit(self, task: _DeadlineTask) -> None:
-        self._tasks.put(task)
-
-    def stop(self) -> None:
-        self._tasks.put(None)
-
-    def run(self) -> None:
-        while True:
-            task = self._tasks.get()
-            if task is None:
-                return
-            task.target()
-            if not self._pool._recycle(self, task):
-                return
-
-
-class _DeadlineRunnerPool:
-    """A small pool of reusable deadline-runner threads.
-
-    The per-query deadline used to be enforced by spawning one fresh
-    daemon thread per deadlined query; under a long-lived service with
-    sustained timeouts those abandoned threads accumulate without bound.
-    This pool caps *retention* rather than concurrency: a finished runner
-    rejoins the idle stack (up to ``max_idle``) and is reused by the next
-    deadlined query, while a runner still wedged past its caller's
-    timeout is simply not reused until its task completes — so a burst of
-    timeouts still gets fresh threads (no head-of-line blocking behind a
-    wedged runner), but a steady state of fast queries recycles the same
-    few threads.  ``stats()`` counts spawns, reuses, and abandonments
-    (total and currently live) for ``QueryExecutor.stats()['pool']``.
-    """
-
-    def __init__(self, max_idle: int = 4) -> None:
-        self.max_idle = max_idle
-        self._lock = threading.Lock()
-        self._idle: List[_DeadlineRunner] = []
-        self._spawned = 0
-        self._reused = 0
-        self._abandoned_total = 0
-        self._abandoned_live = 0
-
-    def run(self, target: Any) -> Tuple[_DeadlineRunner, _DeadlineTask]:
-        """Dispatch ``target`` on an idle runner (or a fresh one)."""
-        with self._lock:
-            runner = self._idle.pop() if self._idle else None
-            if runner is not None:
-                self._reused += 1
-            else:
-                self._spawned += 1
-        if runner is None:
-            runner = _DeadlineRunner(self)
-        task = _DeadlineTask(target)
-        runner.submit(task)
-        return runner, task
-
-    def abandon(self, task: _DeadlineTask) -> None:
-        """The caller timed out waiting: write the runner off (for now).
-
-        A task that finished just as the caller gave up is not counted —
-        its runner already recycled itself and nothing leaked.
-        """
-        with self._lock:
-            if task.finished or task.abandoned:
-                return
-            task.abandoned = True
-            self._abandoned_total += 1
-            self._abandoned_live += 1
-            live = self._abandoned_live
-        rt = telemetry.runtime()
-        if rt.enabled:
-            rt.metrics.counter(
-                "p3_deadline_threads_abandoned_total",
-                help="Deadline runners abandoned past their timeout").inc()
-        self._note_live(live)
-
-    def _recycle(self, runner: _DeadlineRunner,
-                 task: _DeadlineTask) -> bool:
-        """Runner finished ``task``; True to keep the thread alive."""
-        recovered = False
-        with self._lock:
-            task.finished = True
-            if task.abandoned:
-                # The wedged task eventually completed: the runner is
-                # healthy again and may rejoin the idle stack.
-                self._abandoned_live -= 1
-                recovered = True
-                live = self._abandoned_live
-            if len(self._idle) < self.max_idle:
-                self._idle.append(runner)
-                keep = True
-            else:
-                keep = False
-        if recovered:
-            self._note_live(live)
-        return keep
-
-    @staticmethod
-    def _note_live(live: int) -> None:
-        rt = telemetry.runtime()
-        if rt.enabled:
-            rt.metrics.gauge(
-                "p3_deadline_threads_abandoned_live",
-                "Deadline runner threads currently wedged past their "
-                "caller's timeout").labels().set(float(live))
-
-    def shutdown(self) -> None:
-        """Stop the idle runners (wedged ones exit when they finish)."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for runner in idle:
-            runner.stop()
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "spawned": self._spawned,
-                "reused": self._reused,
-                "abandoned": self._abandoned_total,
-                "abandoned_live": self._abandoned_live,
-                "idle": len(self._idle),
-            }
-
-
 class QueryExecutor:
     """Answer batches of provenance queries over one evaluated system.
 
@@ -353,7 +216,7 @@ class QueryExecutor:
         self._stats = stats or ExecutorStats()
         self._polynomials = LRUCache(polynomial_cache_size)
         self._results = LRUCache(result_cache_size)
-        self._deadline_runners = _DeadlineRunnerPool()
+        self._deadline_runners = DeadlineRunnerPool()
         # Process isolation: where backend calls execute.  "auto" means
         # subprocess workers wherever the platform supports hard kill
         # (POSIX), threads elsewhere.  The worker pool itself is spawned
@@ -376,12 +239,8 @@ class QueryExecutor:
         self._resilience = getattr(config, "resilience", None)
         if self._resilience is not None:
             self._breakers = self._resilience.build_board()
-            # The ladder gets the process dispatcher regardless of the
-            # configured default: rungs may opt into process isolation
-            # individually (FallbackRung(isolation="process")).
             self._ladder = self._resilience.build_ladder(
-                self._breakers, dispatch=self._dispatch_process,
-                default_isolation=self.isolation)
+                self._breakers, call=self._call)
         else:
             self._breakers = None
             self._ladder = None
@@ -420,26 +279,6 @@ class QueryExecutor:
     def process_pool(self) -> "Optional[Any]":
         """The isolation worker pool, if one has been spawned."""
         return self._process_pool
-
-    def _dispatch_process(self, method: str, polynomial: Any,
-                          probabilities: Any, request: "InferenceRequest",
-                          timeout: Optional[float] = None) -> Any:
-        """Run one backend call on a subprocess worker.
-
-        Serves both the ladder's process rungs and the direct (no-ladder)
-        probability path.  The effective timeout is the tightest of the
-        explicit bound, the in-flight query's thread-local deadline, and
-        ``request.deadline`` — so a wedged worker is SIGKILLed no later
-        than the query would have timed out, and the deadline runner that
-        waits on it is released instead of abandoned.
-        """
-        deadline = getattr(self._tl, "deadline", None)
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            timeout = (remaining if timeout is None
-                       else min(timeout, remaining))
-        return self._acquire_process_pool().submit(
-            method, polynomial, probabilities, request, timeout=timeout)
 
     def __enter__(self) -> "QueryExecutor":
         return self
@@ -589,12 +428,17 @@ class QueryExecutor:
         the sampling fields collapsed for deterministic methods, so an
         exact query repeated with different budgets still hits.
         """
+        return self._probability(key, method, hop_limit, samples, seed)[0]
+
+    def _probability(self, key: str, method: Optional[str],
+                     hop_limit: Optional[int], samples: Optional[int],
+                     seed: Optional[int]) -> Tuple[float, bool]:
+        """(P[key], was it a result-cache hit)."""
         self._stats.record_query("probability")
         method = self._resolve_method("probability", method)
         limit = self._resolve_hop(hop_limit)
         samples = self._resolve_samples(samples)
         seed = self._resolve_seed(seed)
-        epoch = self._current_epoch()
         # Deterministic backends (per the inference registry) ignore the
         # sample budget and seed, so their cache identity collapses those
         # fields: an exact query repeated with different budgets still hits.
@@ -602,39 +446,78 @@ class QueryExecutor:
             cache_key = (key, limit, method, None, None)
         else:
             cache_key = (key, limit, method, samples, seed)
-        cached = self._cache_get(
+
+        def compute() -> float:
+            with self._budget_scope():
+                polynomial = self.polynomial(key, hop_limit=limit)
+                with self._stats.time_stage("infer"):
+                    return self._infer(method, polynomial,
+                                       self._request(key, samples, seed))
+
+        return self._cached(cache_key, compute)
+
+    def _request(self, key: str, samples: Optional[int],
+                 seed: Optional[int]) -> InferenceRequest:
+        """The inference request for ``key``.
+
+        The thread-local deadline rides on the request, so the sampling
+        kernel can truncate draws and a process worker is killed no later
+        than the query would have timed out.
+        """
+        return InferenceRequest(
+            samples=self._resolve_samples(samples),
+            seed=_mix_seed(self._resolve_seed(seed), key),
+            deadline=getattr(self._tl, "deadline", None))
+
+    def _infer(self, method: str, polynomial: Polynomial,
+               request: InferenceRequest) -> float:
+        """P[λ] through the fallback ladder (its record goes to the
+        thread-local scratch) or, without one, as one backend call."""
+        if self._ladder is None:
+            reading = self._call(
+                method, polynomial, self.system.probabilities, request)
+        else:
+            reading, self._tl.record = self._ladder.run(
+                polynomial, self.system.probabilities, request=request,
+                requested=method, deadline=request.deadline)
+        return reading.answer
+
+    def _call(self, method: str, polynomial: Polynomial, probabilities: Any,
+              request: InferenceRequest,
+              timeout: Optional[float] = None) -> BackendReading:
+        """Run one backend call: the one route every P[λ] takes.
+
+        The ladder runs each rung through here too, with the rung's own
+        ``timeout``.  Under process isolation the call runs on a
+        subprocess worker, which is SIGKILLed past the tighter of
+        ``timeout`` and ``request.deadline`` (the query deadline).  Under
+        thread isolation it runs inline, or on the deadline-runner pool
+        when ``timeout`` is given.
+        """
+        if self.isolation == "process":
+            return self._acquire_process_pool().submit(
+                method, polynomial, probabilities, request, timeout=timeout)
+        return call_backend(self._deadline_runners, method, polynomial,
+                            probabilities, request, timeout)
+
+    def _cached(self, cache_key: Any,
+                compute: Callable[[], Any]) -> Tuple[Any, bool]:
+        """(answer, was it a hit) through the result cache.
+
+        Every entry is ``(answer, resilience record)``.  A hit puts its
+        record back in the thread-local scratch, so a cached fallback
+        answer still names the rung that answered and its standard error.
+        """
+        epoch = self._current_epoch()
+        entry = self._cache_get(
             self._results, "probability", cache_key, epoch)
-        if cached is not None:
-            return cached
-        with self._budget_scope():
-            polynomial = self.polynomial(key, hop_limit=limit)
-            # The thread-local deadline rides on the request so the
-            # sampling kernel can truncate draws instead of relying solely
-            # on the deadline thread being abandoned.
-            request = InferenceRequest(
-                samples=samples, seed=_mix_seed(seed, key),
-                deadline=getattr(self._tl, "deadline", None))
-            if self._ladder is not None:
-                with self._stats.time_stage("infer"):
-                    reading, record = self._ladder.run(
-                        polynomial, self.system.probabilities,
-                        request=request, requested=method,
-                        deadline=getattr(self._tl, "deadline", None))
-                self._tl.record = record
-                value = reading.value
-            elif self.isolation == "process":
-                with self._stats.time_stage("infer"):
-                    reading = self._dispatch_process(
-                        method, polynomial, self.system.probabilities,
-                        request)
-                value = reading.value
-            else:
-                with self._stats.time_stage("infer"):
-                    value = compute_probability(
-                        polynomial, self.system.probabilities, method=method,
-                        request=request)
-        self._results.put(cache_key, value, epoch=epoch)
-        return value
+        if entry is not None:
+            value, self._tl.record = entry
+            return value, True
+        self._tl.record = None
+        value = compute()
+        self._results.put(cache_key, (value, self._tl.record), epoch=epoch)
+        return value, False
 
     def _budget_scope(self):
         """Activate the configured resource budget, unless one already is.
@@ -693,21 +576,21 @@ class QueryExecutor:
         return self._execute_cached(coerced)[0]
 
     def _execute_cached(self, spec: QuerySpec) -> Tuple[Any, bool]:
-        """(answer, was it a result-cache hit)."""
-        identity = spec.cache_identity()
-        epoch = self._current_epoch()
-        if spec.kind != "probability":
-            # Probability specs count inside probability() itself.
-            self._stats.record_query(spec.kind)
-            cached = self._cache_get(
-                self._results, "probability", identity, epoch)
-            if cached is not None:
-                return cached, True
-        with self._stats.time_stage("query"), self._budget_scope():
-            value = self._execute(spec)
-        if spec.kind != "probability":
-            self._results.put(identity, value, epoch=epoch)
-        return value, False
+        """(answer, was it a result-cache hit); the answer's resilience
+        record is left in the thread-local scratch."""
+        params = spec.params
+        if spec.kind == "probability":
+            with self._stats.time_stage("query"):
+                return self._probability(
+                    spec.key, params.get("method"), params.get("hop_limit"),
+                    params.get("samples"), params.get("seed"))
+        self._stats.record_query(spec.kind)
+
+        def compute() -> Any:
+            with self._stats.time_stage("query"), self._budget_scope():
+                return self._execute(spec)
+
+        return self._cached(spec.cache_identity(), compute)
 
     def _run_one(self, spec: QuerySpec) -> QueryOutcome:
         started = time.perf_counter()
@@ -771,17 +654,13 @@ class QueryExecutor:
             params = spec.params
             method = self._resolve_method(
                 "probability", params.get("method"))
-            seed = self._resolve_seed(params.get("seed"))
-            request = InferenceRequest(
-                samples=self._resolve_samples(params.get("samples")),
-                seed=_mix_seed(seed, spec.key),
-                deadline=getattr(self._tl, "deadline", None))
+            request = self._request(
+                spec.key, params.get("samples"), params.get("seed"))
             # No budget scope on purpose: the partial polynomial is the
             # bounded artifact the budget produced; metering its scoring
             # with the already-blown budget would fail tautologically.
-            return compute_probability(
-                partial, self.system.probabilities, method=method,
-                request=request)
+            return self._call(method, partial, self.system.probabilities,
+                              request).answer
         except Exception:  # noqa: BLE001 — degrade to the error outcome
             return None
 
@@ -789,60 +668,40 @@ class QueryExecutor:
                                timeout: float) -> Tuple[Any, bool]:
         """Run one spec, raising :class:`QueryTimeoutError` past ``timeout``.
 
-        The work runs on a deadline-runner thread (reused across queries
-        through :class:`_DeadlineRunnerPool`) while the calling thread
+        The work runs on the deadline-runner pool while the calling thread
         waits at most ``timeout``.  On timeout the runner is abandoned —
         Python cannot interrupt it — but it can only finish by writing
         into the shared caches, which stays correct; abandoned runners are
         counted in ``stats()['pool']['deadline_runners']`` and rejoin the
         pool if their task eventually completes.
         """
-        box: Dict[str, Any] = {}
-        done = threading.Event()
         deadline = time.monotonic() + timeout
+        carried: List[Any] = [None]
 
-        def work() -> None:
+        def work() -> Tuple[Any, bool]:
             # Runner threads are reused, so reset the thread-local scratch
             # every task: publish the absolute deadline (the fallback
             # ladder skips rungs that no longer fit, the kernel truncates
-            # draws) and clear any stale resilience record before carrying
-            # the fresh one back across the thread boundary via the box.
+            # draws) and carry the resilience record back to the caller.
             self._tl.deadline = deadline
             self._tl.record = None
             try:
-                box["result"] = self._execute_cached(spec)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
+                return self._execute_cached(spec)
             finally:
-                box["record"] = getattr(self._tl, "record", None)
+                carried[0] = self._tl.record
                 self._tl.deadline = None
-                done.set()
 
-        target = work
-        if telemetry.runtime().enabled:
-            # Propagate the current span into the deadline thread so the
-            # query's sub-spans keep their parent.
-            context = contextvars.copy_context()
-            target = lambda: context.run(work)  # noqa: E731
-        _, task = self._deadline_runners.run(target)
-        if not done.wait(timeout):
-            self._deadline_runners.abandon(task)
-            raise QueryTimeoutError(spec.key, timeout)
-        self._tl.record = box.get("record")
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
+        try:
+            return self._deadline_runners.call(
+                work, timeout, lambda: QueryTimeoutError(spec.key, timeout))
+        finally:
+            self._tl.record = carried[0]
 
     # -- per-kind execution ------------------------------------------------------------
 
     def _execute(self, spec: QuerySpec) -> Any:
         params = spec.params
         hop_limit = params.get("hop_limit")
-        if spec.kind == "probability":
-            return self.probability(
-                spec.key, method=params.get("method"),
-                hop_limit=hop_limit, samples=params.get("samples"),
-                seed=params.get("seed"))
         if spec.kind == "conditional":
             return self.system.conditional_probability_of(
                 spec.key, evidence=params.get("evidence"),

@@ -96,10 +96,7 @@ def probability(polynomial: Polynomial, probabilities: ProbabilityMap,
     backend = get_backend(method)
     if request is None:
         request = InferenceRequest(samples=samples, seed=seed)
-    reading = backend.run(polynomial, probabilities, request)
-    if backend.deterministic:
-        return reading.value
-    return reading.value_clamped
+    return backend.run(polynomial, probabilities, request).answer
 
 
 __all__ = [

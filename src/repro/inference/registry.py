@@ -79,6 +79,13 @@ class BackendReading:
         """The value clamped into [0, 1] (unbiased estimators can exceed 1)."""
         return min(1.0, max(0.0, self.value))
 
+    @property
+    def answer(self) -> float:
+        """The reading as a probability answer: an exact value as is, a
+        sampled one clamped into [0, 1].  The one rule every caller that
+        turns a reading into an answer uses."""
+        return self.value if self.exact else self.value_clamped
+
     def interval(self, z: float = 1.96) -> Tuple[float, float]:
         """Estimate-protocol interval: degenerate for exact readings,
         a normal-approximation CI for sampling ones."""

@@ -4,7 +4,7 @@ The query pipeline mixes exact inference (worst-case exponential in the
 provenance polynomial) with stochastic estimators behind a batch
 executor.  A production deployment must survive pathological inputs, slow
 or crashing backends, and wedged queries without dropping answers.
-This package provides the four mechanisms that make that survivable, plus
+This package provides the mechanisms that make that survivable, plus
 the harness that proves it:
 
 - :class:`~repro.resilience.budgets.ResourceBudget` — configurable caps on
@@ -25,7 +25,13 @@ the harness that proves it:
   of inference backends (e.g. exact → bdd → parallel) driven through
   :mod:`repro.inference.registry`; every answer carries a
   :class:`~repro.resilience.ladder.ResilienceRecord` naming the rung that
-  answered, the attempts made, and the accuracy downgrade.
+  answered, the attempts made, and the accuracy downgrade.  Each rung
+  runs through the ladder's ``call``; the executor passes its one
+  backend-call path, so rungs follow the executor's isolation setting.
+- :class:`~repro.resilience.runners.DeadlineRunnerPool` — reusable
+  daemon threads that bound a wait: deadlined queries and rungs with
+  their own ``timeout`` run there, in a copy of the caller's context,
+  and a runner wedged past its timeout is abandoned and counted.
 - :class:`~repro.resilience.isolation.ProcessWorkerPool` — spawn-based
   subprocess inference workers (``P3Config(isolation="process")``) with
   hard cancellation (SIGKILL + respawn), per-worker ``RLIMIT_AS`` memory

@@ -618,12 +618,7 @@ def _service_exchange_problem(report: ChaosReport,
     if status in (429, 503) and "retry-after" not in headers:
         return "status %d without Retry-After" % status
     if document["kind"] == "batch_result":
-        # Only answers that carry their resilience record: a probability
-        # served from the executor's cache comes without one, so its
-        # standard error (and hence its tolerance) is unknown.
         for outcome in document["result"]["outcomes"]:
-            if "resilience" not in outcome:
-                continue
             problem = _answer_problem(report, outcome, references)
             if problem is not None:
                 return problem

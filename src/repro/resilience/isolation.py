@@ -1,8 +1,9 @@
 """Process-isolated inference workers: the execution rung threads cannot be.
 
 Everything else in the resilience layer works around one Python fact:
-a thread cannot be killed.  The deadline runners *abandon* wedged
-threads — the wedged computation keeps burning CPU and holding memory until it finishes or
+a thread cannot be killed.  The deadline runners
+(:mod:`repro.resilience.runners`) *abandon* wedged threads — the wedged
+computation keeps burning CPU and holding memory until it finishes or
 the process dies, and one segfault inside the NumPy kernel takes every
 tenant down with it.  This module supplies the missing primitive: a
 small pool of **spawn-based subprocess workers** speaking a pickle-framed
@@ -20,12 +21,12 @@ cannot:
   :class:`~repro.core.errors.WorkerCrashError` outcome and a respawned
   worker — never a dead service.
 
-The executor routes backend calls here when
-``P3Config(isolation="process")`` (or ``"auto"``) is set, and the
-fallback ladder per-rung via ``FallbackRung(isolation="process")``.
-Workers are spawned lazily (a spawn costs an interpreter boot plus the
-NumPy import) and reused across requests, so steady-state overhead is
-one pickle round-trip per inference call.
+The executor's one backend-call path routes every call here — plain
+probabilities, each fallback rung, and budget partials — when
+``P3Config(isolation="process")`` (or ``"auto"``) is set.  Workers are
+spawned lazily (a spawn costs an interpreter boot plus the NumPy import)
+and reused across requests, so steady-state overhead is one pickle
+round-trip per inference call.
 
 Fault injection for the chaos harness rides the same wire protocol: a
 payload may carry a ``fault`` directive (``"kill9"``, ``"oom"``,

@@ -1,8 +1,9 @@
 """Backend fallback ladders: declarative chains of inference backends.
 
 A ladder is an ordered list of :class:`FallbackRung` entries — e.g.
-``exact → bdd → parallel`` — driven through
-:mod:`repro.inference.registry`.  :meth:`FallbackLadder.run` walks the
+``exact → bdd → parallel`` — of :mod:`repro.inference.registry` backends,
+each run through the ladder's ``call`` (the executor's one backend-call
+path, or :func:`call_backend`).  :meth:`FallbackLadder.run` walks the
 rungs until one produces a :class:`~repro.inference.registry.BackendReading`:
 
 - a rung whose backend does not support the polynomial, whose circuit
@@ -25,8 +26,8 @@ is diagnosable.
 
 from __future__ import annotations
 
+import functools
 import random
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +35,7 @@ from .. import telemetry
 from ..core.errors import InferenceError
 from .breaker import BreakerBoard, CircuitOpenError
 from .retry import RetryPolicy
+from .runners import DeadlineRunnerPool
 
 if False:  # pragma: no cover — type-checking only
     from ..inference.registry import BackendReading
@@ -47,6 +49,7 @@ def _get_backend(name: str):
     # inference → bounded → extraction.
     from ..inference.registry import get_backend
     return get_backend(name)
+
 
 #: Failure classes a ladder absorbs and converts into fall-through.
 #: Anything else (programming errors, unknown tuples) propagates raw.
@@ -69,6 +72,24 @@ class RungTimeoutError(InferenceError, TimeoutError):
             % (backend, timeout))
         self.backend = backend
         self.timeout = timeout
+
+
+def call_backend(runners: DeadlineRunnerPool, method: str, polynomial,
+                 probabilities, request: "InferenceRequest",
+                 timeout: Optional[float] = None) -> "BackendReading":
+    """Run one backend on this process's threads.
+
+    An untimed call runs inline.  A timed one runs on ``runners`` and
+    raises :class:`RungTimeoutError` past ``timeout``; the abandoned
+    runner is counted in the pool's stats.  Abandoning is safe because
+    backends are pure functions of their inputs.
+    """
+    backend = _get_backend(method)
+    if timeout is None:
+        return backend.run(polynomial, probabilities, request)
+    return runners.call(
+        lambda: backend.run(polynomial, probabilities, request), timeout,
+        lambda: RungTimeoutError(method, timeout))
 
 
 class LadderExhaustedError(InferenceError):
@@ -94,28 +115,22 @@ class LadderExhaustedError(InferenceError):
 class FallbackRung:
     """One step of a ladder: a backend plus per-rung overrides."""
 
-    __slots__ = ("method", "timeout", "samples", "retry", "isolation")
+    __slots__ = ("method", "timeout", "samples", "retry")
 
     def __init__(self, method: str,
                  timeout: Optional[float] = None,
                  samples: Optional[int] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 isolation: Optional[str] = None) -> None:
+                 retry: Optional[RetryPolicy] = None) -> None:
         if not method:
             raise ValueError("A fallback rung needs a backend name")
         if timeout is not None and timeout <= 0:
             raise ValueError("rung timeout must be positive or None")
         if samples is not None and samples <= 0:
             raise ValueError("rung samples must be positive or None")
-        if isolation not in (None, "thread", "process"):
-            raise ValueError(
-                "rung isolation must be 'thread', 'process', or None, "
-                "got %r" % (isolation,))
         self.method = method
         self.timeout = timeout
         self.samples = samples
         self.retry = retry
-        self.isolation = isolation
 
     @classmethod
     def coerce(cls, value: object) -> "FallbackRung":
@@ -125,8 +140,7 @@ class FallbackRung:
         if isinstance(value, str):
             return cls(value)
         if isinstance(value, dict):
-            unknown = set(value) - {"method", "timeout", "samples", "retry",
-                                    "isolation"}
+            unknown = set(value) - {"method", "timeout", "samples", "retry"}
             if unknown:
                 raise ValueError(
                     "Unknown fallback rung fields: %s"
@@ -135,8 +149,7 @@ class FallbackRung:
             if isinstance(retry, dict):
                 retry = RetryPolicy(**retry)
             return cls(value["method"], timeout=value.get("timeout"),
-                       samples=value.get("samples"), retry=retry,
-                       isolation=value.get("isolation"))
+                       samples=value.get("samples"), retry=retry)
         raise TypeError("Cannot coerce %r to a FallbackRung" % (value,))
 
     def to_dict(self) -> dict:
@@ -147,8 +160,6 @@ class FallbackRung:
             document["samples"] = self.samples
         if self.retry is not None:
             document["retry"] = self.retry.to_dict()
-        if self.isolation is not None:
-            document["isolation"] = self.isolation
         return document
 
     def __repr__(self) -> str:
@@ -235,16 +246,13 @@ class FallbackLadder:
     rng / sleep / clock:
         Injectable randomness (backoff jitter), sleeper, and monotonic
         clock — deterministic tests override all three.
-    dispatch:
-        Optional process-isolation dispatcher,
-        ``dispatch(method, polynomial, probabilities, request, timeout)
-        -> BackendReading``.  Rungs whose effective isolation is
-        ``"process"`` run through it (wedged workers are SIGKILLed, not
-        abandoned); without a dispatcher such rungs fall back to the
-        in-thread watchdog.
-    default_isolation:
-        Isolation for rungs that do not set their own (``"thread"`` or
-        ``"process"``).
+    call:
+        How a rung's backend runs,
+        ``call(method, polynomial, probabilities, request, timeout)
+        -> BackendReading`` with ``timeout`` the rung's own (or None).
+        The executor passes its one backend-call path, which honours its
+        isolation setting.  The default runs the backend inline and a
+        timed rung on a ladder-owned :class:`DeadlineRunnerPool`.
     """
 
     def __init__(self, rungs: Sequence[object],
@@ -253,20 +261,17 @@ class FallbackLadder:
                  rng: Optional[random.Random] = None,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic,
-                 dispatch: Optional[Callable[..., "BackendReading"]] = None,
-                 default_isolation: str = "thread") -> None:
+                 call: Optional[Callable[..., "BackendReading"]] = None
+                 ) -> None:
         self.rungs: Tuple[FallbackRung, ...] = tuple(
             FallbackRung.coerce(rung) for rung in rungs)
         if not self.rungs:
             raise ValueError("A fallback ladder needs at least one rung")
-        if default_isolation not in ("thread", "process"):
-            raise ValueError(
-                "default_isolation must be 'thread' or 'process', got %r"
-                % (default_isolation,))
         self.retry = retry if retry is not None else RetryPolicy()
         self.breakers = breakers
-        self.dispatch = dispatch
-        self.default_isolation = default_isolation
+        if call is None:
+            call = functools.partial(call_backend, DeadlineRunnerPool())
+        self.call = call
         self._rng = rng
         self._sleep = sleep
         self._clock = clock
@@ -402,8 +407,8 @@ class FallbackLadder:
                     return None
             started = self._clock()
             try:
-                reading = self._call_with_timeout(
-                    backend, rung, polynomial, probabilities, rung_request)
+                reading = self.call(rung.method, polynomial, probabilities,
+                                    rung_request, rung.timeout)
             except ABSORBED_CLASSES as exc:
                 elapsed = self._clock() - started
                 record.record_attempt(rung.method, attempt, elapsed,
@@ -430,51 +435,6 @@ class FallbackLadder:
             if breaker is not None:
                 breaker.record_success()
             return reading
-
-    def _call_with_timeout(self, backend, rung: FallbackRung,
-                           polynomial, probabilities,
-                           request: "InferenceRequest") -> BackendReading:
-        """Run the backend, bounded by the rung's own timeout if it has one.
-
-        The per-rung watchdog runs the call on a daemon thread and
-        abandons it on timeout (Python cannot interrupt it), which is safe
-        because backends are pure functions of their inputs.  Rungs whose
-        effective isolation is ``"process"`` (and a dispatcher is
-        installed) skip the watchdog: the subprocess worker enforces the
-        timeout with an actual SIGKILL, so nothing is abandoned.
-
-        The query deadline is not a watchdog here: the executor's deadline
-        runner that calls the ladder already stops waiting at it, and the
-        executor's process dispatcher caps its worker timeout at it.
-        """
-        isolation = rung.isolation or self.default_isolation
-        if isolation == "process" and self.dispatch is not None:
-            return self.dispatch(rung.method, polynomial, probabilities,
-                                 request, rung.timeout)
-        timeout = rung.timeout
-        if timeout is None:
-            return backend.run(polynomial, probabilities, request)
-
-        box: Dict[str, Any] = {}
-        done = threading.Event()
-
-        def work() -> None:
-            try:
-                box["result"] = backend.run(polynomial, probabilities,
-                                            request)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
-            finally:
-                done.set()
-
-        thread = threading.Thread(
-            target=work, name="p3-rung", daemon=True)
-        thread.start()
-        if not done.wait(timeout):
-            raise RungTimeoutError(rung.method, timeout)
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
 
     def _note_answer(self, span, record: ResilienceRecord) -> None:
         span.set_attribute("answered_by", record.answered_by)

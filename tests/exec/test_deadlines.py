@@ -5,15 +5,16 @@ slow query must cost one ``error`` outcome — never a hung batch — and a
 closed executor must keep answering, not lose work.
 """
 
+import contextlib
 import time
 
 import pytest
 
-import repro.exec.executor as executor_module
 from repro import P3, P3Config
 from repro.core.errors import QueryTimeoutError
 from repro.data import ACQUAINTANCE
 from repro.exec import QueryExecutor, QuerySpec
+from repro.inference.registry import get_backend, override_backend
 
 KEY = 'know("Ben","Elena")'
 KEY_PROBABILITY = 0.163840
@@ -27,20 +28,29 @@ def system():
     return p3
 
 
-def _slow_compute(delay):
-    real = executor_module.compute_probability
+@pytest.fixture()
+def slow_exact():
+    """``slow_exact(delay, only=None)`` makes the ``exact`` backend sleep
+    ``delay`` seconds after answering (only when the answer is ``only``,
+    if given) until the test ends."""
+    with contextlib.ExitStack() as stack:
+        def install(delay, only=None):
+            real = get_backend("exact")
 
-    def compute(*args, **kwargs):
-        time.sleep(delay)
-        return real(*args, **kwargs)
+            def slow(polynomial, probabilities, request):
+                reading = real.run(polynomial, probabilities, request)
+                if only is None or abs(reading.value - only) < 1e-9:
+                    time.sleep(delay)
+                return reading
 
-    return compute
+            stack.enter_context(override_backend("exact", slow))
+
+        yield install
 
 
 class TestDeadlines:
-    def test_spec_timeout_yields_error_outcome(self, system, monkeypatch):
-        monkeypatch.setattr(
-            executor_module, "compute_probability", _slow_compute(5.0))
+    def test_spec_timeout_yields_error_outcome(self, system, slow_exact):
+        slow_exact(5.0)
         with QueryExecutor(system) as executor:
             started = time.perf_counter()
             batch = executor.run([
@@ -55,17 +65,8 @@ class TestDeadlines:
             assert "QueryTimeoutError" in outcome.error
 
     def test_one_slow_query_does_not_sink_the_batch(self, system,
-                                                    monkeypatch):
-        real = executor_module.compute_probability
-
-        def selectively_slow(polynomial, probabilities, **kwargs):
-            value = real(polynomial, probabilities, **kwargs)
-            if abs(value - KEY_PROBABILITY) < 1e-9:
-                time.sleep(5.0)
-            return value
-
-        monkeypatch.setattr(
-            executor_module, "compute_probability", selectively_slow)
+                                                    slow_exact):
+        slow_exact(5.0, only=KEY_PROBABILITY)
         with QueryExecutor(system) as executor:
             batch = executor.run([
                 QuerySpec.probability(KEY, timeout=0.2),
@@ -77,9 +78,8 @@ class TestDeadlines:
         assert fast.ok
         assert fast.value == pytest.approx(1.0)
 
-    def test_config_timeout_applies_sequentially(self, monkeypatch):
-        monkeypatch.setattr(
-            executor_module, "compute_probability", _slow_compute(5.0))
+    def test_config_timeout_applies_sequentially(self, slow_exact):
+        slow_exact(5.0)
         p3 = P3.from_source(ACQUAINTANCE, P3Config(query_timeout=0.2))
         p3.evaluate()
         with QueryExecutor(p3) as executor:
@@ -87,9 +87,8 @@ class TestDeadlines:
         assert not batch[0].ok
         assert "QueryTimeoutError" in batch[0].error
 
-    def test_spec_timeout_overrides_config(self, monkeypatch):
-        monkeypatch.setattr(
-            executor_module, "compute_probability", _slow_compute(0.2))
+    def test_spec_timeout_overrides_config(self, slow_exact):
+        slow_exact(0.2)
         p3 = P3.from_source(ACQUAINTANCE, P3Config(query_timeout=0.01))
         p3.evaluate()
         with QueryExecutor(p3) as executor:
@@ -99,9 +98,8 @@ class TestDeadlines:
         assert batch[0].value == pytest.approx(KEY_PROBABILITY)
 
     def test_timeout_error_carries_key_and_deadline(self, system,
-                                                    monkeypatch):
-        monkeypatch.setattr(
-            executor_module, "compute_probability", _slow_compute(5.0))
+                                                    slow_exact):
+        slow_exact(5.0)
         with QueryExecutor(system) as executor:
             with pytest.raises(QueryTimeoutError) as info:
                 executor.execute(QuerySpec.probability(KEY, timeout=0.1))
@@ -207,9 +205,8 @@ class TestDeadlineRunnerPool:
     """Deadlined queries run on a small reusable runner pool — not one
     fresh daemon thread per query — and abandonments are observable."""
 
-    def test_timeout_counts_an_abandoned_runner(self, system, monkeypatch):
-        monkeypatch.setattr(
-            executor_module, "compute_probability", _slow_compute(5.0))
+    def test_timeout_counts_an_abandoned_runner(self, system, slow_exact):
+        slow_exact(5.0)
         with QueryExecutor(system) as executor:
             batch = executor.run([QuerySpec.probability(KEY, timeout=0.1)])
             stats = executor.stats()
@@ -248,3 +245,52 @@ class TestDeadlineRunnerPool:
             executor.run([QuerySpec.probability(KEY)])
             stats = executor.stats()
         assert "deadline_runners" not in stats.get("pool", {})
+
+    def test_concurrent_calls_keep_counts_consistent(self):
+        """More callers than cores, some wedging past their timeout: each
+        call is counted once as a spawn or a reuse, each timeout once as
+        an abandonment, and after the release nothing stays abandoned."""
+        import sys
+        import threading
+
+        from repro.resilience.runners import DeadlineRunnerPool
+
+        pool = DeadlineRunnerPool(max_idle=2)
+        release = threading.Event()
+        timeouts, wrong = [], []
+
+        def caller():
+            for call in range(40):
+                try:
+                    if call % 10 == 0:
+                        pool.call(lambda: release.wait(10.0), 0.01,
+                                  TimeoutError)
+                    elif pool.call(lambda: call, 10.0, TimeoutError) != call:
+                        wrong.append(call)
+                except TimeoutError:
+                    timeouts.append(call)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(8)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in callers)
+        finally:
+            sys.setswitchinterval(interval)
+            release.set()
+        deadline = time.monotonic() + 10.0
+        while (pool.stats()["abandoned_live"]
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        stats = pool.stats()
+        pool.shutdown()
+        assert wrong == []
+        assert len(timeouts) == 8 * 4
+        assert stats["spawned"] + stats["reused"] == 8 * 40
+        assert stats["abandoned"] == len(timeouts)
+        assert stats["abandoned_live"] == 0
+        assert stats["idle"] <= 2

@@ -133,10 +133,13 @@ class TestRun:
                              for key in keys]
         assert batch_values == direct_values
 
-    def test_cached_flag_on_second_run(self, executor):
-        executor.run([QuerySpec.explain(KEY)])
-        batch = executor.run([QuerySpec.explain(KEY)])
+    @pytest.mark.parametrize("kind", ["probability", "explain"])
+    def test_cached_flag_on_second_run(self, executor, kind):
+        spec = getattr(QuerySpec, kind)(KEY)
+        assert not executor.run([spec])[0].cached
+        batch = executor.run([spec])
         assert batch[0].cached
+        assert batch[0].to_dict()["cached"] is True
 
     def test_mixed_kinds(self, executor):
         batch = executor.run([

@@ -1,5 +1,5 @@
 """Executor-level resilience: ladder wiring, deadline/fallback
-interaction, and wedged-backend deadlines.
+interaction, timed rungs, and wedged-backend deadlines.
 
 These tests exercise the executor as a whole — real deadline-runner
 threads — with fault injection through the backend registry, mirroring
@@ -11,14 +11,15 @@ import time
 
 import pytest
 
-from repro import P3, P3Config
+from repro import P3, P3Config, telemetry
 from repro.core.errors import QueryTimeoutError
 from repro.data import ACQUAINTANCE
-from repro.exec import QueryExecutor
+from repro.exec import QueryExecutor, QuerySpec
 from repro.inference.exact import exact_probability
 from repro.inference.registry import BackendReading, override_backend
-from repro.resilience import FallbackRung, ResilienceConfig
+from repro.resilience import FallbackRung, ResilienceConfig, ResourceBudget
 from repro.resilience.config import DEFAULT_LADDER
+from repro.telemetry import TelemetryConfig
 
 KEY = 'know("Ben","Elena")'
 KEY_PROBABILITY = 0.163840
@@ -59,6 +60,25 @@ class TestLadderWiring:
         assert outcome.value == pytest.approx(KEY_PROBABILITY)
         assert outcome.resilience.used_fallback
         assert outcome.resilience.answered_by == "bdd"
+
+    def test_record_survives_the_result_cache(self):
+        """A cached fallback answer comes back marked cached, with the
+        record of the rung that answered it the first time."""
+        def broken(polynomial, probabilities, request):
+            raise OSError("injected: exact backends lost")
+
+        p3 = _system(ResilienceConfig(), seed=7)
+        with override_backend("exact", broken), \
+                override_backend("bdd", broken):
+            with QueryExecutor(p3) as executor:
+                first = executor.run([KEY])[0]
+                second = executor.run([KEY])[0]
+        assert first.ok and not first.cached
+        assert first.resilience.answered_by == "parallel"
+        assert second.cached
+        assert second.value == first.value
+        assert second.resilience.to_dict() == first.resilience.to_dict()
+        assert second.to_dict()["resilience"]["stderr"] is not None
 
     def test_ladder_default_matches_config(self):
         p3 = _system(ResilienceConfig())
@@ -108,6 +128,73 @@ class TestDeadlineFallbackInteraction:
         with QueryExecutor(p3) as executor:
             batch = executor.run([KEY])
         assert batch[0].resilience.answered_by == "exact"
+
+
+class TestTimedRungs:
+    """A rung with its own ``timeout`` runs on the executor's
+    deadline-runner pool, inside the query's context."""
+
+    def test_timed_rung_is_metered_by_the_query_budget(self):
+        resilience = ResilienceConfig(
+            budget=ResourceBudget(max_compiled_bytes=8),
+            ladder=(FallbackRung("mc", timeout=5.0), "bdd"))
+        p3 = _system(resilience)
+        with QueryExecutor(p3) as executor:
+            outcome = executor.run([QuerySpec.probability(
+                KEY, method="mc", samples=500, seed=1)])[0]
+        assert not outcome.ok
+        errors = [attempt["error"]
+                  for attempt in outcome.resilience.attempts]
+        assert [attempt["backend"]
+                for attempt in outcome.resilience.attempts] == ["mc", "bdd"]
+        assert all("BudgetExceededError" in error for error in errors)
+
+    def test_timed_rung_span_joins_the_query_trace(self):
+        p3 = _system(ResilienceConfig(
+            ladder=(FallbackRung("exact", timeout=5.0),)))
+        rt = telemetry.configure(TelemetryConfig())
+        try:
+            with QueryExecutor(p3) as executor:
+                assert executor.run([KEY])[0].ok
+            spans = list(rt.ring.spans())
+        finally:
+            telemetry.disable()
+        (backend,) = [span for span in spans
+                      if span.name == "infer.backend"]
+        (batch,) = [span for span in spans if span.name == "batch"]
+        assert backend.parent_id is not None
+        assert backend.trace_id == batch.trace_id
+
+    def test_wedged_timed_rung_is_counted(self):
+        release = threading.Event()
+
+        def wedged(polynomial, probabilities, request):
+            release.wait()
+            return BackendReading("mc", 0.0, stderr=0.0, exact=False)
+
+        p3 = _system(ResilienceConfig(
+            ladder=(FallbackRung("mc", timeout=0.2), "bdd")))
+        try:
+            with override_backend("mc", wedged):
+                with QueryExecutor(p3) as executor:
+                    outcome = executor.run([QuerySpec.probability(
+                        KEY, method="mc")])[0]
+                    assert outcome.resilience.answered_by == "bdd"
+                    assert "RungTimeoutError" in \
+                        outcome.resilience.attempts[0]["error"]
+                    assert executor.deadline_runner_stats()[
+                        "abandoned_live"] == 1
+                    assert executor.stats()["pool"]["deadline_runners"][
+                        "abandoned"] == 1
+                    release.set()
+                    deadline = time.monotonic() + 5.0
+                    while (executor.deadline_runner_stats()["abandoned_live"]
+                           and time.monotonic() < deadline):
+                        time.sleep(0.01)
+                    assert executor.deadline_runner_stats()[
+                        "abandoned_live"] == 0
+        finally:
+            release.set()
 
 
 class TestHangDeadline:

@@ -27,11 +27,31 @@ from repro.resilience.isolation import (
     ProcessWorkerPool,
     process_isolation_supported,
 )
-from repro.resilience.ladder import FallbackLadder, FallbackRung
 
 POLY = make_polynomial(("a", "b"), ("b", "c"), ("d",))
 PROBS = random_probabilities(POLY)
 TRUTH = exact_probability(POLY, PROBS)
+
+#: A small chain whose seeded Karp–Luby estimates of p(1,4) land above 1.
+CHAIN = """
+a 0.9: e(1,2). b 0.9: e(2,3). c 0.9: e(1,3). d 0.9: e(3,4). f 0.9: e(2,4).
+r1 1.0: p(X,Y) :- e(X,Y).
+r2 1.0: p(X,Z) :- e(X,Y), p(Y,Z).
+"""
+
+
+def _untimed(batch):
+    """A batch's outcome documents as JSON, every ``seconds`` dropped."""
+    def strip(node):
+        if isinstance(node, dict):
+            return {key: strip(value) for key, value in node.items()
+                    if key != "seconds"}
+        if isinstance(node, list):
+            return [strip(value) for value in node]
+        return node
+    return json.dumps([strip(outcome.to_dict()) for outcome in batch],
+                      sort_keys=True)
+
 
 needs_processes = pytest.mark.skipif(
     not process_isolation_supported(),
@@ -58,19 +78,6 @@ class TestConfigSurface:
         assert config.isolation == "auto"
         assert config.isolation_workers == 3
         assert config.worker_memory_bytes == 1 << 28
-
-    def test_rung_isolation_roundtrip(self):
-        rung = FallbackRung.coerce({"method": "exact",
-                                    "isolation": "process"})
-        assert rung.isolation == "process"
-        assert rung.to_dict()["isolation"] == "process"
-        with pytest.raises(ValueError):
-            FallbackRung("exact", isolation="remote")
-
-    def test_ladder_default_isolation_validated(self):
-        with pytest.raises(ValueError):
-            FallbackLadder([FallbackRung("exact")],
-                           default_isolation="fibers")
 
     def test_fault_classes_mirror_worker_faults(self):
         from repro.resilience.chaos import ProcessTransport
@@ -194,33 +201,41 @@ class TestExecutorIsolation:
         with QueryExecutor(p3) as executor:
             assert executor.isolation == "process"
 
-    def test_sampled_answers_match_thread_isolation(self, system):
-        """The kernel's shard pool inside an isolation worker gives the
-        thread path's seeded answers, bit for bit."""
+    def test_sampled_answers_match_thread_isolation(self):
+        """Seeded specs answer the same under both isolations, with and
+        without the fallback ladder: the kernel's shard pool inside an
+        isolation worker gives the thread path's answers bit for bit, and
+        a Karp–Luby estimate above 1 is clamped on every route."""
         from repro.exec import QuerySpec
         from repro.inference.kernel import SHARD_SIZE
+        from repro.resilience import ResilienceConfig
 
-        specs = [QuerySpec.probability('know("Ben","Elena")', method=method,
-                                       samples=2 * SHARD_SIZE + 100, seed=5)
-                 for method in ("mc", "parallel", "karp-luby")]
-        reference = P3.from_source(ACQUAINTANCE)
-        reference.evaluate()
-        with QueryExecutor(reference) as executor:
-            assert executor.isolation == "thread"
-            threaded = executor.run(specs)
-        with QueryExecutor(system) as executor:
-            assert executor.isolation == "process"
-            isolated = executor.run(specs)
-        assert threaded.ok and isolated.ok
-        assert isolated.values() == threaded.values()
-
-        def untimed(batch):
-            documents = [outcome.to_dict() for outcome in batch]
-            for document in documents:
-                del document["seconds"]
-            return json.dumps(documents, sort_keys=True)
-
-        assert untimed(isolated) == untimed(threaded)
+        cases = [
+            (ACQUAINTANCE,
+             [QuerySpec.probability('know("Ben","Elena")', method=method,
+                                    samples=2 * SHARD_SIZE + 100, seed=5)
+              for method in ("exact", "mc", "parallel", "karp-luby")]),
+            (CHAIN,
+             [QuerySpec.probability("p(1,4)", method="karp-luby",
+                                    samples=50, seed=seed)
+              for seed in range(20)]),
+        ]
+        for source, specs in cases:
+            for resilience in (None, ResilienceConfig()):
+                batches = {}
+                for isolation in ("thread", "process"):
+                    p3 = P3.from_source(source, config=P3Config(
+                        isolation=isolation, isolation_workers=1,
+                        resilience=resilience))
+                    p3.evaluate()
+                    with QueryExecutor(p3) as executor:
+                        assert executor.isolation == isolation
+                        batches[isolation] = executor.run(specs)
+                threaded, isolated = batches["thread"], batches["process"]
+                assert threaded.ok and isolated.ok
+                assert isolated.values() == threaded.values()
+                assert max(threaded.values()) <= 1.0
+                assert _untimed(isolated) == _untimed(threaded)
 
     def test_outcome_documents_stay_well_formed(self, system):
         with QueryExecutor(system) as executor:

@@ -20,6 +20,7 @@ from repro.resilience import (
     FallbackRung,
     LadderExhaustedError,
     RetryPolicy,
+    RungTimeoutError,
 )
 
 POLY = make_polynomial(("a", "b"), ("b", "c"), ("d",))
@@ -180,7 +181,29 @@ class TestDeadlines:
         assert record.answered_by == "exact"
         assert reading.value == pytest.approx(TRUTH)
 
+    def test_call_gets_the_rung_timeout(self):
+        # Every rung runs through ``call``, which is handed the rung's own
+        # timeout (None when it has none) and enforces it.
+        calls = []
+
+        def call(method, polynomial, probabilities, request, timeout):
+            calls.append((method, timeout))
+            if timeout is not None:
+                raise RungTimeoutError(method, timeout)
+            return BackendReading(method, exact_probability(
+                polynomial, probabilities))
+
+        reading, record = _ladder(
+            (FallbackRung("exact", timeout=0.05), "bdd"), call=call,
+        ).run(POLY, PROBS)
+        assert calls == [("exact", 0.05), ("bdd", None)]
+        assert record.answered_by == "bdd"
+        assert "RungTimeoutError" in record.attempts[0]["error"]
+        assert reading.value == pytest.approx(TRUTH)
+
     def test_rung_timeout_falls_through(self):
+        # Without ``call`` the ladder runs a timed rung on its own
+        # deadline-runner pool.
         import time as _time
 
         def stuck(polynomial, probabilities, request):
