@@ -362,7 +362,8 @@ class P3:
         for fact in fresh:
             key = str(fact.atom)
             graph.add_base_tuple(key, fact.probability, fact.label)
-            probabilities[tuple_literal(key)] = graph.base_probability(key)
+            probabilities[graph.tuple_literal_of(key)] = \
+                graph.base_probability(key)
         self._firings = add_firings(graph, self._engine, self._firings)
         self._sync_store()
         return delta

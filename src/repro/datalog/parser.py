@@ -10,13 +10,22 @@ Accepted clause forms (all terminated by ``.``):
 Identifiers starting with an upper-case letter (or ``_``) are variables;
 everything else (quoted strings, numbers, lower-case identifiers) is a
 constant.  Comments run from ``%``, ``#``, or ``//`` to end of line.
+
+The grammar has one definition, the tokenizer and recursive-descent
+parser below.  In front of it, :func:`parse_program` and
+:func:`parse_facts` read a line that is exactly one labelled ground fact
+with integer or lower-case arguments (the bulk of a large edge list)
+straight into a :class:`Fact`; every other line goes, in source order,
+to the parser, and any error on that route re-parses the whole source
+with the parser alone, which raises it with its usual line and column.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.errors import DepthLimitError
 from .ast import Fact, Program, Rule
@@ -78,6 +87,17 @@ _TOKEN_SPEC = [
 ]
 
 _TOKEN_RE = re.compile("|".join("(?P<%s>%s)" % pair for pair in _TOKEN_SPEC))
+
+#: A line holding exactly one ground fact, ``label prob: rel(c1,...,cn).``,
+#: each argument an integer or a lower-case identifier.  Its pieces are the
+#: tokenizer's IDENT and NUMBER patterns (ASCII digits only), so a matching
+#: line tokenizes to just the clause :func:`_read_lines` builds from it.
+_FACT_ARG = r"[ \t]*(?:[0-9]+|[a-z][A-Za-z0-9_]*)[ \t]*"
+_FACT_LINE = re.compile(
+    r"[ \t]*([A-Za-z_][A-Za-z0-9_]*)[ \t]+"
+    r"([0-9]+\.[0-9]+(?:[eE][-+]?[0-9]+)?|[0-9]+(?:[eE][-+]?[0-9]+)?"
+    r"|\.[0-9]+)[ \t]*:[ \t]*([a-z][A-Za-z0-9_]*)"
+    r"\((%s(?:,%s)*)\)[ \t]*\.[ \t\r]*" % (_FACT_ARG, _FACT_ARG)).fullmatch
 
 
 class _Token:
@@ -151,8 +171,7 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------
 
-    def parse_program(self) -> Program:
-        program = Program()
+    def parse_into(self, program: Program) -> Program:
         while self._peek().kind != "EOF":
             if not self._try_parse_directive(program):
                 program.add(self._parse_clause())
@@ -334,6 +353,57 @@ def _parse_number(text: str) -> Union[int, float]:
     return float(text)
 
 
+def _read_lines(source: str, add_fact: Callable[[Fact], None],
+                parse_rest: Callable[[str], None]) -> None:
+    """Read ``source`` in source order: each ground-fact line
+    (:data:`_FACT_LINE`) becomes a :class:`Fact` passed to ``add_fact``,
+    and each run of other lines is passed to ``parse_rest`` (the full
+    parser).
+
+    A run that parses on its own ends at a clause boundary, so the fact
+    line after it starts a clause in the whole source too.  Any error
+    here (a run that does not parse, a bad probability, a duplicate
+    label: a ``ValueError``, or a ``RecursionError`` on deep input)
+    propagates; callers then re-parse the whole source with the full
+    parser, which owns every result and error.
+
+    The cyclic garbage collector is paused meanwhile: the route builds
+    only acyclic objects (facts, atoms, constants, tokens), so a
+    collection here frees nothing and only rescans the growing program.
+    A one-shot query on the 35,592-fact network runs three full
+    collections instead of five.
+    """
+    constants: Dict[str, Constant] = {}
+    pending: List[str] = []
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for line in source.split("\n"):
+            match = _FACT_LINE(line)
+            if match is None or match.group(3).startswith(
+                    RESERVED_RELATION_PREFIX):
+                pending.append(line)
+                continue
+            if pending:
+                parse_rest("\n".join(pending))
+                pending = []
+            label, probability, relation, args = match.groups()
+            terms = []
+            for text in args.split(","):
+                term = constants.get(text)
+                if term is None:
+                    value = text.strip(" \t")
+                    term = constants[text] = Constant(
+                        int(value) if value[0].isdigit() else value)
+                terms.append(term)
+            add_fact(Fact(Atom(relation, terms), float(probability), label))
+        if pending:
+            parse_rest("\n".join(pending))
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def parse_program(source: str) -> Program:
     """Parse ProbLog program text into a :class:`Program`.
 
@@ -346,8 +416,15 @@ def parse_program(source: str) -> Program:
     ``RecursionError``, so callers (and service workers) fail the parse,
     not the process.
     """
+    program = Program()
     try:
-        return _Parser(_tokenize(source)).parse_program()
+        _read_lines(source, program.add,
+                    lambda text: _Parser(_tokenize(text)).parse_into(program))
+        return program
+    except (ValueError, RecursionError):
+        pass  # the full parser below gives the result or the error
+    try:
+        return _Parser(_tokenize(source)).parse_into(Program())
     except RecursionError as exc:
         raise _depth_error("program parsing", exc) from exc
 
@@ -370,6 +447,18 @@ def parse_facts(source: str) -> List[Fact]:
     updates (``P3.add_facts``), where the receiving program labels the
     new facts itself.
     """
+    facts: List[Fact] = []
+    try:
+        _read_lines(source, facts.append,
+                    lambda text: facts.extend(_parse_fact_clauses(text)))
+        return facts
+    except (ValueError, RecursionError):
+        pass  # the full parser below gives the result or the error
+    return _parse_fact_clauses(source)
+
+
+def _parse_fact_clauses(source: str) -> List[Fact]:
+    """:func:`parse_facts` on the full parser alone."""
     parser = _Parser(_tokenize(source))
     sink = Program()
     facts: List[Fact] = []

@@ -17,7 +17,8 @@ method           implementation                                  result
 ===============  ==============================================  ==========
 
 All sampling backends share the bitset-packed kernel
-(:mod:`repro.inference.kernel`): the sample matrix is drawn per literal
+(:mod:`repro.inference.kernel`), which is imported — with NumPy — only
+when a sampling backend first runs: the sample matrix is drawn per literal
 at once, packed into ``uint64`` words, and every monomial is one packed
 mask comparison over the batch, with :class:`CompiledPolynomial` as the
 single compiled evaluation path.
@@ -32,6 +33,7 @@ longer switch on result types.  See docs/INFERENCE.md.
 
 from __future__ import annotations
 
+import importlib
 from typing import Optional
 
 from ..provenance.polynomial import Polynomial, ProbabilityMap
@@ -43,21 +45,6 @@ from .exact import (
     brute_force_probability,
     exact_probability,
     monomial_probabilities,
-)
-from .karp_luby import karp_luby_probability, union_bound
-from .kernel import (
-    CompiledPolynomial,
-    kernel_karp_luby,
-    kernel_probability,
-    parallel_conditioned_pair,
-)
-from .montecarlo import (
-    MonteCarloEstimate,
-    adaptive_probability,
-    conditioned_probability,
-    monte_carlo_probability,
-    sample_assignment,
-    sequential_probability,
 )
 from .registry import (
     BackendReading,
@@ -71,6 +58,36 @@ from .registry import (
     sampling_backend_names,
 )
 from .request import InferenceRequest
+
+#: Names re-exported from the sampling modules, which import NumPy.  They
+#: resolve on first access (PEP 562), so a process that never samples —
+#: an ``exact`` or ``bdd`` query, or ``import repro.cli`` — never loads
+#: NumPy.
+_LAZY = {
+    "karp_luby_probability": "karp_luby",
+    "union_bound": "karp_luby",
+    "CompiledPolynomial": "kernel",
+    "kernel_karp_luby": "kernel",
+    "kernel_probability": "kernel",
+    "parallel_conditioned_pair": "kernel",
+    "MonteCarloEstimate": "montecarlo",
+    "adaptive_probability": "montecarlo",
+    "conditioned_probability": "montecarlo",
+    "monte_carlo_probability": "montecarlo",
+    "sample_assignment": "montecarlo",
+    "sequential_probability": "montecarlo",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 #: Methods accepted by :func:`probability` (the registered backend names).
 METHODS = backend_names()

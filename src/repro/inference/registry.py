@@ -42,7 +42,6 @@ from ..provenance.readonce import is_read_once, read_once_probability
 from ..resilience.budgets import activate_budget, active_meter
 from .bdd import bdd_probability
 from .exact import brute_force_probability, exact_probability
-from .kernel import kernel_karp_luby, kernel_probability
 from .request import InferenceRequest
 
 #: Largest literal count the brute-force oracle accepts through the
@@ -335,6 +334,7 @@ def _run_read_once(polynomial: Polynomial, probabilities: ProbabilityMap,
 
 def _run_mc(polynomial: Polynomial, probabilities: ProbabilityMap,
             request: InferenceRequest) -> BackendReading:
+    from .kernel import kernel_probability  # lazy: the kernel loads NumPy
     estimate = kernel_probability(
         polynomial, probabilities, samples=request.samples,
         seed=request.seed, deadline=request.deadline)
@@ -344,6 +344,7 @@ def _run_mc(polynomial: Polynomial, probabilities: ProbabilityMap,
 
 def _run_karp_luby(polynomial: Polynomial, probabilities: ProbabilityMap,
                    request: InferenceRequest) -> BackendReading:
+    from .kernel import kernel_karp_luby  # lazy: the kernel loads NumPy
     estimate = kernel_karp_luby(
         polynomial, probabilities, samples=request.samples,
         seed=request.seed, deadline=request.deadline)

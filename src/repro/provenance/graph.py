@@ -86,6 +86,9 @@ class ProvenanceGraph:
         # rule label -> probability
         self._rule_probability: Dict[str, float] = {}
         self._tuple_keys: Set[str] = set()
+        # base tuple key -> its literal, made once and reused by every
+        # probability map (see tuple_literal_of)
+        self._literals: Dict[str, Literal] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -147,11 +150,19 @@ class ProvenanceGraph:
     def rules(self) -> Dict[str, float]:
         return dict(self._rule_probability)
 
+    def tuple_literal_of(self, key: str) -> Literal:
+        """The literal of tuple ``key``, made once per graph."""
+        literal = self._literals.get(key)
+        if literal is None:
+            literal = self._literals[key] = tuple_literal(key)
+        return literal
+
     def probability_map(self) -> Dict[Literal, float]:
         """The :data:`ProbabilityMap` over every literal this graph defines."""
+        literal_of = self.tuple_literal_of
         result: Dict[Literal, float] = {}
         for key, prob in self._base_probability.items():
-            result[tuple_literal(key)] = prob
+            result[literal_of(key)] = prob
         for label, prob in self._rule_probability.items():
             result[rule_literal(label)] = prob
         return result
@@ -293,13 +304,17 @@ def _dot_escape(text: str) -> str:
 
 def register_program(graph: ProvenanceGraph, program: Program) -> None:
     """Register ``program``'s rules (labels + probabilities) and base
-    facts in the graph; of repeated base facts the first one counts."""
+    facts in the graph; of repeated base facts the first one counts.
+
+    Each fact's literal is made here, once, so the probability maps
+    built later over the graph only look literals up."""
     for rule in program.rules:
         graph.add_rule(rule.label or "?", rule.probability)
     for fact in program.facts:
         key = str(fact.atom)
         if not graph.is_base(key):
             graph.add_base_tuple(key, fact.probability, fact.label)
+            graph.tuple_literal_of(key)
 
 
 def add_firings(graph: ProvenanceGraph, engine: "Engine",

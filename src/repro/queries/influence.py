@@ -20,16 +20,19 @@ For monotone DNFs the influence is always in [0, 1].  Backends:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from .. import telemetry
 from ..core.errors import InferenceConfigurationError
 from ..inference.bdd import BDD, bdd_gradient, from_polynomial
-from ..inference.kernel import CompiledPolynomial, parallel_conditioned_pair
 from ..provenance.polynomial import Literal, Polynomial, ProbabilityMap
 from .result import QueryResult, register_result
+
+if TYPE_CHECKING:  # the sampled paths import NumPy and the kernel lazily
+    import numpy as np
+
+    from ..inference.kernel import CompiledPolynomial
 
 
 class InfluenceScore:
@@ -235,6 +238,7 @@ def parallel_influence(polynomial: Polynomial,
                        rng: Optional[np.random.Generator] = None,
                        compiled: Optional[CompiledPolynomial] = None) -> float:
     """Vectorized common-random-numbers influence (Table 8's fast path)."""
+    from ..inference.kernel import parallel_conditioned_pair
     high, low = parallel_conditioned_pair(
         polynomial, probabilities, literal,
         samples=samples, seed=seed, rng=rng, compiled=compiled)
@@ -346,6 +350,9 @@ def _influence_query(polynomial: Polynomial,
                 mc_influence(polynomial, probabilities, literal,
                              samples=samples, rng=rng)))
     elif method == "parallel":
+        import numpy as np
+
+        from ..inference.kernel import CompiledPolynomial
         rng = np.random.default_rng(seed)
         compiled = CompiledPolynomial(polynomial)
         for literal in literals:

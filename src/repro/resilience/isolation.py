@@ -159,17 +159,20 @@ def _worker_rss_bytes() -> int:
 def _worker_main(conn: Any, memory_limit_bytes: Optional[int]) -> None:
     """Entry point of a spawned worker: serve requests until EOF/None.
 
-    The memory cap is applied *after* interpreter boot (the NumPy import
-    alone needs ~100MB of address space), so ``memory_limit_bytes``
-    bounds the per-request growth on top of the baseline image.
+    The memory cap is applied *after* interpreter boot, so
+    ``memory_limit_bytes`` bounds the per-request growth on top of the
+    baseline image.  A capped worker therefore imports the sampling
+    kernel (NumPy alone needs ~100MB of address space) before the cap
+    lands; an uncapped one imports it on its first sampled call.
     """
     import signal
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns Ctrl-C
     except (ValueError, OSError):
         pass
-    # Import the registry (and NumPy underneath) before the cap lands.
     from ..inference import registry as _registry  # noqa: F401
+    if memory_limit_bytes:
+        from ..inference import kernel as _kernel  # noqa: F401
     _apply_memory_cap(memory_limit_bytes)
     memory_capped = bool(memory_limit_bytes)
     while True:
