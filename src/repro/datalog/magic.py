@@ -88,8 +88,10 @@ class MagicProgram:
     Attributes
     ----------
     program:
-        The rewritten program (magic seed fact + magic rules + guarded
-        adorned rules + original EDB facts).
+        The rewritten program: the magic seed fact, magic rules, guarded
+        adorned rules and bridge rules.  It holds none of the original
+        facts; it is evaluated over a fact store that already holds them
+        (see :func:`repro.ground.relevance.ground_goal`).
     query_relation:
         The adorned relation holding the query's answers
         (e.g. ``trustPath@bf``).
@@ -165,13 +167,11 @@ def magic_transform(program: Program, query: Atom) -> MagicProgram:
             _adorn_rule(rule, adornment, idb, transformed, pending,
                         label_map, label_counts)
 
-    # Original EDB facts (and IDB base facts, which stay under their
-    # original relation and are bridged below).
-    for fact in program.facts:
-        transformed.add(Fact(fact.atom, fact.probability, fact.label))
-
-    # IDB relations with base facts (the Acquaintance know/2 shape): bridge
-    # each demanded adornment to the stored facts with a deterministic rule.
+    # The original facts are not copied: EDB rows and IDB base facts stay
+    # in the caller's fact store under their original relations and are
+    # read there in place.  IDB relations with base facts (the
+    # Acquaintance know/2 shape) get a deterministic bridge rule per
+    # demanded adornment.
     fact_relations = {fact.atom.relation for fact in program.facts}
     bridge_index = 0
     for relation, adornment in sorted(done):

@@ -119,10 +119,8 @@ def _ground_goal(program: Program, pattern: Atom,
         base_store = FactStore.from_program(program)
     store = FactStore(parent=base_store)
 
-    # Seed the overlay: of the transformed program's facts, only the magic
-    # seed is new — original facts resolve to their parent rows.  A miss on
-    # a parent-owned relation means the store is stale for this program and
-    # add_row raises, which is the invariant we want surfaced.
+    # The magic program's only fact is its seed; EDB rows and IDB base
+    # facts are read in place from the parent tables.
     for fact in magic.program.facts:
         store.add(fact.atom.relation, fact.atom.as_values())
 

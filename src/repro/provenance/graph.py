@@ -82,6 +82,9 @@ class ProvenanceGraph:
         self._base_labels: Dict[str, str] = {}
         # tuple key -> rule executions deriving it
         self._derivations: Dict[str, List[RuleExecution]] = defaultdict(list)
+        # tuple key -> its derivations sorted by exec_id (derivations_of);
+        # an entry is dropped when the key gains an execution
+        self._ordered: Dict[str, Tuple[RuleExecution, ...]] = {}
         self._execution_set: Set[RuleExecution] = set()
         # rule label -> probability
         self._rule_probability: Dict[str, float] = {}
@@ -110,6 +113,7 @@ class ProvenanceGraph:
             return False
         self._execution_set.add(execution)
         self._derivations[execution.head].append(execution)
+        self._ordered.pop(execution.head, None)
         self._tuple_keys.add(execution.head)
         self._tuple_keys.update(execution.body)
         if execution.rule_label not in self._rule_probability:
@@ -134,9 +138,15 @@ class ProvenanceGraph:
         return key in self._tuple_keys
 
     def derivations_of(self, key: str) -> Tuple[RuleExecution, ...]:
-        """Rule executions whose head is the given tuple (sorted, stable)."""
-        return tuple(sorted(self._derivations.get(key, ()),
-                            key=lambda e: e.exec_id))
+        """Rule executions whose head is the given tuple, in ``exec_id`` order.
+
+        The sorted tuple is cached until the key gains an execution.
+        """
+        ordered = self._ordered.get(key)
+        if ordered is None:
+            ordered = self._ordered[key] = tuple(sorted(
+                self._derivations.get(key, ()), key=lambda e: e.exec_id))
+        return ordered
 
     def base_probability(self, key: str) -> float:
         return self._base_probability[key]

@@ -209,15 +209,16 @@ class Polynomial:
 
     # -- constructors -------------------------------------------------------
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        """FALSE: the polynomial with no derivations."""
-        return cls(())
+    @staticmethod
+    def zero() -> "Polynomial":
+        """FALSE: the polynomial with no derivations (one shared instance)."""
+        return ZERO
 
-    @classmethod
-    def one(cls) -> "Polynomial":
-        """TRUE: the polynomial containing only the empty derivation."""
-        return cls((Monomial(()),))
+    @staticmethod
+    def one() -> "Polynomial":
+        """TRUE: the polynomial containing only the empty derivation (one
+        shared instance)."""
+        return ONE
 
     @classmethod
     def of(cls, literals: Iterable[Literal]) -> "Polynomial":
@@ -268,7 +269,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Conjunctive combination (cross-product of monomials)."""
         if self.is_zero or other.is_zero:
-            return Polynomial.zero()
+            return ZERO
         if self.is_one:
             return other
         if other.is_one:
@@ -341,6 +342,12 @@ class Polynomial:
             return "0"
         parts = sorted(str(monomial) for monomial in self.monomials)
         return " + ".join(parts)
+
+
+#: The two constants, built once: polynomials are immutable, so every
+#: ``zero()``/``one()`` call can share them.
+ZERO = Polynomial(())
+ONE = Polynomial((Monomial(()),))
 
 
 def variable_order(polynomial: Polynomial,

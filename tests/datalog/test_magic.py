@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.goal import goal_directed_query
+from repro.datalog.ast import Program
 from repro.datalog.engine import Engine
 from repro.datalog.magic import (
     MagicTransformError,
@@ -38,6 +39,17 @@ def evaluate(program):
     return graph, result
 
 
+def evaluate_magic(magic, program):
+    """Evaluate a magic program over ``program``'s facts.
+
+    The magic program holds only rules and its seed fact; the grounder
+    reads the original facts in place from its fact store, so a
+    stand-alone evaluation has to supply them.
+    """
+    return evaluate(Program(list(program.facts) + list(magic.program.facts)
+                            + list(magic.program.rules)))
+
+
 class TestAdornments:
     def test_all_constants_bound(self):
         assert adornment_of(make_atom("p", 1, "a"), set()) == "bb"
@@ -70,8 +82,9 @@ class TestTransformValidation:
 
 class TestEquivalence:
     def test_bound_bound_answers(self):
-        magic = magic_transform(parse_program(TC), make_atom("path", 1, 4))
-        graph, _ = evaluate(magic.program)
+        program = parse_program(TC)
+        magic = magic_transform(program, make_atom("path", 1, 4))
+        graph, _ = evaluate_magic(magic, program)
         assert "path@bb(1,4)" in graph.tuple_keys()
 
     def test_bound_free_answers_match_full(self):
@@ -88,10 +101,24 @@ class TestEquivalence:
         # Node 10-11 is disconnected from the query; magic must not derive
         # any path tuples there.
         pattern = Atom("path", (Constant(1), Variable("X")))
-        magic = magic_transform(parse_program(TC), pattern)
-        graph, _ = evaluate(magic.program)
-        assert not any("10" in key and key.startswith("path@")
-                       for key in graph.tuple_keys())
+        program = parse_program(TC)
+        magic = magic_transform(program, pattern)
+        graph, _ = evaluate_magic(magic, program)
+        derived = [key for key in graph.tuple_keys()
+                   if key.startswith("path@")]
+        assert "path@bf(1,5)" in derived
+        assert not any("10" in key for key in derived)
+
+    @pytest.mark.parametrize("source, query, seed", [
+        (TC, make_atom("path", 1, 4), "m_path@bb(1,4)"),
+        # know/2 is IDB with base facts: bridged, not copied.
+        (ACQUAINTANCE, make_atom("know", "Ben", "Elena"),
+         'm_know@bb("Ben","Elena")'),
+    ])
+    def test_magic_program_holds_only_the_seed_fact(self, source, query,
+                                                     seed):
+        magic = magic_transform(parse_program(source), query)
+        assert [str(fact.atom) for fact in magic.program.facts] == [seed]
 
     def test_fewer_firings_on_large_graph(self):
         lines = []

@@ -75,6 +75,26 @@ class TestGraphBuilding:
         assert not graph.add_execution(execution)
         assert len(graph.derivations_of("d(1)")) == 1
 
+    def test_derivation_order_refreshed_after_new_execution(self):
+        graph = ProvenanceGraph()
+        graph.add_execution(RuleExecution("r2", "d(1)", ("q(1)",), 0.5))
+        first = graph.derivations_of("d(1)")
+        assert [e.exec_id for e in first] == ["r2[q(1)]"]
+        assert graph.add_execution(
+            RuleExecution("r1", "d(1)", ("p(1)",), 0.8))
+        assert [e.exec_id for e in graph.derivations_of("d(1)")] == \
+            ["r1[p(1)]", "r2[q(1)]"]
+
+    def test_duplicate_execution_keeps_cached_order(self):
+        graph = ProvenanceGraph()
+        execution = RuleExecution("r1", "d(1)", ("p(1)",), 0.8)
+        graph.add_execution(execution)
+        graph.add_execution(RuleExecution("r2", "d(1)", ("q(1)",), 0.5))
+        cached = graph.derivations_of("d(1)")
+        assert not graph.add_execution(
+            RuleExecution("r1", "d(1)", ("p(1)",), 0.8))
+        assert graph.derivations_of("d(1)") is cached
+
     def test_is_derived_vs_base(self):
         graph, _, _ = build(SIMPLE)
         assert graph.is_derived("d(1)")

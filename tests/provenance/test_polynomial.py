@@ -1,5 +1,7 @@
 """Unit tests for literals, monomials, and provenance polynomials."""
 
+import pickle
+
 import pytest
 
 from repro.provenance.polynomial import (
@@ -113,6 +115,33 @@ class TestPolynomialConstruction:
     def test_duplicate_monomials_collapse(self):
         poly = Polynomial([Monomial([A]), Monomial([A])])
         assert len(poly) == 1
+
+
+class TestSharedConstants:
+    """``zero()`` and ``one()`` hand out one instance each."""
+
+    def test_one_instance_each(self):
+        assert Polynomial.zero() is Polynomial.zero()
+        assert Polynomial.one() is Polynomial.one()
+        assert Polynomial.of([A]) * Polynomial.zero() is Polynomial.zero()
+
+    @pytest.mark.parametrize("constant", [Polynomial.zero, Polynomial.one])
+    def test_immutable(self, constant):
+        with pytest.raises(AttributeError):
+            constant().monomials = frozenset()
+        with pytest.raises(AttributeError):
+            setattr(constant(), "extra", 1)
+
+    @pytest.mark.parametrize("constant", [Polynomial.zero, Polynomial.one])
+    def test_pickle_round_trip(self, constant):
+        restored = pickle.loads(pickle.dumps(constant()))
+        assert restored == constant()
+        assert str(restored) == str(constant())
+        assert hash(restored) == hash(constant())
+
+    def test_equal_to_fresh_construction(self):
+        assert Polynomial(()) == Polynomial.zero()
+        assert Polynomial((Monomial(()),)) == Polynomial.one()
 
 
 class TestPolynomialAlgebra:
