@@ -1,4 +1,4 @@
-"""Ablation — probability backends: exact vs BDD vs MC vs parallel vs KL.
+"""Ablation — probability backends: exact (the BDD) vs MC vs parallel vs KL.
 
 DESIGN.md §6: accuracy/time tradeoff across the five interchangeable
 inference backends, on two workloads — the small Acquaintance polynomial
@@ -37,7 +37,7 @@ def test_ablation_inference_small(benchmark):
     probs = p3.probabilities
 
     exact, exact_time = _time(lambda: exact_probability(poly, probs))
-    rows = [["exact (Shannon)", exact, 0.0, 1000 * exact_time]]
+    rows = [["exact (BDD)", exact, 0.0, 1000 * exact_time]]
     for name, fn in [
         ("bdd", lambda: bdd_probability(poly, probs)),
         ("mc", lambda: monte_carlo_probability(

@@ -1,4 +1,4 @@
-"""Ablation — read-once factorization vs Shannon expansion.
+"""Ablation — read-once factorization vs the BDD.
 
 The paper's related work notes that Kanagal et al.'s fast sensitivity
 analysis needs read-once lineage, which PLP provenance does not guarantee.
@@ -64,7 +64,7 @@ def _classify(p3, keys):
 
 def test_ablation_readonce_speedup(benchmark):
     # A wide product-of-sums polynomial: read-once evaluation is linear,
-    # Shannon expansion is not.
+    # the exact BDD compiles it first.
     factors = 12
     poly = Polynomial.one()
     probabilities = {}
@@ -84,17 +84,17 @@ def test_ablation_readonce_speedup(benchmark):
 
     start = time.perf_counter()
     slow = exact_probability(poly, probabilities)
-    shannon_time = time.perf_counter() - start
+    bdd_time = time.perf_counter() - start
 
     assert abs(fast - slow) < 1e-9
     record_table(
         "ablation_readonce_speedup",
         "Ablation: (a+b)^%d product-of-sums, %d monomials — read-once vs "
-        "Shannon" % (factors, len(poly)),
+        "BDD" % (factors, len(poly)),
         ["method", "P", "time (ms)"],
         [
             ["read-once tree", fast, 1000 * read_once_time],
-            ["Shannon expansion", slow, 1000 * shannon_time],
+            ["BDD (exact)", slow, 1000 * bdd_time],
         ],
     )
 

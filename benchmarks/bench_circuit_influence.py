@@ -1,10 +1,10 @@
-"""Exact influence: circuit gradient vs per-literal Shannon cofactors.
+"""Exact influence: circuit gradient vs per-literal BDD cofactors.
 
 Influence is ∂P[λ]/∂p(x) (Definition 4.1).  The reference computes it
-the way the library used to: two memoised Shannon expansions per literal,
-on the cofactors ``λ|x=1`` and ``λ|x=0``.  The library now compiles λ to
-an ROBDD once and reads every literal's influence off one forward and one
-backward pass (``influence_query(method="exact")``).
+from the definition: two exact evaluations per literal (each its own BDD
+compile), on the cofactors ``λ|x=1`` and ``λ|x=0``.  The library compiles
+λ to an ROBDD once and reads every literal's influence off one forward
+and one backward pass (``influence_query(method="exact")``).
 
 Workload: a 25-monomial ``mutualTrustPath`` key of the Section-6.2
 sample (150 nodes / 150 edges, hop limit 6), query-grounded — the
@@ -30,8 +30,8 @@ ROUNDS = 5
 TOLERANCE = 1e-12
 
 
-def _shannon_influences(polynomial, probabilities):
-    """The replaced path: two Shannon cofactor expansions per literal."""
+def _cofactor_influences(polynomial, probabilities):
+    """The reference: two cofactor compiles per literal."""
     return {
         literal: (exact_probability(polynomial.restrict(literal, True),
                                     probabilities)
@@ -59,7 +59,7 @@ def test_circuit_influence_speedup():
     reference_times, circuit_times = [], []
     for _ in range(ROUNDS):
         seconds, reference = _timed(
-            lambda: _shannon_influences(polynomial, probabilities))
+            lambda: _cofactor_influences(polynomial, probabilities))
         reference_times.append(seconds)
         seconds, report = _timed(
             lambda: influence_query(polynomial, probabilities))
@@ -85,7 +85,7 @@ def test_circuit_influence_speedup():
         "Exact influence on %s (%d monomials, %d literals), median of %d"
         % (KEY, len(polynomial), len(polynomial.literals()), ROUNDS),
         ["method", "time (ms)", "max abs deviation"],
-        [["Shannon cofactors per literal", 1000 * reference_s, 0.0],
+        [["BDD cofactors per literal", 1000 * reference_s, 0.0],
          ["circuit gradient (one compile, one pass)", 1000 * circuit_s,
           deviation]],
     )

@@ -5,8 +5,9 @@ Agreement model
 - **Exact backends** answer the same mathematical quantity, so any two of
   them must match to ``exact_tolerance`` (default 1e-12 — float
   associativity noise only).  The reference is the brute-force 2ⁿ
-  enumerator whenever the case fits its literal budget, and memoised
-  Shannon expansion otherwise.
+  enumerator whenever the case fits its literal budget, and the BDD
+  otherwise (``exact`` is a second name for the BDD, so above that
+  budget those two agree by construction).
 - **Sampling backends** are checked against a tolerance band derived from
   their own reported standard error: the mean of ``repeats`` independent
   runs must land within ``z`` standard errors of the reference, where the
@@ -29,13 +30,13 @@ import math
 import zlib
 from typing import Dict, List, Optional, Sequence
 
-from ..inference.exact import exact_probability
 from ..inference.request import InferenceRequest
 from ..inference.registry import (
     BackendReading,
     available_backends,
     get_backend,
 )
+from ..provenance.polynomial import Polynomial, ProbabilityMap
 from .generator import AuditCase
 
 #: Default number of Monte-Carlo draws per sampling-backend run.
@@ -128,11 +129,18 @@ class CaseVerdict:
 
 
 def reference_probability(case: AuditCase) -> BackendReading:
-    """The trusted reading: brute force when it fits, Shannon otherwise."""
+    """The trusted reading: brute force when it fits, the BDD otherwise."""
+    return _reference_reading(case.polynomial, case.probabilities)
+
+
+def _reference_reading(polynomial: Polynomial,
+                       probabilities: ProbabilityMap) -> BackendReading:
+    # Brute force shares no code with the BDD, so within its literal
+    # budget the reference checks the one exact evaluator independently.
     brute = get_backend("brute-force")
-    if brute.supports(case.polynomial):
-        return brute.run(case.polynomial, case.probabilities)
-    return get_backend("exact").run(case.polynomial, case.probabilities)
+    if brute.supports(polynomial):
+        return brute.run(polynomial, probabilities)
+    return get_backend("bdd").run(polynomial, probabilities)
 
 
 def _sampling_floor(samples: int, z: float) -> float:
@@ -159,7 +167,10 @@ def audit_polynomial_case(case: AuditCase,
     floor = _sampling_floor(samples, z)
     for backend in selected:
         if backend.deterministic:
-            reading = backend.run(case.polynomial, case.probabilities)
+            # Labelled by the name it ran under: ``exact`` and ``bdd``
+            # share one runner, as ``parallel`` and ``mc`` do.
+            reading = BackendReading(backend.name, backend.run(
+                case.polynomial, case.probabilities).value)
             readings.append(reading)
             deviation = abs(reading.value - reference.value)
             if deviation > exact_tolerance:
@@ -250,13 +261,13 @@ def audit_program_case(case: AuditCase,
                 case.name, channel, value, reference, tolerance, detail))
 
     polynomial = p3.polynomial_of(key, hop_limit=case.hop_limit)
-    reference = exact_probability(polynomial, p3.probabilities)
+    reference = _reference_reading(polynomial, p3.probabilities).value
     readings = [BackendReading("program-exact", reference)]
 
     # Serialized case vs fresh evaluation: the generator snapshot must
     # still describe this program (catches nondeterministic evaluation
     # or extraction drift between generation time and audit time).
-    snapshot = exact_probability(case.polynomial, case.probabilities)
+    snapshot = _reference_reading(case.polynomial, case.probabilities).value
     check("program:snapshot", snapshot, reference, exact_tolerance,
           detail="stored polynomial disagrees with fresh extraction")
 
@@ -320,7 +331,7 @@ def audit_program_case(case: AuditCase,
     target = min(0.95, reference + 0.25)
     plan = p3.modify(key, target=target, hop_limit=case.hop_limit)
     updated = plan.updated_probabilities(p3.probabilities)
-    replayed = exact_probability(polynomial, updated)
+    replayed = _reference_reading(polynomial, updated).value
     check("query:modify", plan.final_probability, replayed, 1e-9,
           detail="plan's claimed final probability must replay")
 

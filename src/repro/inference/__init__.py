@@ -7,8 +7,8 @@ parameter object (:class:`~repro.inference.request.InferenceRequest`):
 ===============  ==============================================  ==========
 method           implementation                                  result
 ===============  ==============================================  ==========
-``exact``        memoised Shannon expansion                      exact float
-``bdd``          ROBDD compile + weighted model count            exact float
+``bdd``          first-occurrence-order ROBDD + weighted count   exact float
+``exact``        second name for ``bdd`` (the same runner)       exact float
 ``brute-force``  2ⁿ enumeration (small polynomials; oracle)      exact float
 ``read-once``    linear pass over a read-once factorization      exact float
 ``mc``           bitset-kernel Monte-Carlo                       estimate

@@ -5,31 +5,25 @@ paper's Section 2.2), but the polynomials produced by provenance queries at
 case-study scale are small enough for exact evaluation, which the test
 suite uses as ground truth for every approximate backend.
 
-Two methods:
-
+- :func:`exact_probability`: the one exact evaluator, ProbLog's pipeline:
+  compile the DNF into a BDD and count its weighted models in one pass.
+  It is :func:`repro.inference.bdd.bdd_probability` under the name the
+  query paths call.
 - :func:`brute_force_probability`: sum over all 2ⁿ literal assignments.
-  Exponential; guarded by a variable-count limit.  Exists purely as an
-  oracle for tests.
-- :func:`exact_probability`: Shannon expansion
-  ``P[λ] = p·P[λ|x=1] + (1-p)·P[λ|x=0]``, branching on the most frequent
-  literal, with memoisation on the (canonical, absorbed) cofactor
-  polynomials and an independent-support decomposition: when the monomials
-  split into literal-disjoint groups, P[λ] = 1 - Π(1 - P[group]).
+  Exponential; guarded by a variable-count limit.  An oracle independent
+  of the BDD, for tests and the audit.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from ..core.errors import BudgetExceededError
-from ..provenance.polynomial import (
-    Literal,
-    Monomial,
-    Polynomial,
-    ProbabilityMap,
-    variable_order,
-)
+from ..provenance.polynomial import Polynomial, ProbabilityMap
+from .bdd import bdd_probability
+
+exact_probability = bdd_probability
 
 
 class ExactLimitError(BudgetExceededError):
@@ -71,80 +65,6 @@ def brute_force_probability(polynomial: Polynomial,
                 weight *= p if value else (1.0 - p)
             total += weight
     return total
-
-
-def _independent_groups(polynomial: Polynomial) -> List[List[Monomial]]:
-    """Partition monomials into groups sharing no literal (union-find)."""
-    monomials = list(polynomial.monomials)
-    parent = list(range(len(monomials)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    owner: Dict[Literal, int] = {}
-    for index, monomial in enumerate(monomials):
-        for literal in monomial.literals:
-            if literal in owner:
-                union(owner[literal], index)
-            else:
-                owner[literal] = index
-
-    groups: Dict[int, List[Monomial]] = {}
-    for index, monomial in enumerate(monomials):
-        groups.setdefault(find(index), []).append(monomial)
-    return list(groups.values())
-
-
-def exact_probability(polynomial: Polynomial,
-                      probabilities: ProbabilityMap) -> float:
-    """Exact P[λ] by memoised Shannon expansion with independence splitting."""
-    memo: Dict[Polynomial, float] = {}
-
-    def solve(poly: Polynomial) -> float:
-        if poly.is_zero:
-            return 0.0
-        if poly.is_one:
-            return 1.0
-        cached = memo.get(poly)
-        if cached is not None:
-            return cached
-
-        groups = _independent_groups(poly)
-        if len(groups) > 1:
-            # Independent alternatives: P[⋁ gᵢ] = 1 - Π (1 - P[gᵢ]).
-            miss = 1.0
-            for group in groups:
-                miss *= 1.0 - solve(Polynomial(group))
-            value = 1.0 - miss
-            memo[poly] = value
-            return value
-
-        if len(poly) == 1:
-            # Single monomial: independent literals multiply.
-            monomial = next(iter(poly.monomials))
-            value = monomial.probability(probabilities)
-            memo[poly] = value
-            return value
-
-        branch = variable_order(poly)[0]
-        p = probabilities[branch]
-        value = 0.0
-        if p > 0.0:
-            value += p * solve(poly.restrict(branch, True))
-        if p < 1.0:
-            value += (1.0 - p) * solve(poly.restrict(branch, False))
-        memo[poly] = value
-        return value
-
-    return solve(polynomial)
 
 
 def monomial_probabilities(polynomial: Polynomial,

@@ -21,8 +21,8 @@ Registered backends
 name             kind      implementation
 ===============  ========  ====================================================
 ``brute-force``  exact     2ⁿ assignment enumeration (small polynomials only)
-``exact``        exact     memoised Shannon expansion
-``bdd``          exact     ROBDD compile + weighted model count
+``bdd``          exact     first-occurrence-order ROBDD + weighted model count
+``exact``        exact     second name for ``bdd`` (the same runner)
 ``read-once``    exact     linear-time over a read-once factorization
 ``mc``           sampling  bitset-kernel Monte-Carlo
 ``parallel``     sampling  second name for ``mc`` (the same runner)
@@ -41,7 +41,7 @@ from ..provenance.polynomial import Polynomial, ProbabilityMap
 from ..provenance.readonce import is_read_once, read_once_probability
 from ..resilience.budgets import activate_budget, active_meter
 from .bdd import bdd_probability
-from .exact import brute_force_probability, exact_probability
+from .exact import brute_force_probability
 from .request import InferenceRequest
 
 #: Largest literal count the brute-force oracle accepts through the
@@ -314,12 +314,6 @@ def _run_brute_force(polynomial: Polynomial, probabilities: ProbabilityMap,
         "brute-force", brute_force_probability(polynomial, probabilities))
 
 
-def _run_exact(polynomial: Polynomial, probabilities: ProbabilityMap,
-               request: InferenceRequest) -> BackendReading:
-    return BackendReading(
-        "exact", exact_probability(polynomial, probabilities))
-
-
 def _run_bdd(polynomial: Polynomial, probabilities: ProbabilityMap,
              request: InferenceRequest) -> BackendReading:
     return BackendReading(
@@ -362,11 +356,11 @@ register_backend(InferenceBackend(
     supports=_small_enough_for_brute_force,
     description="2^n assignment enumeration (test oracle)"))
 register_backend(InferenceBackend(
-    "exact", InferenceBackend.KIND_EXACT, _run_exact,
-    description="memoised Shannon expansion"))
-register_backend(InferenceBackend(
     "bdd", InferenceBackend.KIND_EXACT, _run_bdd,
     description="ROBDD compile + weighted model count"))
+register_backend(InferenceBackend(
+    "exact", InferenceBackend.KIND_EXACT, _run_bdd,
+    description="ROBDD compile + weighted model count (second name for bdd)"))
 register_backend(InferenceBackend(
     "read-once", InferenceBackend.KIND_EXACT, _run_read_once,
     supports=is_read_once,

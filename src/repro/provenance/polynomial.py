@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
-    Dict,
     FrozenSet,
     Iterable,
     Iterator,
     Mapping,
-    Optional,
     Tuple,
 )
 
@@ -348,18 +346,3 @@ class Polynomial:
 #: ``zero()``/``one()`` call can share them.
 ZERO = Polynomial(())
 ONE = Polynomial((Monomial(()),))
-
-
-def variable_order(polynomial: Polynomial,
-                   probabilities: Optional[ProbabilityMap] = None) -> Tuple[Literal, ...]:
-    """Literals ordered by descending occurrence count (ties by name).
-
-    This is the branching order used by exact Shannon expansion and the BDD
-    builder; splitting on frequent literals first collapses shared structure
-    early.
-    """
-    counts: Dict[Literal, int] = {}
-    for monomial in polynomial.monomials:
-        for literal in monomial.literals:
-            counts[literal] = counts.get(literal, 0) + 1
-    return tuple(sorted(counts, key=lambda lit: (-counts[lit], str(lit))))

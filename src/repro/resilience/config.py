@@ -17,9 +17,10 @@ from .budgets import ResourceBudget
 from .ladder import FallbackLadder, FallbackRung
 from .retry import RetryPolicy
 
-#: The ladder used when ``ResilienceConfig(ladder=None)``: exact Shannon
-#: expansion, then the BDD compiler (different blow-up profile), then the
-#: vectorized sampler as the rung that always answers something.
+#: The ladder used when ``ResilienceConfig(ladder=None)``: the exact and
+#: bdd rungs run the same BDD compile under two names, each with its own
+#: breaker, then the vectorized sampler is the rung that always answers
+#: something.
 DEFAULT_LADDER: Tuple[str, ...] = ("exact", "bdd", "parallel")
 
 

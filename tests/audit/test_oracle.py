@@ -51,10 +51,10 @@ class TestReference:
         case = _case([("a", "b")], {"a": 0.5, "b": 0.5})
         assert reference_probability(case).backend == "brute-force"
 
-    def test_falls_back_to_exact_on_large_cases(self):
+    def test_falls_back_to_bdd_on_large_cases(self):
         wide = [("x%d" % i,) for i in range(25)]
         case = _case(wide, {"x%d" % i: 0.01 for i in range(25)})
-        assert reference_probability(case).backend == "exact"
+        assert reference_probability(case).backend == "bdd"
 
 
 class TestPolynomialOracle:

@@ -1,6 +1,8 @@
 """Unit tests for the ROBDD package."""
 
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -15,7 +17,11 @@ from repro.inference.bdd import (
     from_polynomial,
 )
 from repro.inference.exact import brute_force_probability
+from repro.inference.registry import get_backend
+from repro.io.serialize import polynomial_from_json
 from repro.provenance.polynomial import Polynomial, tuple_literal
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 A = tuple_literal("a")
 B = tuple_literal("b")
@@ -140,6 +146,47 @@ class TestProbability:
     def test_terminal_polynomials(self):
         assert bdd_probability(Polynomial.zero(), {}) == 0.0
         assert bdd_probability(Polynomial.one(), {}) == 1.0
+
+
+class TestDefaultOrder:
+    def test_first_occurrence_in_str_sorted_monomials(self):
+        # Monomials in str order: a·d, b·c, b·e.  A frequency order would
+        # put b first.
+        poly = make_polynomial(("c", "b"), ("a", "d"), ("b", "e"))
+        bdd, _ = from_polynomial(poly)
+        assert [str(literal) for literal in bdd.order] == [
+            "a", "d", "b", "c", "e"]
+
+
+class TestTrustPathOrderRegression:
+    """``trustPath(553,2469)`` on ``generate_network()``, query grounding,
+    hop limit 4: 24 monomials over 54 literals.  A frequency variable
+    order compiled it into 71,389 nodes."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        document = json.loads(
+            (DATA / "trust_path_553_2469.json").read_text())
+        polynomial = polynomial_from_json(document["polynomial"])
+        probabilities = {literal: document["probabilities"][literal.key]
+                         for literal in polynomial.literals()}
+        return polynomial, probabilities
+
+    def test_fixture_shape(self, case):
+        polynomial, _ = case
+        assert (len(polynomial), len(polynomial.literals())) == (24, 54)
+
+    @pytest.mark.parametrize("name", ["exact", "bdd"])
+    def test_value(self, case, name):
+        polynomial, probabilities = case
+        reading = get_backend(name).run(polynomial, probabilities)
+        assert reading.value == pytest.approx(0.8812320204634623, abs=1e-12)
+
+    def test_compiled_forest_stays_small(self, case):
+        polynomial, _ = case
+        bdd, _ = from_polynomial(polynomial)
+        # The whole forest, not just the nodes reachable from the root.
+        assert len(bdd._nodes) < 5000
 
 
 class TestCounting:

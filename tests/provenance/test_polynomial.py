@@ -10,7 +10,6 @@ from repro.provenance.polynomial import (
     Polynomial,
     rule_literal,
     tuple_literal,
-    variable_order,
 )
 
 A = tuple_literal("a")
@@ -255,19 +254,3 @@ class TestEvaluationAndInspection:
     def test_str_canonical(self):
         poly = Polynomial.from_monomials([[B], [A]])
         assert str(poly) == "a + b"
-
-
-class TestVariableOrder:
-    def test_most_frequent_first(self):
-        poly = Polynomial.from_monomials([[A, B], [A, C], [A]])
-        # absorption reduces this to just [A]; use non-absorbing structure
-        poly = Polynomial.from_monomials([[A, B], [A, C], [B, C]])
-        order = variable_order(poly)
-        assert set(order[:3]) == {A, B, C}
-
-    def test_ties_broken_by_name(self):
-        poly = Polynomial.from_monomials([[A, B]])
-        assert variable_order(poly) == (A, B)
-
-    def test_empty_polynomial(self):
-        assert variable_order(Polynomial.zero()) == ()
