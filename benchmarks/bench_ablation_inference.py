@@ -1,9 +1,10 @@
-"""Ablation — probability backends: exact (the BDD) vs MC vs parallel vs KL.
+"""Ablation — probability backends: exact (the circuit) vs BDD vs samplers.
 
-DESIGN.md §6: accuracy/time tradeoff across the five interchangeable
+DESIGN.md §6: accuracy/time tradeoff across the interchangeable
 inference backends, on two workloads — the small Acquaintance polynomial
 (exact methods shine) and the large mutual-trust polynomial (sampling
-methods required; exact methods timed only if feasible).
+methods required; exact methods timed only if feasible) — plus the two
+exact compilers on a wide product of sums.
 """
 
 import time
@@ -11,12 +12,15 @@ import time
 from repro import P3
 from repro.data import acquaintance_program
 from repro.inference import (
+    Circuit,
     bdd_probability,
     exact_probability,
+    from_polynomial,
     karp_luby_probability,
     kernel_probability,
     monte_carlo_probability,
 )
+from repro.provenance.polynomial import Polynomial, tuple_literal
 
 from reporting import record_table
 from workloads import query_workload
@@ -37,7 +41,7 @@ def test_ablation_inference_small(benchmark):
     probs = p3.probabilities
 
     exact, exact_time = _time(lambda: exact_probability(poly, probs))
-    rows = [["exact (BDD)", exact, 0.0, 1000 * exact_time]]
+    rows = [["exact (circuit)", exact, 0.0, 1000 * exact_time]]
     for name, fn in [
         ("bdd", lambda: bdd_probability(poly, probs)),
         ("mc", lambda: monte_carlo_probability(
@@ -92,3 +96,34 @@ def test_ablation_inference_large(benchmark):
     benchmark.pedantic(
         kernel_probability, args=(poly, probs, SAMPLES),
         kwargs={"seed": 1}, rounds=3, iterations=1)
+
+
+def test_ablation_inference_product_of_sums(benchmark):
+    # (a0+b0)·...·(a11+b11): 4,096 monomials, each literal once.  The
+    # circuit shares every cofactor, one decision per factor; the BDD
+    # disjoins 4,096 chains.
+    factors = 12
+    poly = Polynomial.one()
+    probs = {}
+    for i in range(factors):
+        left, right = tuple_literal("a%d" % i), tuple_literal("b%d" % i)
+        poly = poly * Polynomial.from_monomials([[left], [right]])
+        probs[left] = 0.3
+        probs[right] = 0.4
+    truth = (1.0 - 0.7 * 0.6) ** factors
+
+    circuit, circuit_time = _time(lambda: Circuit.compile(poly))
+    (bdd, root), bdd_time = _time(lambda: from_polynomial(poly))
+    assert abs(circuit.probability(probs) - truth) < 1e-12
+    assert abs(bdd.probability(root, probs) - truth) < 1e-12
+
+    record_table(
+        "ablation_inference_product_of_sums",
+        "Ablation: (a+b)^%d product of sums, %d monomials — the exact "
+        "circuit vs the BDD (P = %.6f)" % (factors, len(poly), truth),
+        ["compiler", "nodes", "compile (ms)"],
+        [["circuit (exact)", len(circuit), 1000 * circuit_time],
+         ["BDD", bdd.size(root), 1000 * bdd_time]],
+    )
+    benchmark.pedantic(Circuit.compile, args=(poly,),
+                       rounds=3, iterations=1)

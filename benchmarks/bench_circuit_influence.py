@@ -1,10 +1,12 @@
 """Exact influence: circuit gradient vs per-literal BDD cofactors.
 
 Influence is ∂P[λ]/∂p(x) (Definition 4.1).  The reference computes it
-from the definition: two exact evaluations per literal (each its own BDD
-compile), on the cofactors ``λ|x=1`` and ``λ|x=0``.  The library compiles
-λ to an ROBDD once and reads every literal's influence off one forward
-and one backward pass (``influence_query(method="exact")``).
+from the definition: two BDD evaluations per literal (each its own
+compile), on the cofactors ``λ|x=1`` and ``λ|x=0``.  It calls
+``bdd_probability``, not ``exact_probability``, so it shares no code
+with the circuit under test.  The library compiles λ to a decision-DNNF
+circuit once and reads every literal's influence off one forward and one
+backward pass (``influence_query(method="exact")``).
 
 Workload: a 25-monomial ``mutualTrustPath`` key of the Section-6.2
 sample (150 nodes / 150 edges, hop limit 6), query-grounded — the
@@ -18,7 +20,7 @@ import statistics
 import time
 
 from repro import P3, P3Config
-from repro.inference.exact import exact_probability
+from repro.inference.bdd import bdd_probability
 from repro.queries.influence import influence_query
 
 from reporting import record_json, record_table
@@ -31,12 +33,12 @@ TOLERANCE = 1e-12
 
 
 def _cofactor_influences(polynomial, probabilities):
-    """The reference: two cofactor compiles per literal."""
+    """The reference: two BDD cofactor compiles per literal."""
     return {
-        literal: (exact_probability(polynomial.restrict(literal, True),
-                                    probabilities)
-                  - exact_probability(polynomial.restrict(literal, False),
-                                      probabilities))
+        literal: (bdd_probability(polynomial.restrict(literal, True),
+                                  probabilities)
+                  - bdd_probability(polynomial.restrict(literal, False),
+                                    probabilities))
         for literal in sorted(polynomial.literals())
     }
 

@@ -7,7 +7,7 @@ estimators.  This package turns that promise into an executable check:
 
 - :mod:`repro.audit.generator` — seeded random provenance polynomials and
   small recursive programs, plus a hand-built adversarial corpus
-  (absorption pairs, non-read-once diamonds, rule-only literals, cycles);
+  (absorption pairs, P4 diamonds, rule-only literals, cycles);
 - :mod:`repro.audit.oracle` — runs every registered backend (and, for
   program cases, every query type through both the :class:`~repro.core.P3`
   facade and the batched executor) against a trusted reference and

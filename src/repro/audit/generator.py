@@ -6,7 +6,7 @@ Three sources of cases, all deterministic in the sweep seed:
   count, literal sharing, rule-literal rate, and extreme probabilities;
 - **corpus fixtures** — hand-built adversarial structure that has bitten
   (or nearly bitten) real backends: absorption pairs, duplicated
-  monomials, rule-only literals, the non-read-once P4 diamond, constants,
+  monomials, rule-only literals, the P4 diamond, constants,
   and deterministic (p ∈ {0,1}) literals;
 - **random programs** — small recursive trust-graph programs evaluated
   through the full pipeline at generation time, so program cases exercise
@@ -226,8 +226,8 @@ def corpus_cases() -> List[AuditCase]:
         # Rule-only literals: no tuple literals anywhere.
         _case("rule-only", [["r1", "r2"], ["r2", "r3"]],
               {"r1": 0.8, "r2": 0.4, "r3": 0.2}),
-        # P4 diamond ab + bc + cd: the canonical non-read-once shape
-        # (read-once backend must refuse; everyone else must agree).
+        # P4 diamond ab + bc + cd: no AND/OR factorization exists, so
+        # the exact circuit must take a decision.
         _case("p4-diamond", [["a", "b"], ["b", "c"], ["c", "d"]],
               {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}),
         # Deterministic literals: p ∈ {0, 1} exercises short-circuits.

@@ -6,8 +6,8 @@ Agreement model
   them must match to ``exact_tolerance`` (default 1e-12 — float
   associativity noise only).  The reference is the brute-force 2ⁿ
   enumerator whenever the case fits its literal budget, and the BDD
-  otherwise (``exact`` is a second name for the BDD, so above that
-  budget those two agree by construction).
+  otherwise: above that budget the ``exact`` circuit is checked against
+  the BDD, an independent compiler.
 - **Sampling backends** are checked against a tolerance band derived from
   their own reported standard error: the mean of ``repeats`` independent
   runs must land within ``z`` standard errors of the reference, where the
@@ -135,8 +135,8 @@ def reference_probability(case: AuditCase) -> BackendReading:
 
 def _reference_reading(polynomial: Polynomial,
                        probabilities: ProbabilityMap) -> BackendReading:
-    # Brute force shares no code with the BDD, so within its literal
-    # budget the reference checks the one exact evaluator independently.
+    # Brute force and the BDD are different algorithms from the exact
+    # circuit, so the reference checks it independently.
     brute = get_backend("brute-force")
     if brute.supports(polynomial):
         return brute.run(polynomial, probabilities)
@@ -167,10 +167,7 @@ def audit_polynomial_case(case: AuditCase,
     floor = _sampling_floor(samples, z)
     for backend in selected:
         if backend.deterministic:
-            # Labelled by the name it ran under: ``exact`` and ``bdd``
-            # share one runner, as ``parallel`` and ``mc`` do.
-            reading = BackendReading(backend.name, backend.run(
-                case.polynomial, case.probabilities).value)
+            reading = backend.run(case.polynomial, case.probabilities)
             readings.append(reading)
             deviation = abs(reading.value - reference.value)
             if deviation > exact_tolerance:

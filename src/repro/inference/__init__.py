@@ -1,16 +1,15 @@
 """Probability backends for provenance polynomials.
 
-Seven interchangeable methods, all registered in
+Six interchangeable methods, all registered in
 :mod:`repro.inference.registry` and all callable through one typed
 parameter object (:class:`~repro.inference.request.InferenceRequest`):
 
 ===============  ==============================================  ==========
 method           implementation                                  result
 ===============  ==============================================  ==========
+``exact``        decision-DNNF circuit, one forward pass         exact float
 ``bdd``          first-occurrence-order ROBDD + weighted count   exact float
-``exact``        second name for ``bdd`` (the same runner)       exact float
 ``brute-force``  2ⁿ enumeration (small polynomials; oracle)      exact float
-``read-once``    linear pass over a read-once factorization      exact float
 ``mc``           bitset-kernel Monte-Carlo                       estimate
 ``parallel``     second name for ``mc`` (the same runner)        estimate
 ``karp-luby``    Karp–Luby union sampler [14]                    estimate
@@ -39,6 +38,7 @@ from typing import Optional
 from ..provenance.polynomial import Polynomial, ProbabilityMap
 from .bdd import BDD, ONE, ZERO, bdd_probability, from_polynomial
 from .bounded import BoundedResult, bounded_probability
+from .circuit import Circuit, exact_gradient
 from .estimate import Estimate, ExactEstimate
 from .exact import (
     ExactLimitError,
@@ -120,6 +120,7 @@ __all__ = [
     "BDD",
     "BackendReading",
     "BoundedResult",
+    "Circuit",
     "CompiledPolynomial",
     "Estimate",
     "ExactEstimate",
@@ -138,6 +139,7 @@ __all__ = [
     "brute_force_probability",
     "conditioned_probability",
     "exact_backend_names",
+    "exact_gradient",
     "exact_probability",
     "from_polynomial",
     "get_backend",

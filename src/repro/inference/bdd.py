@@ -11,10 +11,6 @@ is a small, self-contained ROBDD package:
 - :func:`from_polynomial` compiling a provenance polynomial under a given
   variable order, or by default in first-occurrence order,
 - :meth:`BDD.probability`: weighted model count in one bottom-up pass,
-- :meth:`BDD.gradient`: P[formula] *and* ∂P/∂p(x) for every literal from
-  one bottom-up pass plus one top-down pass (the BDD-gradient technique of
-  "On the Implementation of ProbLog", Kimmig et al.; influence is exactly
-  this derivative, paper Def. 4.1),
 - :func:`model_count` and :func:`satisfying_assignments` for testing.
 
 Node growth is metered against the ambient resource budget's
@@ -161,14 +157,6 @@ class BDD:
         self._apply_memo[key] = result
         return result
 
-    def conjoin(self, nodes: Sequence[int]) -> int:
-        result = ONE
-        for node_id in nodes:
-            result = self.apply("and", result, node_id)
-            if result == ZERO:
-                return ZERO
-        return result
-
     def disjoin(self, nodes: Sequence[int]) -> int:
         """OR of ``nodes`` as a balanced pairwise tree.
 
@@ -193,53 +181,14 @@ class BDD:
 
     def probability(self, root: int, probabilities: ProbabilityMap) -> float:
         """Weighted model count: P[formula] in one bottom-up pass."""
-        return self._forward(self.reachable(root), probabilities)[root]
-
-    def gradient(self, root: int, probabilities: ProbabilityMap
-                 ) -> Tuple[float, Dict[Literal, float]]:
-        """``(P[formula], {literal: ∂P/∂p(literal)})`` in two passes.
-
-        The forward pass computes each node's value
-        ``v(n) = (1-p)·v(low) + p·v(high)`` bottom-up.  The backward pass
-        propagates the *reach* adjoint ``r(n)`` — the probability that a
-        random assignment's path from the root visits ``n`` — top-down:
-        ``r(root) = 1``, and ``n`` passes ``(1-p)·r(n)`` to its low child
-        and ``p·r(n)`` to its high child.  Because P is multilinear, the
-        derivative by ``p(x)`` is the sum over x-labelled nodes of
-        ``r(n)·(v(high) - v(low))``.  Literals no node tests (including
-        ones absent from the formula) have derivative 0 and are omitted.
-        """
-        order = self.reachable(root)
-        value = self._forward(order, probabilities)
-        nodes = self._nodes
-        literals = self.order
-        reach = dict.fromkeys(order, 0.0)
-        reach[root] = 1.0
-        partials: Dict[Literal, float] = {}
-        for node_id in reversed(order):
-            level, low, high = nodes[node_id - 2]
-            literal = literals[level]
-            r = reach[node_id]
-            partials[literal] = (partials.get(literal, 0.0)
-                                 + r * (value[high] - value[low]))
-            p = probabilities[literal]
-            if low > ONE:
-                reach[low] += (1.0 - p) * r
-            if high > ONE:
-                reach[high] += p * r
-        return value[root], partials
-
-    def _forward(self, order: Sequence[int],
-                 probabilities: ProbabilityMap) -> Dict[int, float]:
-        """Node values for ``order`` (children first), terminals included."""
         value: Dict[int, float] = {ZERO: 0.0, ONE: 1.0}
         nodes = self._nodes
         literals = self.order
-        for node_id in order:
+        for node_id in self.reachable(root):
             level, low, high = nodes[node_id - 2]
             p = probabilities[literals[level]]
             value[node_id] = (1.0 - p) * value[low] + p * value[high]
-        return value
+        return value[root]
 
     def evaluate(self, root: int, assignment: Mapping[Literal, bool]) -> bool:
         node_id = root
@@ -329,33 +278,42 @@ def _or_terminal(left: int, right: int) -> Optional[int]:
     return None
 
 
+def first_occurrence_order(polynomial: Polynomial) -> Tuple[Literal, ...]:
+    """Literals as a compile first meets them.
+
+    Monomials in ``str`` order, each monomial's literals in ``str``
+    order, duplicates dropped.  The literals of one derivation stay
+    adjacent, which keeps trust-path DNFs small: a most-frequent-first
+    order compiled a 24-monomial one into 71,389 BDD nodes, this order
+    into 1,137.
+    """
+    return tuple(dict.fromkeys(
+        literal for monomial in sorted(polynomial.monomials, key=str)
+        for literal in sorted(monomial.literals, key=str)))
+
+
 def from_polynomial(polynomial: Polynomial,
                     order: Optional[Sequence[Literal]] = None
                     ) -> Tuple[BDD, int]:
     """Compile a provenance polynomial into (forest, root node id).
 
-    Monomials are compiled in ``str`` order.  When no order is given,
-    literals are ordered as the compile first meets them: each monomial's
-    literals in ``str`` order, duplicates dropped.  The literals of one
-    derivation stay adjacent, which keeps trust-path DNFs small: a
-    most-frequent-first order compiled a 24-monomial one into 71,389
-    nodes, this order into 1,137.
+    The order defaults to :func:`first_occurrence_order`.  Each
+    monomial's chain is built straight from the deepest level up, so no
+    apply memo or dead intermediate node is spent on it; the chains are
+    then disjoined in ``str`` order.
     """
-    monomials = sorted(polynomial.monomials, key=str)
     if order is None:
-        order = tuple(dict.fromkeys(
-            literal for monomial in monomials
-            for literal in sorted(monomial.literals, key=str)))
+        order = first_occurrence_order(polynomial)
     bdd = BDD(order)
-    if polynomial.is_zero:
-        return bdd, ZERO
-    monomial_nodes = []
-    for monomial in monomials:
-        literals = sorted(monomial.literals, key=lambda lit: bdd._level[lit])
-        monomial_nodes.append(
-            bdd.conjoin([bdd.variable(lit) for lit in literals]))
-    root = bdd.disjoin(monomial_nodes)
-    return bdd, root
+    level = bdd._level
+    chains = []
+    for monomial in sorted(polynomial.monomials, key=str):
+        node = ONE
+        for depth in sorted((level[lit] for lit in monomial.literals),
+                            reverse=True):
+            node = bdd._make(depth, ZERO, node)
+        chains.append(node)
+    return bdd, bdd.disjoin(chains)
 
 
 def bdd_probability(polynomial: Polynomial,
@@ -364,16 +322,3 @@ def bdd_probability(polynomial: Polynomial,
     """Compile to a BDD and weighted-model-count: ProbLog's exact pipeline."""
     bdd, root = from_polynomial(polynomial, order)
     return bdd.probability(root, probabilities)
-
-
-def bdd_gradient(polynomial: Polynomial,
-                 probabilities: ProbabilityMap,
-                 order: Optional[Sequence[Literal]] = None
-                 ) -> Tuple[float, Dict[Literal, float]]:
-    """Compile once, then ``(P[λ], {literal: Inf_literal(λ)})`` in one pass.
-
-    See :meth:`BDD.gradient`; literals absent from the result have
-    influence 0.
-    """
-    bdd, root = from_polynomial(polynomial, order)
-    return bdd.gradient(root, probabilities)

@@ -5,13 +5,12 @@ paper's Section 2.2), but the polynomials produced by provenance queries at
 case-study scale are small enough for exact evaluation, which the test
 suite uses as ground truth for every approximate backend.
 
-- :func:`exact_probability`: the one exact evaluator, ProbLog's pipeline:
-  compile the DNF into a BDD and count its weighted models in one pass.
-  It is :func:`repro.inference.bdd.bdd_probability` under the name the
-  query paths call.
+- :func:`exact_probability`: the one exact evaluator: compile the DNF
+  into a decision-DNNF circuit and evaluate it in one pass
+  (:mod:`repro.inference.circuit`).
 - :func:`brute_force_probability`: sum over all 2ⁿ literal assignments.
   Exponential; guarded by a variable-count limit.  An oracle independent
-  of the BDD, for tests and the audit.
+  of the circuit, for tests and the audit.
 """
 
 from __future__ import annotations
@@ -21,9 +20,10 @@ from typing import Sequence
 
 from ..core.errors import BudgetExceededError
 from ..provenance.polynomial import Polynomial, ProbabilityMap
-from .bdd import bdd_probability
+from .circuit import exact_probability
 
-exact_probability = bdd_probability
+__all__ = ["ExactLimitError", "brute_force_probability", "exact_probability",
+           "monomial_probabilities"]
 
 
 class ExactLimitError(BudgetExceededError):

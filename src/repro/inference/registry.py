@@ -9,7 +9,7 @@ mechanically instead of hard-coding method lists.
 
 A backend is an :class:`InferenceBackend`: a name, a kind (``"exact"`` or
 ``"sampling"``), an applicability predicate (brute force refuses large
-polynomials, read-once refuses non-read-once structure), and a runner
+polynomials), and a runner
 ``(polynomial, probabilities, request) → BackendReading`` taking a single
 typed :class:`~repro.inference.request.InferenceRequest` — samples, seed,
 deadline, budget — instead of per-backend keywords.  See
@@ -21,9 +21,8 @@ Registered backends
 name             kind      implementation
 ===============  ========  ====================================================
 ``brute-force``  exact     2ⁿ assignment enumeration (small polynomials only)
+``exact``        exact     decision-DNNF circuit (AND, independent OR, decision)
 ``bdd``          exact     first-occurrence-order ROBDD + weighted model count
-``exact``        exact     second name for ``bdd`` (the same runner)
-``read-once``    exact     linear-time over a read-once factorization
 ``mc``           sampling  bitset-kernel Monte-Carlo
 ``parallel``     sampling  second name for ``mc`` (the same runner)
 ``karp-luby``    sampling  Karp–Luby union sampler (unbiased, value may be >1)
@@ -38,9 +37,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import telemetry
 from ..provenance.polynomial import Polynomial, ProbabilityMap
-from ..provenance.readonce import is_read_once, read_once_probability
 from ..resilience.budgets import activate_budget, active_meter
 from .bdd import bdd_probability
+from .circuit import exact_probability
 from .exact import brute_force_probability
 from .request import InferenceRequest
 
@@ -320,10 +319,10 @@ def _run_bdd(polynomial: Polynomial, probabilities: ProbabilityMap,
         "bdd", bdd_probability(polynomial, probabilities))
 
 
-def _run_read_once(polynomial: Polynomial, probabilities: ProbabilityMap,
-                   request: InferenceRequest) -> BackendReading:
+def _run_exact(polynomial: Polynomial, probabilities: ProbabilityMap,
+               request: InferenceRequest) -> BackendReading:
     return BackendReading(
-        "read-once", read_once_probability(polynomial, probabilities))
+        "exact", exact_probability(polynomial, probabilities))
 
 
 def _run_mc(polynomial: Polynomial, probabilities: ProbabilityMap,
@@ -359,12 +358,8 @@ register_backend(InferenceBackend(
     "bdd", InferenceBackend.KIND_EXACT, _run_bdd,
     description="ROBDD compile + weighted model count"))
 register_backend(InferenceBackend(
-    "exact", InferenceBackend.KIND_EXACT, _run_bdd,
-    description="ROBDD compile + weighted model count (second name for bdd)"))
-register_backend(InferenceBackend(
-    "read-once", InferenceBackend.KIND_EXACT, _run_read_once,
-    supports=is_read_once,
-    description="linear-time over a read-once factorization"))
+    "exact", InferenceBackend.KIND_EXACT, _run_exact,
+    description="decision-DNNF circuit compile + one forward pass"))
 register_backend(InferenceBackend(
     "mc", InferenceBackend.KIND_SAMPLING, _run_mc,
     description="bitset-kernel Monte-Carlo"))

@@ -8,9 +8,9 @@ the influence of Definition 4.1,
 
     ∂P[λ]/∂p(x) = P[λ|x=1] − P[λ|x=0] = Inf_x(λ),
 
-so the influence machinery doubles as an exact gradient oracle: one ROBDD
+so the influence machinery doubles as an exact gradient oracle: one circuit
 compile per polynomial, then one forward and one backward pass give P[λ]
-and the whole gradient (:meth:`repro.inference.bdd.BDD.gradient`).  On
+and the whole gradient (:meth:`repro.inference.circuit.Circuit.gradient`).  On
 top of it this module implements **learning from probabilistic examples** (the
 simplest ProbLog-style parameter learning): given derived tuples with
 target probabilities, fit the modifiable literal probabilities (typically

@@ -7,9 +7,10 @@ Implements Definition 4.1 (Kanagal et al. [13]): the influence of literal
 
 For monotone DNFs the influence is always in [0, 1].  Backends:
 
-- ``exact``: the circuit gradient — λ is compiled to an ROBDD once, and
-  one forward plus one backward pass yields P[λ] and *every* literal's
-  influence (:meth:`repro.inference.bdd.BDD.gradient`);
+- ``exact``: the circuit gradient — λ is compiled to a decision-DNNF
+  circuit once, and one forward plus one backward pass yields P[λ] and
+  *every* literal's influence
+  (:meth:`repro.inference.circuit.Circuit.gradient`);
 - ``mc``: sequential Monte-Carlo with common random numbers (the same
   sampled assignment is evaluated under both conditionings, which cancels
   most sampling noise out of the difference);
@@ -25,7 +26,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 
 from .. import telemetry
 from ..core.errors import InferenceConfigurationError
-from ..inference.bdd import BDD, bdd_gradient, from_polynomial
+from ..inference.circuit import Circuit, exact_gradient
 from ..provenance.polynomial import Literal, Polynomial, ProbabilityMap
 from .result import QueryResult, register_result
 
@@ -134,7 +135,7 @@ def exact_influence(polynomial: Polynomial,
     Scoring several literals? Use :func:`influence_query`, which shares
     the compile and the pass across all of them.
     """
-    return bdd_gradient(polynomial, probabilities)[1].get(literal, 0.0)
+    return exact_gradient(polynomial, probabilities)[1].get(literal, 0.0)
 
 
 #: Evaluates P[λ] under a probability map (a black-box backend).
@@ -142,20 +143,19 @@ Evaluator = Callable[[Polynomial, ProbabilityMap], float]
 
 
 class _CircuitSlopes:
-    """P[λ] and every slope from one gradient pass over one compiled BDD."""
+    """P[λ] and every slope from one gradient pass over one circuit."""
 
     def __init__(self, polynomial: Polynomial) -> None:
-        self._bdd, self._root = from_polynomial(polynomial)
+        self._circuit = Circuit.compile(polynomial)
         self._value = 0.0
         self._partials: Dict[Literal, float] = {}
 
     def probability(self, probabilities: ProbabilityMap) -> float:
-        return self._bdd.probability(self._root, probabilities)
+        return self._circuit.probability(probabilities)
 
     def evaluate(self, probabilities: ProbabilityMap) -> float:
         """P[λ] at ``probabilities``; also refreshes every slope."""
-        self._value, self._partials = self._bdd.gradient(
-            self._root, probabilities)
+        self._value, self._partials = self._circuit.gradient(probabilities)
         return self._value
 
     def slope(self, probabilities: ProbabilityMap,
@@ -192,7 +192,7 @@ def slopes(polynomial: Polynomial, evaluator: Optional[Evaluator] = None):
     The returned object answers ``evaluate(probabilities)`` (P[λ], and
     moves the point), ``slope(probabilities, x)`` (``(Inf_x(λ),
     P[λ|x=0])`` at that point) and ``probability(probabilities)`` (P[λ]
-    only).  Without an ``evaluator`` λ is compiled to an ROBDD once and
+    only).  Without an ``evaluator`` λ is compiled to a circuit once and
     each ``evaluate`` is one gradient pass; a custom evaluator (Table 9's
     Monte-Carlo evaluators) is a black box, and each slope costs two
     evaluations on the literal's cofactors.
@@ -266,20 +266,19 @@ def joint_influence(polynomial: Polynomial,
     if first == second:
         # Multilinear in each variable: the pure second derivative is 0.
         return 0.0
-    bdd, root = from_polynomial(polynomial)
-    return _mixed_partials(bdd, root, probabilities, first).get(second, 0.0)
+    circuit = Circuit.compile(polynomial)
+    return _mixed_partials(circuit, probabilities, first).get(second, 0.0)
 
 
-def _mixed_partials(bdd: BDD, root: int, probabilities: ProbabilityMap,
+def _mixed_partials(circuit: Circuit, probabilities: ProbabilityMap,
                     literal: Literal) -> Dict[Literal, float]:
-    """∂²P/∂p(literal)∂p(y) for every y some node tests."""
+    """∂²P/∂p(literal)∂p(y) for every literal y of the circuit."""
     pinned = dict(probabilities)
     pinned[literal] = 1.0
-    high = bdd.gradient(root, pinned)[1]
+    high = circuit.gradient(pinned)[1]
     pinned[literal] = 0.0
-    low = bdd.gradient(root, pinned)[1]
-    return {y: high.get(y, 0.0) - low.get(y, 0.0)
-            for y in high.keys() | low.keys()}
+    low = circuit.gradient(pinned)[1]
+    return {y: high[y] - low[y] for y in high}
 
 
 def most_synergistic_pairs(polynomial: Polynomial,
@@ -297,10 +296,10 @@ def most_synergistic_pairs(polynomial: Polynomial,
         raise ValueError("k must be positive")
     if literals is None:
         literals = sorted(polynomial.literals())
-    bdd, root = from_polynomial(polynomial)
+    circuit = Circuit.compile(polynomial)
     scored: List[Tuple[Literal, Literal, float]] = []
     for index, first in enumerate(literals):
-        mixed = _mixed_partials(bdd, root, probabilities, first)
+        mixed = _mixed_partials(circuit, probabilities, first)
         for second in literals[index + 1:]:
             scored.append((first, second, mixed.get(second, 0.0)))
     scored.sort(key=lambda item: (-abs(item[2]), str(item[0]), str(item[1])))
@@ -339,7 +338,7 @@ def _influence_query(polynomial: Polynomial,
         literals = sorted(polynomial.literals())
     scores: List[InfluenceScore] = []
     if method == "exact":
-        partials = bdd_gradient(polynomial, probabilities)[1]
+        partials = exact_gradient(polynomial, probabilities)[1]
         for literal in literals:
             scores.append(InfluenceScore(literal, partials.get(literal, 0.0)))
     elif method == "mc":

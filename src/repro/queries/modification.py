@@ -20,9 +20,9 @@ equation exactly for the fractional change.
 modifiable literal each round and push it all the way (solving exactly on
 the final, overshooting step).
 
-Without a custom ``evaluator`` both strategies compile λ to an ROBDD once
-and take P[λ] and every slope from one circuit gradient pass per step
-(:meth:`repro.inference.bdd.BDD.gradient`), reading the intercept off
+Without a custom ``evaluator`` both strategies compile λ to a circuit once
+and take P[λ] and every slope from one gradient pass per step
+(:meth:`repro.inference.circuit.Circuit.gradient`), reading the intercept off
 Equation 16 as P[λ|x=0] = P[λ] − Inf_x(λ)·p(x).  A custom evaluator (the
 Monte-Carlo evaluators of Table 9) is treated as a black box: each slope
 costs two evaluations on the literal's cofactors.

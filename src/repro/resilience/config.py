@@ -17,10 +17,10 @@ from .budgets import ResourceBudget
 from .ladder import FallbackLadder, FallbackRung
 from .retry import RetryPolicy
 
-#: The ladder used when ``ResilienceConfig(ladder=None)``: the exact and
-#: bdd rungs run the same BDD compile under two names, each with its own
-#: breaker, then the vectorized sampler is the rung that always answers
-#: something.
+#: The ladder used when ``ResilienceConfig(ladder=None)``: the exact
+#: circuit, then the BDD (a different compiler, so a blow-up in one need
+#: not repeat in the other), each with its own breaker; then the
+#: vectorized sampler is the rung that always answers something.
 DEFAULT_LADDER: Tuple[str, ...] = ("exact", "bdd", "parallel")
 
 

@@ -67,13 +67,6 @@ class TestPolynomialOracle:
         assert {"brute-force", "exact", "bdd", "mc", "parallel",
                 "karp-luby"} <= names
 
-    def test_read_once_skipped_when_unsupported(self):
-        diamond = _case([("a", "b"), ("b", "c"), ("c", "d")],
-                        {k: 0.5 for k in "abcd"})
-        verdict = audit_polynomial_case(diamond, samples=2000, seed=0)
-        assert verdict.ok
-        assert "read-once" not in {r.backend for r in verdict.readings}
-
     def test_backend_subset(self):
         case = _case([("a",)], {"a": 0.5})
         verdict = audit_polynomial_case(case, backends=["exact", "bdd"])
@@ -92,6 +85,30 @@ class TestPolynomialOracle:
         [disagreement] = verdict.disagreements
         assert disagreement.channel == "backend:bdd"
         assert disagreement.deviation == pytest.approx(1e-4)
+
+    def test_circuit_fault_caught_above_brute_force_limit(
+            self, monkeypatch):
+        # 12 two-literal components: 24 literals, so the reference is the
+        # BDD, and the circuit's root is an independent OR.
+        from repro.inference import circuit
+        from repro.inference.registry import BRUTE_FORCE_LITERAL_LIMIT
+        groups = [("x%d" % (2 * i), "x%d" % (2 * i + 1)) for i in range(12)]
+        case = _case(groups, {"x%d" % i: 0.3 for i in range(24)})
+        assert len(case.polynomial.literals()) > BRUTE_FORCE_LITERAL_LIMIT
+        plan = circuit._plan
+
+        def drop_one_or_child(*args):
+            kind, payload, children = plan(*args)
+            if kind == circuit.OR:
+                children = children[1:]
+            return kind, payload, children
+
+        monkeypatch.setattr(circuit, "_plan", drop_one_or_child)
+        verdict = audit_polynomial_case(case, backends=["exact", "bdd"])
+        assert verdict.reference_backend == "bdd"
+        assert not verdict.ok
+        [disagreement] = verdict.disagreements
+        assert disagreement.channel == "backend:exact"
 
     def test_sampling_within_band_passes(self):
         case = _case([("a", "b"), ("b", "c")],

@@ -12,7 +12,6 @@ from repro.inference.bdd import (
     BDD,
     ONE,
     ZERO,
-    bdd_gradient,
     bdd_probability,
     from_polynomial,
 )
@@ -93,7 +92,7 @@ class TestApply:
     def test_conjoin_disjoin(self):
         bdd = BDD([A, B, C])
         root = bdd.disjoin([
-            bdd.conjoin([bdd.variable(A), bdd.variable(B)]),
+            bdd.apply("and", bdd.variable(A), bdd.variable(B)),
             bdd.variable(C),
         ])
         assert bdd.evaluate(root, {A: True, B: True, C: False})
@@ -158,6 +157,13 @@ class TestDefaultOrder:
             "a", "d", "b", "c", "e"]
 
 
+class TestMonomialChains:
+    def test_chain_builds_only_live_nodes(self):
+        # One node per literal: no apply intermediates are left dead.
+        bdd, root = from_polynomial(make_polynomial(("c", "a", "b")))
+        assert len(bdd._nodes) == bdd.size(root) == 3
+
+
 class TestTrustPathOrderRegression:
     """``trustPath(553,2469)`` on ``generate_network()``, query grounding,
     hop limit 4: 24 monomials over 54 literals.  A frequency variable
@@ -211,68 +217,6 @@ class TestCounting:
         assert bdd.size(ZERO) == 0
 
 
-def _pinned_influence(polynomial, probabilities, literal):
-    """Oracle: Inf_x(λ) from brute force with p(x) pinned to 1 and 0."""
-    pinned = dict(probabilities)
-    pinned[literal] = 1.0
-    high = brute_force_probability(polynomial, pinned)
-    pinned[literal] = 0.0
-    return high - brute_force_probability(polynomial, pinned)
-
-
-class TestGradient:
-    """The forward/backward pass against brute-force cofactors."""
-
-    def _check(self, polynomial, probabilities, extra=()):
-        value, partials = bdd_gradient(polynomial, probabilities)
-        assert abs(value - brute_force_probability(
-            polynomial, probabilities)) <= 1e-12
-        for literal in sorted(polynomial.literals()) + list(extra):
-            expected = _pinned_influence(polynomial, probabilities, literal)
-            assert abs(partials.get(literal, 0.0) - expected) <= 1e-12
-
-    def test_audit_generator_polynomials(self):
-        from repro.audit.generator import generate_cases
-        absent = tuple_literal("absent")
-        for case in generate_cases(80, seed=11):
-            probabilities = dict(case.probabilities)
-            probabilities[absent] = 0.5
-            self._check(case.polynomial, probabilities, extra=[absent])
-
-    def test_constants(self):
-        assert bdd_gradient(Polynomial.zero(), {}) == (0.0, {})
-        assert bdd_gradient(Polynomial.one(), {}) == (1.0, {})
-
-    def test_single_monomial(self):
-        poly = make_polynomial(("a", "b", "c"))
-        probs = {A: 0.2, B: 0.5, C: 0.9}
-        value, partials = bdd_gradient(poly, probs)
-        assert value == pytest.approx(0.09, abs=1e-15)
-        assert partials[A] == pytest.approx(0.45, abs=1e-15)
-        assert partials[B] == pytest.approx(0.18, abs=1e-15)
-        assert partials[C] == pytest.approx(0.1, abs=1e-15)
-
-    def test_disjoint_support(self):
-        poly = make_polynomial(("a", "b"), ("c",), ("d", "e"))
-        self._check(poly, random_probabilities(poly, seed=2))
-
-    def test_deterministic_literals(self):
-        poly = make_polynomial(("a", "b"), ("b", "c"), ("d",))
-        probs = random_probabilities(poly, seed=4)
-        probs[B] = 1.0
-        probs[tuple_literal("d")] = 0.0
-        self._check(poly, probs)
-
-    def test_absent_literal_is_zero(self):
-        poly = make_polynomial(("a",))
-        assert bdd_gradient(poly, {A: 0.5, B: 0.5})[1].get(B, 0.0) == 0.0
-
-    def test_probability_is_the_forward_pass(self):
-        poly = make_polynomial(("a", "b"), ("b", "c"), ("a", "c"))
-        probs = random_probabilities(poly, seed=8)
-        assert bdd_gradient(poly, probs)[0] == bdd_probability(poly, probs)
-
-
 class TestBalancedDisjoin:
     def test_same_root_as_left_fold(self):
         poly = make_polynomial(("a", "b"), ("b", "c"), ("c", "d"),
@@ -280,9 +224,10 @@ class TestBalancedDisjoin:
         bdd, root = from_polynomial(poly)
         folded = ZERO
         for monomial in sorted(poly.monomials, key=str):
-            folded = bdd.apply("or", folded, bdd.conjoin(
-                [bdd.variable(lit) for lit in sorted(
-                    monomial.literals, key=bdd.order.index)]))
+            chain = ONE
+            for literal in monomial.literals:
+                chain = bdd.apply("and", chain, bdd.variable(literal))
+            folded = bdd.apply("or", folded, chain)
         assert folded == root  # hash-consed: same function, same node
 
     def test_constant_shortcuts(self):

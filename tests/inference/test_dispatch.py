@@ -29,15 +29,9 @@ class TestDispatch:
             probability(POLY, PROBS, method="magic")
 
     def test_methods_constant_lists_all(self):
-        assert set(METHODS) == {"brute-force", "exact", "bdd", "read-once",
+        assert set(METHODS) == {"brute-force", "exact", "bdd",
                                 "mc", "parallel", "karp-luby"}
 
     def test_brute_force_method_agrees(self):
         assert probability(POLY, PROBS, method="brute-force") == \
             pytest.approx(TRUTH, abs=1e-12)
-
-    def test_read_once_method_on_read_once_input(self):
-        poly = make_polynomial(("a",), ("b", "c"))
-        probs = random_probabilities(poly, seed=3)
-        assert probability(poly, probs, method="read-once") == pytest.approx(
-            exact_probability(poly, probs), abs=1e-12)

@@ -31,14 +31,20 @@ TRUTH = exact_probability(POLY, PROBS)
 
 
 class TestRegistryLookup:
-    def test_all_seven_backends_registered(self):
+    def test_all_six_backends_registered(self):
         assert backend_names() == ("bdd", "brute-force", "exact",
-                                   "karp-luby", "mc", "parallel",
-                                   "read-once")
+                                   "karp-luby", "mc", "parallel")
+
+    def test_exact_is_its_own_backend(self):
+        # ``exact`` is the circuit, ``bdd`` an independent ROBDD: a
+        # fallback from one to the other runs a different algorithm.
+        exact, bdd = get_backend("exact"), get_backend("bdd")
+        assert exact._fn is not bdd._fn
+        assert exact.run(POLY, PROBS).backend == "exact"
+        assert bdd.run(POLY, PROBS).backend == "bdd"
 
     def test_kind_partitions(self):
-        assert exact_backend_names() == ("bdd", "brute-force", "exact",
-                                         "read-once")
+        assert exact_backend_names() == ("bdd", "brute-force", "exact")
         assert sampling_backend_names() == ("karp-luby", "mc", "parallel")
         assert set(exact_backend_names()) | set(sampling_backend_names()) \
             == set(backend_names())
@@ -75,17 +81,13 @@ class TestApplicability:
         assert not get_backend("brute-force").supports(wide)
         assert get_backend("exact").supports(wide)
 
-    def test_read_once_refuses_p4_diamond(self):
-        diamond = make_polynomial(("a", "b"), ("b", "c"), ("c", "d"))
-        assert not get_backend("read-once").supports(diamond)
-        assert get_backend("read-once").supports(
-            make_polynomial(("a",), ("b", "c")))
-
     def test_available_backends_filters_by_support(self):
         diamond = make_polynomial(("a", "b"), ("b", "c"), ("c", "d"))
-        names = [b.name for b in available_backends(diamond)]
-        assert "read-once" not in names
-        assert "brute-force" in names
+        wide = make_polynomial(*[("x%d" % i,) for i in range(25)])
+        assert "brute-force" in [
+            b.name for b in available_backends(diamond)]
+        assert "brute-force" not in [
+            b.name for b in available_backends(wide)]
 
     def test_available_backends_named_subset(self):
         selected = available_backends(POLY, names=["exact", "mc"])

@@ -133,15 +133,15 @@ class TestCircuitGradient:
     """Exact influence is one compile and one gradient pass per query."""
 
     def test_one_compile_per_query(self, trust_fragment, monkeypatch):
-        from repro.inference import bdd
+        from repro.inference.circuit import Circuit
         compiles = []
-        compile_ = bdd.from_polynomial
+        compile_ = Circuit.compile
 
-        def spy(*args, **kwargs):
-            compiles.append(args[0])
-            return compile_(*args, **kwargs)
+        def spy(polynomial):
+            compiles.append(polynomial)
+            return compile_(polynomial)
 
-        monkeypatch.setattr(bdd, "from_polynomial", spy)
+        monkeypatch.setattr(Circuit, "compile", spy)
         poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
         report = influence_query(poly, trust_fragment.probabilities)
         assert len(report) == len(poly.literals())

@@ -123,17 +123,16 @@ class TestCircuitSlopes:
 
     def test_one_compile_and_one_pass_per_step(self, trust_fragment,
                                                monkeypatch):
-        from repro.inference import bdd
-        from repro.queries import influence
+        from repro.inference.circuit import Circuit
         compiles = []
         passes = []
-        compile_ = influence.from_polynomial
-        gradient = bdd.BDD.gradient
+        compile_ = Circuit.compile
+        gradient = Circuit.gradient
         monkeypatch.setattr(
-            influence, "from_polynomial",
-            lambda *a, **k: compiles.append(1) or compile_(*a, **k))
+            Circuit, "compile",
+            lambda polynomial: compiles.append(1) or compile_(polynomial))
         monkeypatch.setattr(
-            bdd.BDD, "gradient",
+            Circuit, "gradient",
             lambda self, *a, **k: passes.append(1) or gradient(self, *a, **k))
         poly = trust_fragment.polynomial_of("mutualTrustPath", 1, 6)
         plan = greedy_strategy(poly, trust_fragment.probabilities, 0.7,
