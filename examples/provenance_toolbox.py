@@ -10,8 +10,8 @@ program:
 3. **Conditional probability** — update beliefs under evidence,
 4. **Joint influence** — find complementary / substitutable literal pairs,
 5. **Goal-directed evaluation** — answer one query with magic sets,
-6. **Offline sessions** — export provenance, reload, query without
-   re-evaluating.
+6. **A persisted store** — snapshot provenance into a durable store,
+   warm-start from it, query without re-evaluating.
 
 Run with::
 
@@ -23,10 +23,9 @@ import tempfile
 
 from repro import P3, goal_directed_query
 from repro.data import paper_fragment
-from repro.inference import exact_probability
 from repro.inference.bounded import bounded_probability
-from repro.io import load_session, save_session
 from repro.queries import most_synergistic_pairs
+from repro.store import ProvenanceStore
 
 TARGET = "mutualTrustPath(1,6)"
 
@@ -83,20 +82,21 @@ def main() -> None:
     print("  same probability: %.4f"
           % directed.probability_of(TARGET))
 
-    # ---- 6. offline sessions --------------------------------------------------------
-    print("\n--- 6. Offline provenance sessions " + "-" * 31)
-    handle, path = tempfile.mkstemp(suffix=".json")
-    os.close(handle)
-    try:
-        save_session(p3.program, p3.graph, path)
-        print("  session written: %d bytes" % os.path.getsize(path))
-        _, graph, probabilities, _ = load_session(path)
-        from repro.provenance import extract_polynomial
-        offline = exact_probability(
-            extract_polynomial(graph, TARGET), probabilities)
-        print("  reloaded without re-evaluation: P = %.4f" % offline)
-    finally:
-        os.unlink(path)
+    # ---- 6. persisted store ---------------------------------------------------------
+    print("\n--- 6. A persisted provenance store " + "-" * 30)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "prov.db")
+        with ProvenanceStore(path) as store:
+            p3.attach_store(store)   # snapshots the evaluated graph
+            p3.detach_store()
+            epochs = store.epochs()
+        print("  store written: %d bytes, epochs %s"
+              % (os.path.getsize(path), [e["epoch"] for e in epochs]))
+        offline = P3.from_store(path, attach=False)
+        print("  warm-started: %d fixpoint rounds"
+              % offline.evaluate().rounds)
+        print("  reloaded without re-evaluation: P = %.4f"
+              % offline.probability_of(TARGET))
 
 
 if __name__ == "__main__":

@@ -16,16 +16,15 @@ chaos      Chaos harness: inject backend faults, assert every query
 serve      Long-lived multi-tenant HTTP/JSON service over the executor.
 trace      Traced explanation query; prints the telemetry span tree.
 generate   Emit a synthetic trust-network program to stdout.
-export     Save the evaluated session (program + graph + epoch) as JSON.
 snapshot   Append the evaluated provenance graph to a durable store file.
 record     Capture a query session (queries, epochs, envelopes) in a store.
 replay     Re-run a recorded session from the store; assert byte-identical
            envelopes.
 
-``query``, ``export``, ``snapshot``, ``record``, and ``serve`` can start
-from persisted provenance instead of a program file: ``--from-session
-FILE`` loads a saved session JSON, ``--from-store FILE`` warm-starts
-from a durable store (no fixpoint re-evaluation; see docs/STORE.md).
+``query``, ``snapshot``, ``record``, and ``serve`` can start from
+persisted provenance instead of a program file: ``--from-store FILE``
+warm-starts from a durable store (no fixpoint re-evaluation; see
+docs/STORE.md).
 
 Tuples are addressed by their canonical key, e.g.::
 
@@ -63,14 +62,13 @@ from .exec.stats import ExecutorStats
 
 
 def _build_system(args: argparse.Namespace) -> P3:
-    """Build the system from a program file, a saved session, or a
-    durable store, timing each stage into the shared executor's stats
-    object so ``--stats`` covers the whole pipeline.
+    """Build the system from a program file or a durable store, timing
+    each stage into the shared executor's stats object so ``--stats``
+    covers the whole pipeline.
 
-    A program file is parsed and evaluated; ``--from-session`` and
-    ``--from-store`` warm-start instead (no fixpoint evaluation), with
-    the persisted epoch restored into the executor's epoch-tagged
-    caches.
+    A program file is parsed and evaluated; ``--from-store`` warm-starts
+    instead (no fixpoint evaluation), with the persisted epoch restored
+    into the executor's epoch-tagged caches.
     """
     from .inference.registry import is_deterministic
     resilience = None
@@ -90,20 +88,14 @@ def _build_system(args: argparse.Namespace) -> P3:
     )
     stats = ExecutorStats()
     program = getattr(args, "program", None)
-    from_session = getattr(args, "from_session", None)
     from_store = getattr(args, "from_store", None)
     given = [name for name, value in (("a program file", program),
-                                      ("--from-session", from_session),
                                       ("--from-store", from_store)) if value]
     if len(given) != 1:
         raise ValueError(
-            "exactly one program source is required — a program file, "
-            "--from-session, or --from-store (got: %s)"
-            % (", ".join(given) or "none"))
-    if from_session is not None:
-        with stats.time_stage("load"):
-            p3 = P3.from_session(from_session, config=config)
-    elif from_store is not None:
+            "exactly one program source is required — a program file "
+            "or --from-store (got: %s)" % (", ".join(given) or "none"))
+    if from_store is not None:
         with stats.time_stage("load"):
             p3 = P3.from_store(from_store, config=config, attach=False)
     else:
@@ -116,20 +108,16 @@ def _build_system(args: argparse.Namespace) -> P3:
 
 
 def _add_loading(parser: argparse.ArgumentParser) -> None:
-    """``--from-session`` / ``--from-store`` warm-start flags."""
-    parser.add_argument("--from-session", metavar="FILE", default=None,
-                        help="warm-start from a session file written by "
-                        "'p3 export' instead of evaluating a program")
+    """The ``--from-store`` warm-start flag."""
     parser.add_argument("--from-store", metavar="FILE", default=None,
                         help="warm-start from a durable provenance store "
                         "(see 'p3 snapshot') instead of evaluating")
 
 
 def _reclaim_program_positional(args: argparse.Namespace) -> None:
-    """With ``--from-session``/``--from-store``, the optional program
-    positional actually holds the first tuple key — rebind it."""
-    if ((getattr(args, "from_session", None)
-         or getattr(args, "from_store", None))
+    """With ``--from-store``, the optional program positional actually
+    holds the first tuple key — rebind it."""
+    if (getattr(args, "from_store", None)
             and getattr(args, "program", None) is not None):
         args.tuples = [args.program] + list(args.tuples)
         args.program = None
@@ -207,7 +195,7 @@ def _add_common(parser: argparse.ArgumentParser,
     if optional_program:
         parser.add_argument("program", nargs="?", default=None,
                             help="path to a ProbLog program file (omit "
-                            "with --from-session/--from-store)")
+                            "with --from-store)")
     else:
         parser.add_argument("program", help="path to a ProbLog program file")
     parser.add_argument("--method", default="exact",
@@ -450,14 +438,6 @@ def _cmd_goal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    p3 = _build_system(args)
-    from .io.serialize import save_session
-    save_session(p3.program, p3.graph, args.output, epoch=p3.epoch)
-    print("session written to %s (epoch %d)" % (args.output, p3.epoch))
-    return 0
-
-
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     """Evaluate (or load) a system and snapshot it into a durable store."""
     from .store import ProvenanceStore
@@ -602,19 +582,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             isolation=args.isolation)
     registry = TenantRegistry(base_config=base_config,
                               max_tenants=args.max_tenants)
-    default_sources = [value for value in
-                       (args.program, args.from_session, args.from_store)
-                       if value is not None]
-    if len(default_sources) > 1:
+    if args.program is not None and args.from_store is not None:
         raise ValueError(
             "Give the default tenant exactly one source: a program "
-            "file, --from-session, or --from-store")
+            "file or --from-store")
     if args.persist and args.from_store is None:
         raise ValueError("--persist requires --from-store")
     if args.program is not None:
         registry.create("default", path=args.program)
-    elif args.from_session is not None:
-        registry.create("default", session=args.from_session)
     elif args.from_store is not None:
         registry.create("default", store=args.from_store,
                         persist=args.persist)
@@ -874,18 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
         "pattern", help="query pattern, e.g. 'trustPath(1,X)'")
     goal_parser.set_defaults(func=_cmd_goal)
 
-    export_parser = subparsers.add_parser(
-        "export", help="export program + provenance graph (and epoch) "
-        "as a session JSON file")
-    _add_common(export_parser, optional_program=True)
-    _add_loading(export_parser)
-    export_parser.add_argument("--output", required=True,
-                               help="output JSON path")
-    export_parser.set_defaults(func=_cmd_export)
-
     snapshot_parser = subparsers.add_parser(
-        "snapshot", help="evaluate a program (or load a session) and "
-        "snapshot its provenance into a durable store (see docs/STORE.md)")
+        "snapshot", help="evaluate a program (or warm-start from a store) "
+        "and snapshot its provenance into a durable store (see "
+        "docs/STORE.md)")
     _add_common(snapshot_parser, optional_program=True)
     _add_loading(snapshot_parser)
     snapshot_parser.add_argument("--store", required=True, metavar="FILE",

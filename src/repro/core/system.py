@@ -113,17 +113,16 @@ class P3:
 
     @classmethod
     def warm_start(cls, program: Program, graph: ProvenanceGraph,
-                   probabilities: Dict[Literal, float],
                    epoch: int = 0,
                    config: Optional[P3Config] = None) -> "P3":
         """Restore an already-evaluated system without re-evaluation.
 
-        ``graph`` and ``probabilities`` come from a saved session
-        (:func:`repro.io.serialize.load_session`) or a durable store
-        (:mod:`repro.store`); ``epoch`` is the mutation counter the state
-        was captured at, threaded straight into the executor's
-        epoch-tagged caches so cache entries and ``update`` envelopes
-        report the restored epoch, not 0.
+        ``graph`` comes from a durable store (:mod:`repro.store`, see
+        :meth:`from_store`) and the probability map is read off it;
+        ``epoch`` is the mutation counter the state was captured at,
+        threaded straight into the executor's epoch-tagged caches so
+        cache entries and ``update`` envelopes report the restored epoch,
+        not 0.
 
         The synthetic :class:`~repro.datalog.engine.EvaluationResult`
         reports 0 rounds and 0 seconds — the tell that no fixpoint
@@ -144,21 +143,10 @@ class P3:
             None, rounds=0, firing_count=len(graph.executions()),
             elapsed_seconds=0.0, derived_count=derived)
         p3._graph = graph
-        p3._probabilities = dict(probabilities)
+        p3._probabilities = graph.probability_map()
         p3._epoch = epoch
         p3._warm_started = True
         return p3
-
-    @classmethod
-    def from_session(cls, path: Union[str, "os.PathLike[str]"],
-                     config: Optional[P3Config] = None) -> "P3":
-        """Warm-start from a session file written by ``p3 export`` /
-        :func:`repro.io.serialize.save_session`."""
-        from ..io.serialize import load_session
-        session = load_session(os.fspath(path))
-        return cls.warm_start(session.program, session.graph,
-                              session.probabilities, epoch=session.epoch,
-                              config=config)
 
     @classmethod
     def from_store(cls, path: Union[str, "os.PathLike[str]"],

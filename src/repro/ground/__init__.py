@@ -6,8 +6,6 @@ The subsystem behind ``P3Config(grounding='query'|'auto')``:
   grounder emitting only the query-relevant provenance subgraph; it runs
   the shared fixpoint (:mod:`repro.datalog.fixpoint`) over the interned
   fact store (:mod:`repro.datalog.arena`, re-exported here).
-- :mod:`repro.ground.stream` — bounded-memory streaming extraction that
-  survives budget exhaustion with well-formed partials.
 - :mod:`repro.ground.planner` — the per-system planner P3 evaluates
   through, with coverage tracking and the query→full fallback ladder.
 """
@@ -15,8 +13,6 @@ The subsystem behind ``P3Config(grounding='query'|'auto')``:
 from ..datalog.arena import FactStore, RelationTable, TermArena
 from .planner import AUTO_FACT_THRESHOLD, RUNGS, GroundingPlanner
 from .relevance import GroundedGoal, ground_goal
-from .stream import (
-    StreamOutcome, ground_and_stream, iter_deepening, stream_extract)
 
 __all__ = [
     "AUTO_FACT_THRESHOLD",
@@ -25,10 +21,6 @@ __all__ = [
     "GroundingPlanner",
     "RelationTable",
     "RUNGS",
-    "StreamOutcome",
     "TermArena",
-    "ground_and_stream",
     "ground_goal",
-    "iter_deepening",
-    "stream_extract",
 ]

@@ -7,7 +7,7 @@ is a small, self-contained ROBDD package:
 
 - hash-consed nodes with complement-free semantics (monotone inputs don't
   need complement edges),
-- ``apply`` with operation memoisation,
+- an iterative ``apply`` with operation memoisation,
 - :func:`from_polynomial` compiling a provenance polynomial under a given
   variable order, or by default in first-occurrence order,
 - :meth:`BDD.probability`: weighted model count in one bottom-up pass,
@@ -16,14 +16,15 @@ is a small, self-contained ROBDD package:
 Node growth is metered against the ambient resource budget's
 ``max_compiled_bytes`` (:mod:`repro.resilience.budgets`), so a budgeted
 compile fails with a typed
-:class:`~repro.core.errors.BudgetExceededError` instead of running away.
+:class:`~repro.core.errors.BudgetExceededError` instead of running away;
+an unbudgeted compile that runs out of memory raises the same error.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.errors import InferenceConfigurationError
+from ..core.errors import BudgetExceededError, InferenceConfigurationError
 from ..provenance.polynomial import Literal, Polynomial, ProbabilityMap
 from ..resilience.budgets import active_meter
 
@@ -57,7 +58,7 @@ class BDD:
         # node id -> (level, low, high); terminals excluded
         self._nodes: List[Tuple[int, int, int]] = []
         self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._apply_memo: Dict[Tuple[str, int, int], int] = {}
+        self._apply_memo: Dict[str, Dict[Tuple[int, int], int]] = {}
         self._meter = active_meter()
 
     # -- node management ------------------------------------------------------
@@ -113,49 +114,68 @@ class BDD:
     # -- apply ------------------------------------------------------------------
 
     def apply(self, op: str, left: int, right: int) -> int:
-        """Combine two BDDs with ``op`` in {'and', 'or'} (Bryant's Apply)."""
+        """Combine two BDDs with ``op`` in {'and', 'or'} (Bryant's Apply).
+
+        Iterative, over an explicit stack of operand pairs: a pair is
+        expanded when first met and built once both cofactor pairs are
+        memoised, so a deep result costs no Python recursion.  Pairs are
+        ordered (smaller id first), and the terminals 0 and 1 are the
+        smallest ids, so a pair holding a terminal has it first and is
+        settled on the spot: the operation's absorbing terminal wins, the
+        other one yields the partner.
+        """
         if op == "and":
-            terminal = _and_terminal
+            absorbing = ZERO
         elif op == "or":
-            terminal = _or_terminal
+            absorbing = ONE
         else:
             raise ValueError("Unsupported BDD operation %r" % op)
-        return self._apply(op, terminal, left, right)
+        memo = self._apply_memo.setdefault(op, {})
+        nodes = self._nodes
+        make = self._make
 
-    def _apply(self, op: str,
-               terminal: Callable[[int, int], Optional[int]],
-               left: int, right: int) -> int:
-        shortcut = terminal(left, right)
-        if shortcut is not None:
-            return shortcut
-        key = (op, left, right) if left <= right else (op, right, left)
-        cached = self._apply_memo.get(key)
-        if cached is not None:
-            return cached
+        def settle(first: int, second: int) -> Optional[int]:
+            """The result for an ordered pair, or None if not yet known."""
+            if first == second:
+                return first
+            if first <= ONE:
+                return absorbing if first == absorbing else second
+            return memo.get((first, second))
 
-        left_level = self.node(left)[0] if not self.is_terminal(left) else None
-        right_level = self.node(right)[0] if not self.is_terminal(right) else None
-        if right_level is None or (left_level is not None
-                                   and left_level <= right_level):
-            level = left_level
-        else:
-            level = right_level
-        assert level is not None
-
-        if left_level == level:
-            _, left_low, left_high = self.node(left)
-        else:
-            left_low = left_high = left
-        if right_level == level:
-            _, right_low, right_high = self.node(right)
-        else:
-            right_low = right_high = right
-
-        low = self._apply(op, terminal, left_low, right_low)
-        high = self._apply(op, terminal, left_high, right_high)
-        result = self._make(level, low, high)
-        self._apply_memo[key] = result
-        return result
+        root = (left, right) if left <= right else (right, left)
+        result = settle(*root)
+        if result is not None:
+            return result
+        stack = [root]
+        while stack:
+            pair = stack[-1]
+            if pair in memo:
+                stack.pop()
+                continue
+            first, second = pair
+            first_level, first_low, first_high = nodes[first - 2]
+            second_level, second_low, second_high = nodes[second - 2]
+            if first_level < second_level:
+                level = first_level
+                second_low = second_high = second
+            else:
+                level = second_level
+                if second_level < first_level:
+                    first_low = first_high = first
+            if first_low > second_low:
+                first_low, second_low = second_low, first_low
+            if first_high > second_high:
+                first_high, second_high = second_high, first_high
+            low = settle(first_low, second_low)
+            if low is None:
+                stack.append((first_low, second_low))
+            high = settle(first_high, second_high)
+            if high is None:
+                stack.append((first_high, second_high))
+            if low is not None and high is not None:
+                stack.pop()
+                memo[pair] = make(level, low, high)
+        return memo[root]
 
     def disjoin(self, nodes: Sequence[int]) -> int:
         """OR of ``nodes`` as a balanced pairwise tree.
@@ -254,30 +274,6 @@ class BDD:
         return "BDD(<%d vars, %d nodes>)" % (len(self.order), len(self._nodes))
 
 
-def _and_terminal(left: int, right: int) -> Optional[int]:
-    if left == ZERO or right == ZERO:
-        return ZERO
-    if left == ONE:
-        return right
-    if right == ONE:
-        return left
-    if left == right:
-        return left
-    return None
-
-
-def _or_terminal(left: int, right: int) -> Optional[int]:
-    if left == ONE or right == ONE:
-        return ONE
-    if left == ZERO:
-        return right
-    if right == ZERO:
-        return left
-    if left == right:
-        return left
-    return None
-
-
 def first_occurrence_order(polynomial: Polynomial) -> Tuple[Literal, ...]:
     """Literals as a compile first meets them.
 
@@ -300,20 +296,31 @@ def from_polynomial(polynomial: Polynomial,
     The order defaults to :func:`first_occurrence_order`.  Each
     monomial's chain is built straight from the deepest level up, so no
     apply memo or dead intermediate node is spent on it; the chains are
-    then disjoined in ``str`` order.
+    then disjoined in ``str`` order.  Running out of memory raises a
+    typed :class:`~repro.core.errors.BudgetExceededError`, as the
+    circuit compile does.
     """
     if order is None:
         order = first_occurrence_order(polynomial)
-    bdd = BDD(order)
-    level = bdd._level
-    chains = []
-    for monomial in sorted(polynomial.monomials, key=str):
-        node = ONE
-        for depth in sorted((level[lit] for lit in monomial.literals),
-                            reverse=True):
-            node = bdd._make(depth, ZERO, node)
-        chains.append(node)
-    return bdd, bdd.disjoin(chains)
+    bdd: Optional[BDD] = BDD(order)
+    try:
+        level = bdd._level
+        chains = []
+        for monomial in sorted(polynomial.monomials, key=str):
+            node = ONE
+            for depth in sorted((level[lit] for lit in monomial.literals),
+                                reverse=True):
+                node = bdd._make(depth, ZERO, node)
+            chains.append(node)
+        root = bdd.disjoin(chains)
+    except MemoryError:
+        bdd = None
+    if bdd is None:
+        # Raised outside the handler, so the failed compile's forest is
+        # released first.
+        raise BudgetExceededError("BDD compile ran out of memory",
+                                  resource="compiled_bytes")
+    return bdd, root
 
 
 def bdd_probability(polynomial: Polynomial,

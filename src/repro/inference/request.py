@@ -1,7 +1,7 @@
 """The unified inference-backend request object.
 
 Every caller of a backend (executor, fallback ladder, audit oracle,
-CLI) hands it one typed value, accepted by all seven registered
+CLI) hands it one typed value, accepted by all six registered
 backends:
 
 ================  =============================================================

@@ -1,27 +1,20 @@
-"""Serialization of programs, graphs, and polynomials."""
+"""JSON envelopes for graphs, polynomials and query results."""
 
 from .serialize import (
     COMPATIBLE_VERSIONS,
     FORMAT_VERSION,
     FormatVersionError,
     SerializationError,
-    SessionDocument,
     dump_query_result,
     graph_from_json,
     graph_to_json,
     literal_from_json,
     literal_to_json,
     load_query_result,
-    load_session,
     polynomial_from_json,
     polynomial_to_json,
-    program_from_json,
-    program_to_json,
     query_result_from_json,
     query_result_to_json,
-    save_session,
-    session_from_json,
-    session_to_json,
 )
 
 __all__ = [
@@ -29,21 +22,14 @@ __all__ = [
     "FORMAT_VERSION",
     "FormatVersionError",
     "SerializationError",
-    "SessionDocument",
     "dump_query_result",
     "graph_from_json",
     "graph_to_json",
     "literal_from_json",
     "literal_to_json",
     "load_query_result",
-    "load_session",
     "polynomial_from_json",
     "polynomial_to_json",
-    "program_from_json",
-    "program_to_json",
     "query_result_from_json",
     "query_result_to_json",
-    "save_session",
-    "session_from_json",
-    "session_to_json",
 ]

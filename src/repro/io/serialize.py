@@ -1,17 +1,13 @@
-"""JSON serialization of programs, provenance graphs, and polynomials.
+"""JSON envelopes for provenance graphs, polynomials and query results.
 
-Provenance only pays off when it outlives the evaluation that produced it:
-captured once, a graph can be exported, shipped to an analyst, and queried
-offline.  This module defines a versioned, dependency-free JSON format:
+This module defines a versioned, dependency-free JSON format for what
+the CLI and the service print (persisting an evaluated system is the
+job of :mod:`repro.store`):
 
-- :func:`program_to_json` / :func:`program_from_json` — clause-level round
-  trip (labels and probabilities preserved);
 - :func:`graph_to_json` / :func:`graph_from_json` — base tuples, rules,
   and rule executions;
 - :func:`polynomial_to_json` / :func:`polynomial_from_json` — monomials as
   sorted literal lists;
-- :func:`save_session` / :func:`load_session` — one file holding program
-  text, graph, and probability map, loadable without re-evaluation;
 - :func:`update_to_json` — the ``p3 update`` envelope: delta-evaluation
   statistics, post-update epoch, and re-answered queries;
 - :func:`trace_to_json` / :func:`metrics_to_json` — telemetry span trees
@@ -27,22 +23,15 @@ exports are stable across runs.
 from __future__ import annotations
 
 import json
-from typing import Dict, NamedTuple
+from typing import Dict
 
-from ..datalog.ast import Program
-from ..datalog.parser import parse_program
 from ..provenance.graph import ProvenanceGraph, RuleExecution
-from ..provenance.polynomial import (
-    Literal,
-    Monomial,
-    Polynomial,
-    rule_literal,
-    tuple_literal,
-)
+from ..provenance.polynomial import Literal, Monomial, Polynomial
 
-#: Format version written into every document.  Version 2 added the
-#: ``epoch`` field to session documents; readers still accept version-1
-#: documents (an absent epoch defaults to 0).
+#: Format version written into every document.  Version 2 added an
+#: ``epoch`` field to the session document, a kind since removed (the
+#: store persists evaluated systems); every kept kind reads the same at
+#: versions 1 and 2, so readers accept both.
 FORMAT_VERSION = 2
 
 #: Versions this module can still read.
@@ -85,22 +74,6 @@ def _check_version(document: dict, kind: str) -> None:
     if document.get("kind") != kind:
         raise SerializationError(
             "Expected a %r document, found %r" % (kind, document.get("kind")))
-
-
-# -- programs -----------------------------------------------------------------
-
-def program_to_json(program: Program) -> dict:
-    """Serialise a program (via its canonical, re-parseable text)."""
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "program",
-        "source": str(program),
-    }
-
-
-def program_from_json(document: dict) -> Program:
-    _check_version(document, "program")
-    return parse_program(document["source"])
 
 
 # -- literals / polynomials -----------------------------------------------------
@@ -412,80 +385,3 @@ def metrics_from_json(document: dict) -> list:
     if not isinstance(metrics, list):
         raise SerializationError("'metrics' must be a list")
     return [dict(entry) for entry in metrics]
-
-
-# -- sessions ------------------------------------------------------------------------
-
-class SessionDocument(NamedTuple):
-    """A decoded session: everything needed to warm-start offline.
-
-    ``epoch`` is the system epoch the session was saved at; version-1
-    documents (written before epochs were persisted) decode as epoch 0.
-    """
-
-    program: Program
-    graph: ProvenanceGraph
-    probabilities: Dict[Literal, float]
-    epoch: int = 0
-
-
-def session_to_json(program: Program, graph: ProvenanceGraph,
-                    epoch: int = 0) -> dict:
-    """One document holding everything needed to query offline."""
-    probabilities = {
-        str(literal): probability
-        for literal, probability in graph.probability_map().items()
-    }
-    kinds = {
-        str(literal): literal.kind
-        for literal in graph.probability_map()
-    }
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "session",
-        "epoch": int(epoch),
-        "program": program_to_json(program),
-        "graph": graph_to_json(graph),
-        "probabilities": [
-            {"key": key, "kind": kinds[key], "probability": probabilities[key]}
-            for key in sorted(probabilities)
-        ],
-    }
-
-
-def session_from_json(document: dict) -> SessionDocument:
-    _check_version(document, "session")
-    program = program_from_json(document["program"])
-    graph = graph_from_json(document["graph"])
-    probabilities: Dict[Literal, float] = {}
-    for entry in document["probabilities"]:
-        literal = (rule_literal(entry["key"]) if entry["kind"] == "rule"
-                   else tuple_literal(entry["key"]))
-        probabilities[literal] = entry["probability"]
-    # Version-1 sessions predate epoch persistence: default to 0 so a
-    # reloaded legacy session starts from a well-defined epoch.
-    epoch = document.get("epoch", 0)
-    if not isinstance(epoch, int) or epoch < 0:
-        raise SerializationError(
-            "Session 'epoch' must be a non-negative integer, got %r"
-            % (epoch,))
-    return SessionDocument(program, graph, probabilities, epoch)
-
-
-def save_session(program: Program, graph: ProvenanceGraph,
-                 path: str, epoch: int = 0) -> None:
-    """Write a session document to ``path`` (pretty, stable JSON).
-
-    Always UTF-8 — sessions with non-ASCII constants must round-trip
-    regardless of the platform's locale encoding.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(session_to_json(program, graph, epoch=epoch), handle,
-                  indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_session(path: str) -> SessionDocument:
-    """Read a session document written by :func:`save_session`."""
-    with open(path, encoding="utf-8") as handle:
-        return session_from_json(json.load(handle))

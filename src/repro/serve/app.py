@@ -14,7 +14,7 @@ Routes
 GET   ``/healthz``                   liveness + admission pressure
 GET   ``/metrics``                   Prometheus text from the process registry
 GET   ``/tenants``                   tenant listing
-POST  ``/tenants/{name}``            create from ``{"source"|"path"|"session"|"store"}``
+POST  ``/tenants/{name}``            create from ``{"source"|"path"|"store"}``
 DELETE ``/tenants/{name}``           evict tenant, close its executor
 GET   ``/tenants/{name}/stats``      executor stats + breaker board
 POST  ``/tenants/{name}/query``      ``{"specs": [...]}`` → batch envelope
@@ -391,7 +391,6 @@ class ProvenanceService:
         document = self._json_body(body)
         source = document.get("source")
         path = document.get("path")
-        session = document.get("session")
         store = document.get("store")
         persist = document.get("persist", False)
         if not isinstance(persist, bool):
@@ -403,9 +402,8 @@ class ProvenanceService:
         async with self.admission.admit():
             tenant = await loop.run_in_executor(
                 self._workers, lambda: self.registry.create(
-                    name, source=source, path=path, session=session,
-                    store=store, persist=persist,
-                    config_overrides=overrides))
+                    name, source=source, path=path, store=store,
+                    persist=persist, config_overrides=overrides))
         return 201, tenant_envelope(tenant), None, "/tenants/{name}"
 
     async def _query(self, name: str, body: bytes

@@ -207,32 +207,29 @@ class TenantRegistry:
     def create(self, name: str,
                source: Optional[str] = None,
                path: Optional[str] = None,
-               session: Optional[str] = None,
                store: Optional[str] = None,
                persist: bool = False,
                config_overrides: Optional[Dict[str, Any]] = None) -> Tenant:
         """Load, evaluate (or warm-start), and register one tenant.
 
         Exactly one of ``source`` (program text), ``path`` (program
-        file), ``session`` (saved session JSON), and ``store``
-        (provenance store file) must be given.  The first two evaluate
-        the program before the tenant becomes visible; the last two
-        warm-start from persisted provenance, so the tenant answers
-        without re-running the fixpoint.  ``persist=True`` keeps a
-        store-backed tenant attached, so every live update appends a
-        new epoch to the store.
+        file), and ``store`` (provenance store file) must be given.  The
+        first two evaluate the program before the tenant becomes
+        visible; ``store`` warm-starts from persisted provenance, so the
+        tenant answers without re-running the fixpoint.
+        ``persist=True`` keeps a store-backed tenant attached, so every
+        live update appends a new epoch to the store.
         """
         if not _NAME_PATTERN.match(name or ""):
             raise ValueError(
                 "Invalid tenant name %r (want 1-64 chars of "
                 "[A-Za-z0-9_.-])" % name)
-        sources = [("source", source), ("path", path),
-                   ("session", session), ("store", store)]
+        sources = [("source", source), ("path", path), ("store", store)]
         given = [field for field, value in sources if value is not None]
         if len(given) != 1:
             raise ValueError(
-                "Exactly one of 'source', 'path', 'session', and "
-                "'store' must be provided (got: %s)"
+                "Exactly one of 'source', 'path', and 'store' must be "
+                "provided (got: %s)"
                 % (", ".join(given) or "none"))
         if persist and store is None:
             raise ValueError("'persist' requires a 'store' source")
@@ -252,8 +249,6 @@ class TenantRegistry:
             elif path is not None:
                 system = P3.from_file(path, config=config)
                 system.evaluate()
-            elif session is not None:
-                system = P3.from_session(session, config=config)
             else:
                 system = P3.from_store(store, config=config,
                                        attach=persist)

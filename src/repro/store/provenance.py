@@ -381,9 +381,8 @@ class ProvenanceStore:
             as_of = self._resolve_epoch(epoch)
         program = self.load_program(as_of)
         graph = self.load_graph(as_of)
-        system = system_cls.warm_start(
-            program, graph, graph.probability_map(), epoch=as_of,
-            config=config)
+        system = system_cls.warm_start(program, graph, epoch=as_of,
+                                       config=config)
         polynomials = self.load_polynomials(as_of)
         if polynomials:
             executor = system.executor()
@@ -399,8 +398,8 @@ class ProvenanceStore:
                         polynomial: Polynomial, epoch: int) -> None:
         """Persist one extracted polynomial under ``epoch``.
 
-        Normalized like the session format: monomials as ordered literal
-        rows.  Saving the same (root, hop, epoch) again replaces it.
+        Normalized into rows: the monomials in a stable sorted order,
+        each as its sorted literal rows.  Saving the same (root, hop, epoch) again replaces it.
         """
         with self._lock:
             row = self._connection.execute(

@@ -79,7 +79,7 @@ class TestReplayFiles:
     def test_load_rejects_foreign_documents(self, tmp_path):
         path = os.path.join(str(tmp_path), "bogus.json")
         with open(path, "w") as handle:
-            json.dump({"version": 1, "kind": "session"}, handle)
+            json.dump({"version": 1, "kind": "graph"}, handle)
         with pytest.raises(SerializationError):
             load_replay(path)
 

@@ -1,26 +1,24 @@
-"""Unit tests for JSON serialization of programs, graphs, polynomials."""
+"""Unit tests for the JSON envelopes of graphs, polynomials, telemetry
+and errors."""
 
 import json
 
 import pytest
 
 from repro import P3
-from repro.data import ACQUAINTANCE, acquaintance_program
+from repro.data import ACQUAINTANCE
 from repro.inference import exact_probability
 from repro.io.serialize import (
+    COMPATIBLE_VERSIONS,
+    FormatVersionError,
     SerializationError,
+    error_to_json,
     graph_from_json,
     graph_to_json,
-    load_session,
     metrics_from_json,
     metrics_to_json,
     polynomial_from_json,
     polynomial_to_json,
-    program_from_json,
-    program_to_json,
-    save_session,
-    session_from_json,
-    session_to_json,
     trace_from_json,
     trace_to_json,
 )
@@ -32,31 +30,6 @@ def evaluated():
     p3 = P3.from_source(ACQUAINTANCE)
     p3.evaluate()
     return p3
-
-
-class TestProgramRoundTrip:
-    def test_identity(self):
-        program = acquaintance_program()
-        document = program_to_json(program)
-        again = program_from_json(document)
-        assert str(again) == str(program)
-
-    def test_negation_survives(self):
-        from repro.datalog.parser import parse_program
-        program = parse_program("""
-            p(1). q(1).
-            r1 1.0: a(X) :- p(X), not q(X).
-        """)
-        again = program_from_json(program_to_json(program))
-        assert len(again.rules[0].negations) == 1
-
-    def test_version_checked(self):
-        with pytest.raises(SerializationError):
-            program_from_json({"version": 99, "kind": "program", "source": ""})
-
-    def test_kind_checked(self):
-        with pytest.raises(SerializationError):
-            program_from_json({"version": 1, "kind": "graph", "source": ""})
 
 
 class TestPolynomialRoundTrip:
@@ -91,6 +64,29 @@ class TestGraphRoundTrip:
         value = exact_probability(poly, again.probability_map())
         assert value == pytest.approx(0.16384)
 
+    def test_stable_output(self, evaluated):
+        first = json.dumps(graph_to_json(evaluated.graph), sort_keys=True)
+        again = graph_from_json(graph_to_json(evaluated.graph))
+        assert json.dumps(graph_to_json(again), sort_keys=True) == first
+
+    def test_version_checked(self, evaluated):
+        document = graph_to_json(evaluated.graph)
+        document["version"] = 99
+        with pytest.raises(FormatVersionError):
+            graph_from_json(document)
+
+    def test_kind_checked(self, evaluated):
+        document = graph_to_json(evaluated.graph)
+        document["kind"] = "polynomial"
+        with pytest.raises(SerializationError):
+            graph_from_json(document)
+
+    def test_version_one_documents_accepted(self, evaluated):
+        document = graph_to_json(evaluated.graph)
+        document["version"] = 1
+        again = graph_from_json(document)
+        assert again.executions() == evaluated.graph.executions()
+
 
 class TestPropertyRoundTrips:
     from hypothesis import given, settings, strategies as st
@@ -120,68 +116,15 @@ class TestPropertyRoundTrips:
         assert polynomial_from_json(polynomial_to_json(poly)) == poly
 
 
-class TestSession:
-    def test_file_round_trip(self, evaluated, tmp_path):
-        path = str(tmp_path / "session.json")
-        save_session(evaluated.program, evaluated.graph, path)
-        program, graph, probabilities, epoch = load_session(path)
-        assert str(program) == str(evaluated.program)
-        assert epoch == 0
-        poly = extract_polynomial(graph, 'know("Ben","Elena")')
-        assert exact_probability(poly, probabilities) == pytest.approx(
-            0.16384)
-
-    def test_in_memory_round_trip(self, evaluated):
-        document = session_to_json(evaluated.program, evaluated.graph)
-        session = session_from_json(document)
-        assert session.graph.executions() == evaluated.graph.executions()
-        assert session.probabilities == evaluated.probabilities
-
-    def test_epoch_round_trip(self, evaluated, tmp_path):
-        path = str(tmp_path / "session.json")
-        save_session(evaluated.program, evaluated.graph, path, epoch=7)
-        assert load_session(path).epoch == 7
-
-    def test_v1_documents_default_to_epoch_zero(self, evaluated):
-        document = session_to_json(evaluated.program, evaluated.graph)
-        document["version"] = 1
-        del document["epoch"]
-        assert session_from_json(document).epoch == 0
-
-    def test_bad_epoch_rejected(self, evaluated):
-        document = session_to_json(evaluated.program, evaluated.graph)
-        document["epoch"] = -3
-        with pytest.raises(SerializationError):
-            session_from_json(document)
-
-    def test_non_ascii_round_trip(self, tmp_path):
-        source = '0.5::likes("Øyvind","Zoë").\nquery(likes("Øyvind","Zoë")).'
-        p3 = P3.from_source(source)
-        p3.evaluate()
-        path = str(tmp_path / "session.json")
-        save_session(p3.program, p3.graph, path)
-        session = load_session(path)
-        assert 'likes("Øyvind","Zoë")' in session.graph.tuple_keys()
-        assert str(session.program) == str(p3.program)
-
-    def test_stable_file_output(self, evaluated, tmp_path):
-        first = str(tmp_path / "one.json")
-        second = str(tmp_path / "two.json")
-        save_session(evaluated.program, evaluated.graph, first)
-        save_session(evaluated.program, evaluated.graph, second)
-        assert open(first).read() == open(second).read()
-
-    def test_cli_export(self, evaluated, tmp_path):
-        from repro.cli import main
-        program_path = tmp_path / "program.pl"
-        program_path.write_text(ACQUAINTANCE)
-        out_path = tmp_path / "session.json"
-        assert main(["export", str(program_path),
-                     "--output", str(out_path)]) == 0
-        session = load_session(str(out_path))
-        poly = extract_polynomial(session.graph, 'know("Ben","Elena")')
-        assert exact_probability(
-            poly, session.probabilities) == pytest.approx(0.16384)
+class TestErrorEnvelope:
+    def test_format_version_detail(self):
+        document = error_to_json(FormatVersionError("graph", 99))
+        assert document["kind"] == "error"
+        detail = document["error"]
+        assert detail["type"] == "FormatVersionError"
+        assert detail["document_kind"] == "graph"
+        assert detail["found_version"] == 99
+        assert detail["expected_versions"] == sorted(COMPATIBLE_VERSIONS)
 
 
 class TestTelemetryEnvelopes:

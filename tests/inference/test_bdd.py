@@ -3,11 +3,14 @@
 import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
 from tests.conftest import make_polynomial, random_probabilities
 
+from repro.core.errors import BudgetExceededError
+from repro.inference import bdd as bdd_module
 from repro.inference.bdd import (
     BDD,
     ONE,
@@ -247,3 +250,52 @@ class TestBudget:
         assert caught.value.resource == "compiled_bytes"
         with activate_budget(ResourceBudget(max_compiled_bytes=1 << 20)):
             assert from_polynomial(poly)[1] not in (ZERO, ONE)
+
+
+def _chain_probability(probabilities):
+    """Oracle for x0·x1 + x1·x2 + ...: P[no two adjacent true], by DP."""
+    miss_false, miss_true = 1.0, 0.0  # last literal false / true
+    for p in probabilities:
+        miss_false, miss_true = ((miss_false + miss_true) * (1.0 - p),
+                                 miss_false * p)
+    return 1.0 - miss_false - miss_true
+
+
+class TestDeepChain:
+    """The 1,500-monomial chain DNF compiles to a BDD about 1,500 levels
+    deep: past the default recursion limit for a recursive apply."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        literals = [tuple_literal("x%04d" % i) for i in range(1501)]
+        poly = Polynomial.from_monomials(
+            [[literals[i], literals[i + 1]] for i in range(1500)])
+        rng = random.Random(5)
+        probs = {lit: rng.uniform(0.03, 0.07) for lit in literals}
+        expected = _chain_probability([probs[lit] for lit in literals])
+        assert 0.5 < expected < 0.99  # not saturated
+        return poly, probs, expected
+
+    def test_bdd_probability_matches_dp(self, chain):
+        poly, probs, expected = chain
+        assert bdd_probability(poly, probs) == pytest.approx(
+            expected, abs=1e-12)
+
+    def test_ladder_answers_on_the_bdd_rung(self, chain):
+        from repro.resilience import FallbackLadder
+        poly, probs, expected = chain
+        ladder = FallbackLadder(["bdd", "parallel"],
+                                sleep=lambda seconds: None,
+                                rng=random.Random(0))
+        reading, record = ladder.run(poly, probs)
+        assert record.answered_by == "bdd"
+        assert reading.value == pytest.approx(expected, abs=1e-12)
+
+    def test_out_of_memory_is_typed(self, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(bdd_module.BDD, "_make", exhausted)
+        with pytest.raises(BudgetExceededError) as caught:
+            from_polynomial(make_polynomial(("a", "b"), ("b", "c")))
+        assert caught.value.resource == "compiled_bytes"

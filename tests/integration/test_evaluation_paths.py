@@ -4,9 +4,9 @@ Every evaluation mode runs the same semi-naive fixpoint, but reaches it
 by a different road: one full evaluation of the program, a base
 evaluation grown by ``add_facts`` batches, demand-driven grounding of
 each asked key (through the planner, and through
-``goal_directed_query``), a saved session restored with
-``P3.from_session``, or a ``ProvenanceStore`` warm start of the base
-grown by the same batches.  On generated trust programs (the audit
+``goal_directed_query``), a ``ProvenanceStore`` warm start of the whole
+evaluated program, or a warm start of the base grown by the same
+batches.  On generated trust programs (the audit
 generator's shape: a recursive rule pair over a small, possibly cyclic
 digraph, plus some ``trustPath`` base facts that the rules may also
 derive) with the facts split at random into a base and insertion
@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro import P3, P3Config, goal_directed_query
 from repro.audit.generator import _NODE_NAMES, _TRUST_RULES
 from repro.datalog.parser import parse_atom, parse_program
-from repro.io.serialize import dump_query_result, graph_to_json, save_session
+from repro.io.serialize import dump_query_result, graph_to_json
 from repro.store import ProvenanceStore
 
 
@@ -71,15 +71,20 @@ def model(system):
             system.database.relations())
 
 
+def snapshot(system, path):
+    """Persist an evaluated system into a new store file at ``path``."""
+    with ProvenanceStore(path) as store:
+        system.attach_store(store)
+        system.detach_store()
+
+
 def warm_started(base_source, batches, directory):
     """Snapshot the evaluated base into a store, warm-start from it, and
     apply the batches to the restored system."""
     path = os.path.join(directory, "prov.db")
     base = P3.from_source(base_source)
     base.evaluate()
-    with ProvenanceStore(path) as store:
-        base.attach_store(store)
-        base.detach_store()
+    snapshot(base, path)
     system = P3.from_store(path)
     for batch in batches:
         system.add_facts("\n".join(batch))
@@ -120,9 +125,9 @@ class TestEvaluationPathsAgree:
                 full.polynomial_of(key))
 
         with tempfile.TemporaryDirectory() as directory:
-            session = os.path.join(directory, "session.json")
-            save_session(full.program, full.graph, session, epoch=full.epoch)
-            restored = P3.from_session(session)
+            restored_path = os.path.join(directory, "full.db")
+            snapshot(full, restored_path)
+            restored = P3.from_store(restored_path, attach=False)
             assert graph_bytes(restored) == graph_bytes(full)
             assert model(restored) == model(full)
             assert explanations(restored, derived) == expected

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.audit.generator import generate_cases
+from repro.core.errors import BudgetExceededError
+from repro.core.system import P3
+from repro.data import paper_fragment
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.inference.exact import exact_probability
@@ -17,6 +21,7 @@ from repro.provenance.polynomial import (
     rule_literal,
     tuple_literal,
 )
+from repro.resilience.budgets import ResourceBudget, activate_budget
 
 
 def build(source):
@@ -210,6 +215,91 @@ class TestBudget:
         """)
         poly = extract_polynomial(graph, "d(1)", max_monomials=10)
         assert len(poly) == 1
+
+
+def fragment_system():
+    p3 = P3(paper_fragment().to_program())
+    p3.evaluate()
+    return p3
+
+
+def assert_well_formed_partial(partial, full, probabilities):
+    """A budget partial must under-approximate the full polynomial."""
+    for monomial in partial:
+        assert any(complete.subsumes(monomial) for complete in full), \
+            "partial monomial %r is not a derivation of the root" % (
+                monomial,)
+    assert exact_probability(partial, probabilities) <= \
+        exact_probability(full, probabilities) + 1e-12
+
+
+def budgeted_partial(graph, key, budget, hop_limit=None):
+    """Extract under ``budget``; the polynomial, or the escaping error's
+    root-level partial when the budget trips."""
+    with activate_budget(budget):
+        try:
+            return extract_polynomial(graph, key, hop_limit=hop_limit), None
+        except BudgetExceededError as exc:
+            assert isinstance(exc.partial, Polynomial), \
+                "budget error lost its partial"
+            return exc.partial, exc.resource
+
+
+class TestRootPartials:
+    """A :class:`BudgetExceededError` escaping extraction carries a
+    well-formed under-approximation: every monomial of its ``partial``
+    is a complete derivation of the root, so its probability is a sound
+    lower bound (the executor answers it as a partial outcome)."""
+
+    #: Caps chosen to trip at different extraction depths.
+    CAPS = (1, 2, 5, 11)
+
+    def test_partial_on_monomial_budget(self):
+        p3 = fragment_system()
+        key = "mutualTrustPath(1,6)"
+        full = p3.polynomial_of(key)
+        assert len(full) > 1, "fixture too small to trip the budget"
+        partial, resource = budgeted_partial(
+            p3.graph, key, ResourceBudget(max_monomials=1))
+        assert resource == "monomials"
+        assert_well_formed_partial(partial, full, p3.probabilities)
+
+    def test_partial_on_node_visit_budget(self):
+        p3 = fragment_system()
+        key = "mutualTrustPath(1,6)"
+        partial, resource = budgeted_partial(
+            p3.graph, key, ResourceBudget(max_node_visits=3))
+        assert resource == "node_visits"
+        assert_well_formed_partial(partial, p3.polynomial_of(key),
+                                   p3.probabilities)
+
+    def _check_case(self, case):
+        p3 = P3.from_source(case.program_source)
+        p3.evaluate()
+        full = p3.polynomial_of(case.query_key, hop_limit=case.hop_limit)
+        for cap in self.CAPS:
+            for budget in (ResourceBudget(max_node_visits=cap),
+                           ResourceBudget(max_monomials=cap)):
+                partial, _ = budgeted_partial(
+                    p3.graph, case.query_key, budget,
+                    hop_limit=case.hop_limit)
+                assert_well_formed_partial(partial, full, p3.probabilities)
+
+    def test_program_cases_yield_sound_partials(self):
+        cases = generate_cases(30, seed=2020, include_corpus=True,
+                               include_programs=True)
+        program_cases = [case for case in cases if case.is_program_case]
+        assert program_cases, "sweep generated no program cases"
+        for case in program_cases:
+            self._check_case(case)
+
+    def test_random_program_cases_second_seed(self):
+        cases = generate_cases(20, seed=77, include_corpus=False,
+                               include_programs=True)
+        program_cases = [case for case in cases if case.is_program_case]
+        assert program_cases, "sweep generated no program cases"
+        for case in program_cases:
+            self._check_case(case)
 
 
 class TestMemoisation:

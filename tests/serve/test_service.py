@@ -308,6 +308,17 @@ class TestOperationalEndpoints:
         assert status == 200
         assert document["kind"] == "tenant_removed"
 
+    def test_session_source_rejected(self, service):
+        status, _, document = json_request(
+            service.port, "POST", "/tenants/gamma",
+            {"session": "session.json"})
+        assert status == 400
+        assert document["kind"] == "error"
+        assert "'store'" in document["error"]["message"]
+        status, _, document = json_request(service.port, "GET", "/tenants")
+        assert [entry["name"] for entry in document["tenants"]] \
+            == ["alpha", "beta"]
+
     def test_metrics_scrape(self):
         registry = TenantRegistry()
         registry.create("alpha", source=ACQUAINTANCE)

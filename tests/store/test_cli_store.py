@@ -1,5 +1,5 @@
 """CLI tests for snapshot / record / replay and the persisted-source
-loading flags (``--from-session`` / ``--from-store``)."""
+loading flag (``--from-store``)."""
 
 import json
 
@@ -39,14 +39,6 @@ def store_file(tmp_path):
     return str(tmp_path / "prov.db")
 
 
-@pytest.fixture()
-def session_file(program_file, tmp_path, capsys):
-    path = str(tmp_path / "session.json")
-    assert main(["export", program_file, "--output", path]) == 0
-    capsys.readouterr()
-    return path
-
-
 class TestSnapshot:
     def test_writes_store(self, program_file, store_file, capsys):
         code = main(["snapshot", program_file, "--store", store_file,
@@ -57,12 +49,39 @@ class TestSnapshot:
         assert document["epoch"] == 0
         assert document["epochs"][0]["tuples"] > 0
 
-    def test_snapshot_from_session(self, session_file, store_file,
-                                   capsys):
-        code = main(["snapshot", "--from-session", session_file,
-                     "--store", store_file, "--json"])
+    def test_snapshot_from_store(self, program_file, store_file, tmp_path,
+                                 capsys):
+        assert main(["snapshot", program_file, "--store", store_file]) == 0
+        capsys.readouterr()
+        copy = str(tmp_path / "copy.db")
+        code = main(["snapshot", "--from-store", store_file,
+                     "--store", copy, "--json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["epoch"] == 0
+        assert main(["query", "--from-store", copy, KEY]) == 0
+        from_copy = capsys.readouterr().out
+        assert main(["query", program_file, KEY]) == 0
+        assert capsys.readouterr().out == from_copy
+
+    def test_non_ascii_constants_survive(self, tmp_path, store_file,
+                                         capsys):
+        from repro import P3
+        key = 'likes("Øyvind","Zoë")'
+        program = tmp_path / "likes.pl"
+        program.write_text("0.5::%s.\nquery(%s).\n" % (key, key),
+                           encoding="utf-8")
+        assert main(["snapshot", str(program), "--store", store_file]) == 0
+        capsys.readouterr()
+        restored = P3.from_store(store_file, attach=False)
+        assert key in restored.graph.tuple_keys()
+        assert restored.probability_of(key) == pytest.approx(0.5)
+        assert str(restored.program) == str(P3.from_file(program).program)
+
+    def test_export_is_unknown_subcommand(self, program_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["export", program_file, "--output", "out.json"])
+        assert info.value.code == 2
+        assert "invalid choice: 'export'" in capsys.readouterr().err
 
 
 class TestRecordReplay:
@@ -108,36 +127,17 @@ class TestLoadingFlags:
         assert main(["query", "--from-store", store_file, KEY]) == 0
         assert capsys.readouterr().out == from_program
 
-    def test_query_from_session(self, session_file, capsys):
-        assert main(["query", "--from-session", session_file, KEY]) == 0
-        assert KEY in capsys.readouterr().out
-
     def test_source_required(self, capsys):
         assert main(["query"]) == 2
         assert "exactly one program source" in capsys.readouterr().err
 
-    def test_conflicting_sources_rejected(self, session_file, store_file,
-                                          program_file, capsys):
+    def test_conflicting_sources_rejected(self, store_file, program_file,
+                                          capsys):
         assert main(["snapshot", program_file, "--store", store_file]) == 0
         capsys.readouterr()
-        code = main(["query", "--from-session", session_file,
-                     "--from-store", store_file, KEY])
+        code = main(["serve", program_file, "--from-store", store_file])
         assert code == 2
-        assert "exactly one program source" in capsys.readouterr().err
-
-    def test_session_version_mismatch_envelope(self, session_file,
-                                               capsys):
-        document = json.loads(open(session_file, encoding="utf-8").read())
-        document["version"] = 99
-        with open(session_file, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        code = main(["query", "--from-session", session_file, KEY,
-                     "--json"])
-        assert code == 2
-        envelope = json.loads(capsys.readouterr().out)
-        assert envelope["kind"] == "error"
-        assert envelope["error"]["type"] == "FormatVersionError"
-        assert envelope["error"]["found_version"] == 99
+        assert "exactly one source" in capsys.readouterr().err
 
     def test_store_version_mismatch_envelope(self, program_file,
                                              store_file, capsys):

@@ -58,6 +58,18 @@ class TestSnapshot:
             program = store.load_program()
         assert str(program) == str(evaluated.program)
 
+    def test_negation_survives(self, store_path):
+        p3 = P3.from_source("""
+            p(1). q(1). p(2).
+            r1 1.0: a(X) :- p(X), not q(X).
+        """)
+        p3.evaluate()
+        with snapshot(p3, store_path) as store:
+            program = store.load_program()
+        assert len(program.rules[0].negations) == 1
+        restored = P3.from_store(store_path, attach=False)
+        assert sorted(map(str, restored.derived_atoms("a"))) == ["a(2)"]
+
     def test_epoch_spine(self, evaluated, store_path):
         with snapshot(evaluated, store_path) as store:
             spine = store.epochs()
@@ -250,19 +262,6 @@ class TestTenantWarmStart:
             tenant.add_facts(UPDATE)
             assert [e["epoch"] for e in tenant.system.store.epochs()] \
                 == [0, 1]
-        finally:
-            registry.close()
-
-    def test_session_backed_tenant(self, evaluated, tmp_path):
-        from repro.io.serialize import save_session
-        from repro.serve.tenants import TenantRegistry
-        session_path = str(tmp_path / "session.json")
-        save_session(evaluated.program, evaluated.graph, session_path,
-                     epoch=evaluated.epoch)
-        registry = TenantRegistry(base_config=P3Config())
-        try:
-            tenant = registry.create("sess", session=session_path)
-            assert tenant.system.warm_started
         finally:
             registry.close()
 
