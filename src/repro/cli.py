@@ -89,12 +89,12 @@ def _build_system(args: argparse.Namespace) -> P3:
     stats = ExecutorStats()
     program = getattr(args, "program", None)
     from_store = getattr(args, "from_store", None)
-    given = [name for name, value in (("a program file", program),
-                                      ("--from-store", from_store)) if value]
-    if len(given) != 1:
-        raise ValueError(
-            "exactly one program source is required — a program file "
-            "or --from-store (got: %s)" % (", ".join(given) or "none"))
+    if program and from_store:
+        raise ValueError("Give exactly one source: a program file or "
+                         "--from-store, not both")
+    if not (program or from_store):
+        raise ValueError("exactly one program source is required — a "
+                         "program file or --from-store (got: none)")
     if from_store is not None:
         with stats.time_stage("load"):
             p3 = P3.from_store(from_store, config=config, attach=False)
@@ -116,9 +116,11 @@ def _add_loading(parser: argparse.ArgumentParser) -> None:
 
 def _reclaim_program_positional(args: argparse.Namespace) -> None:
     """With ``--from-store``, the optional program positional actually
-    holds the first tuple key — rebind it."""
+    holds the first tuple key — rebind it, unless it names an existing
+    file: then it is a second source, which ``_build_system`` rejects."""
     if (getattr(args, "from_store", None)
-            and getattr(args, "program", None) is not None):
+            and getattr(args, "program", None) is not None
+            and not os.path.isfile(args.program)):
         args.tuples = [args.program] + list(args.tuples)
         args.program = None
 

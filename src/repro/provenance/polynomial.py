@@ -12,15 +12,32 @@ sum), and the absorption law ``a + a·b = a`` is applied on every operation.
 Absorption is exactly what makes the paper's cycle-elimination argument
 (Equations 6-13) go through, so keeping polynomials absorbed at all times
 is a correctness requirement, not an optimisation.
+
+How absorption runs.  Each call numbers the literals it meets in a local
+dict (no table outlives the call, and monomials carry no mask), so a
+monomial is an int mask and ``k ⊆ m`` is ``k & m == k``:
+
+- construction and ``*`` sort the masks by size and keep a candidate only
+  when no kept mask is a subset of it;
+- ``+`` and the cofactor of ``restrict`` join two sets that are each
+  absorbed already: a monomial on both sides survives, and every other one
+  is tested against the other side only;
+- ``times_literal(l)`` returns the polynomial itself when ``l`` is in every
+  monomial, and skips absorption when ``l`` is in none, since
+  ``m1 ∪ {l} ⊆ m2 ∪ {l}`` iff ``m1 ⊆ m2`` for monomials without ``l``;
+- a single monomial (``of``, ``from_literal``, ``one()``) and a subset of
+  an absorbed set skip absorption altogether.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
-    AbstractSet,
+    Dict,
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Mapping,
     Tuple,
 )
@@ -169,15 +186,77 @@ class Monomial:
         return "·".join(str(lit) for lit in sorted(self.literals))
 
 
-def _absorb(monomials: AbstractSet[Monomial]) -> FrozenSet[Monomial]:
-    """Apply the absorption law: drop monomials subsumed by a smaller one."""
-    by_size = sorted(monomials, key=len)
-    kept: list = []
-    for candidate in by_size:
-        if any(keeper.subsumes(candidate) for keeper in kept):
-            continue
-        kept.append(candidate)
+def _number(monomials: Iterable[Monomial], bits: Dict[Literal, int]
+            ) -> List[Tuple[int, int, Monomial]]:
+    """``(size, mask, monomial)`` for each monomial, as an int mask over
+    ``bits``; a literal new to ``bits`` takes the next free bit."""
+    numbered = []
+    for monomial in monomials:
+        mask = 0
+        for literal in monomial.literals:
+            bit = bits.get(literal)
+            if bit is None:
+                bit = bits[literal] = 1 << len(bits)
+            mask |= bit
+        numbered.append((len(monomial.literals), mask, monomial))
+    return numbered
+
+
+def _subsumed(mask: int, masks: List[int]) -> bool:
+    """True when some mask in ``masks`` is a subset of ``mask``."""
+    for kept in masks:
+        if kept & mask == kept:
+            return True
+    return False
+
+
+def _absorb(monomials: FrozenSet[Monomial]) -> FrozenSet[Monomial]:
+    """Apply the absorption law: drop monomials subsumed by a smaller one.
+
+    Literals are numbered for this call only, so ``k ⊆ m`` is the int
+    test ``k & m == k``; in size order a candidate is tested against the
+    monomials already kept.
+    """
+    if len(monomials) < 2:
+        return monomials
+    numbered = _number(monomials, {})
+    numbered.sort(key=itemgetter(0))
+    kept_masks: List[int] = []
+    kept = []
+    for _size, mask, monomial in numbered:
+        if not _subsumed(mask, kept_masks):
+            kept_masks.append(mask)
+            kept.append(monomial)
+    if len(kept) == len(numbered):
+        return monomials
     return frozenset(kept)
+
+
+def _union(left: FrozenSet[Monomial],
+           right: FrozenSet[Monomial]) -> FrozenSet[Monomial]:
+    """Absorbed ``left ∪ right`` of two sets that are each absorbed.
+
+    A monomial on both sides survives, and one side's monomials cannot
+    absorb each other, so each monomial on one side only is tested
+    against the other side only.
+    """
+    only_left = left - right
+    only_right = right - left
+    if not only_right:
+        return left
+    if not only_left:
+        return right
+    bits: Dict[Literal, int] = {}
+    numbered_left = _number(only_left, bits)
+    numbered_right = _number(only_right, bits)
+    left_masks = [mask for _size, mask, _monomial in numbered_left]
+    right_masks = [mask for _size, mask, _monomial in numbered_right]
+    dropped = [monomial for _size, mask, monomial in numbered_left
+               if _subsumed(mask, right_masks)]
+    dropped += [monomial for _size, mask, monomial in numbered_right
+                if _subsumed(mask, left_masks)]
+    union = left | right
+    return union.difference(dropped) if dropped else union
 
 
 class Polynomial:
@@ -204,6 +283,14 @@ class Polynomial:
 
     def __reduce__(self) -> tuple:
         return (Polynomial, (tuple(self.monomials),))
+
+    @classmethod
+    def _absorbed(cls, monomials: FrozenSet[Monomial]) -> "Polynomial":
+        """Wrap a monomial set that is absorbed already, without a check."""
+        polynomial = object.__new__(cls)
+        object.__setattr__(polynomial, "monomials", monomials)
+        object.__setattr__(polynomial, "_hash", hash(monomials))
+        return polynomial
 
     # -- constructors -------------------------------------------------------
 
@@ -262,7 +349,7 @@ class Polynomial:
             return other
         if other.is_zero:
             return self
-        return Polynomial(self.monomials | other.monomials)
+        return Polynomial._absorbed(_union(self.monomials, other.monomials))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Conjunctive combination (cross-product of monomials)."""
@@ -278,27 +365,46 @@ class Polynomial:
             for right in other.monomials
         )
 
+    def _split(self, literal: Literal
+               ) -> Tuple[List[Monomial], List[Monomial]]:
+        """The monomials that contain ``literal``, and those that do not."""
+        having: List[Monomial] = []
+        lacking: List[Monomial] = []
+        for monomial in self.monomials:
+            if literal in monomial.literals:
+                having.append(monomial)
+            else:
+                lacking.append(monomial)
+        return having, lacking
+
     def times_literal(self, literal: Literal) -> "Polynomial":
-        """Multiply every monomial by one literal."""
-        return Polynomial(
-            Monomial(monomial.literals | {literal}) for monomial in self.monomials
-        )
+        """Multiply every monomial by one literal.
+
+        ``m1 ∪ {l} ⊆ m2 ∪ {l}`` iff ``m1 ⊆ m2`` for monomials without
+        ``l``, so those stay absorbed among themselves; only the monomials
+        that already hold ``l`` can absorb them.
+        """
+        having, lacking = self._split(literal)
+        if not lacking:
+            return self
+        extended = frozenset(
+            Monomial(monomial.literals | {literal}) for monomial in lacking)
+        if not having:
+            return Polynomial._absorbed(extended)
+        return Polynomial._absorbed(_union(frozenset(having), extended))
 
     def restrict(self, literal: Literal, value: bool) -> "Polynomial":
         """Condition the polynomial on ``literal = value`` (Shannon cofactor)."""
-        if value:
-            return Polynomial(
-                monomial.without(literal) if monomial.contains(literal) else monomial
-                for monomial in self.monomials
-            )
-        return Polynomial(
-            monomial for monomial in self.monomials
-            if not monomial.contains(literal)
-        )
+        having, lacking = self._split(literal)
+        if not having:
+            return self
+        if not value:
+            return Polynomial._absorbed(frozenset(lacking))
+        reduced = frozenset(monomial.without(literal) for monomial in having)
+        return Polynomial._absorbed(_union(frozenset(lacking), reduced))
 
     def without_monomials(self, dropped: Iterable[Monomial]) -> "Polynomial":
-        dropped = set(dropped)
-        return Polynomial(m for m in self.monomials if m not in dropped)
+        return Polynomial._absorbed(self.monomials.difference(dropped))
 
     def evaluate(self, assignment: Mapping[Literal, bool]) -> bool:
         """Truth value under a complete assignment of its literals."""

@@ -60,6 +60,8 @@ __all__ = ["ProvenanceService", "ServiceHandle", "start_in_background"]
 _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 _MAX_HEADER_BYTES = 16384
 _HEADER_READ_TIMEOUT = 30.0
+#: The fields of a ``POST /tenants/{name}`` body.
+_TENANT_FIELDS = frozenset({"source", "path", "store", "persist", "config"})
 
 _STATUS_REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
@@ -389,6 +391,12 @@ class ProvenanceService:
     async def _create_tenant(self, name: str, body: bytes
                              ) -> Tuple[int, dict, None, str]:
         document = self._json_body(body)
+        unknown = sorted(set(document) - _TENANT_FIELDS)
+        if unknown:
+            raise _BadRequest(
+                "Unknown tenant field(s) %s; a tenant takes one of 'source', "
+                "'path' and 'store', and optionally 'persist' and 'config'"
+                % ", ".join(repr(key) for key in unknown))
         source = document.get("source")
         path = document.get("path")
         store = document.get("store")

@@ -1,9 +1,13 @@
 """Property-based tests (hypothesis) for provenance invariants."""
 
+import hashlib
 import itertools
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro import P3, P3Config
+from repro.data import generate_network
 from repro.datalog.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.inference.exact import brute_force_probability, exact_probability
@@ -13,6 +17,7 @@ from repro.provenance.graph import (
 from repro.provenance.polynomial import (
     Monomial,
     Polynomial,
+    rule_literal,
     tuple_literal,
 )
 
@@ -82,6 +87,136 @@ class TestAbsorptionInvariants:
         for assignment in _all_assignments():
             if low.evaluate(assignment):
                 assert high.evaluate(assignment)
+
+
+def reference_absorb(monomials):
+    """Naive absorption: keep each monomial no other one is a proper
+    subset of, by ``frozenset`` comparison of the literal sets."""
+    unique = frozenset(monomials)
+    return frozenset(
+        monomial for monomial in unique
+        if not any(other.literals < monomial.literals for other in unique))
+
+
+#: Eleven tuple names and one rule label.
+WIDE_NAMES = ["t%d" % index for index in range(11)] + ["r1"]
+
+
+def _fresh(name):
+    """A new Literal object per use, as extraction builds them."""
+    return rule_literal(name) if name.startswith("r") else tuple_literal(name)
+
+
+@st.composite
+def raw_monomials(draw, max_monomials=40, max_width=5):
+    """Unabsorbed monomial lists over a 12-literal pool, with duplicates
+    and now and then the empty monomial."""
+    count = draw(st.integers(min_value=0, max_value=max_monomials))
+    monomials = []
+    for _ in range(count):
+        names = draw(st.lists(st.sampled_from(WIDE_NAMES), min_size=1,
+                              max_size=max_width))
+        monomials.append(Monomial(_fresh(name) for name in names))
+    if count and draw(st.integers(min_value=0, max_value=9)) == 0:
+        monomials.append(Monomial())
+    return monomials
+
+
+def _product(left, right):
+    return [Monomial(a.literals | b.literals) for a in left for b in right]
+
+
+class TestAbsorptionMatchesReference:
+    """The int-mask algebra against naive ``frozenset`` absorption."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_monomials())
+    def test_construction(self, raw):
+        polynomial = Polynomial(raw)
+        assert polynomial.monomials == reference_absorb(raw)
+        assert hash(polynomial) == hash(reference_absorb(raw))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_monomials(), raw_monomials(),
+           st.integers(min_value=0, max_value=40))
+    def test_sum(self, left, right, shared):
+        right = right + left[:shared]
+        expected = reference_absorb(
+            reference_absorb(left) | reference_absorb(right))
+        assert (Polynomial(left) + Polynomial(right)).monomials == expected
+        assert (Polynomial(right) + Polynomial(left)).monomials == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_monomials(max_monomials=15), raw_monomials(max_monomials=15))
+    def test_product(self, left, right):
+        expected = reference_absorb(
+            _product(reference_absorb(left), reference_absorb(right)))
+        assert (Polynomial(left) * Polynomial(right)).monomials == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_monomials(), st.sampled_from(WIDE_NAMES))
+    def test_product_with_one_literal(self, raw, name):
+        single = Polynomial.from_literal(_fresh(name))
+        polynomial = Polynomial(raw)
+        expected = reference_absorb(
+            _product(single.monomials, polynomial.monomials))
+        assert (single * polynomial).monomials == expected
+        assert (polynomial * single).monomials == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_monomials(), st.sampled_from(WIDE_NAMES), st.booleans())
+    def test_restrict(self, raw, name, value):
+        literal = _fresh(name)
+        polynomial = Polynomial(raw)
+        if value:
+            cofactor = [monomial.without(literal)
+                        for monomial in polynomial.monomials]
+        else:
+            cofactor = [monomial for monomial in polynomial.monomials
+                        if not monomial.contains(literal)]
+        assert polynomial.restrict(literal, value).monomials \
+            == reference_absorb(cofactor)
+
+    @pytest.mark.parametrize("case", ["in all", "in none", "mixed"])
+    @settings(max_examples=150, deadline=None)
+    @given(raw=raw_monomials(), name=st.sampled_from(WIDE_NAMES))
+    def test_times_literal(self, case, raw, name):
+        literal = _fresh(name)
+        if case == "in all":
+            raw = [Monomial(m.literals | {literal}) for m in raw]
+        elif case == "in none":
+            raw = [m.without(literal) for m in raw]
+        else:
+            raw = ([Monomial(m.literals | {literal}) for m in raw[::2]]
+                   + [m.without(literal) for m in raw[1::2]])
+        polynomial = Polynomial(raw)
+        having = sum(literal in m.literals for m in polynomial.monomials)
+        observed = ("in all" if having == len(polynomial)
+                    else "in none" if having == 0 else "mixed")
+        assume(len(polynomial) > 0 and observed == case)
+        product = polynomial.times_literal(_fresh(name))
+        assert product.monomials == reference_absorb(
+            Monomial(m.literals | {literal}) for m in polynomial.monomials)
+        if case == "in all":
+            assert product is polynomial
+
+
+#: ``str()`` digest of ``mutualTrustPath(50,68)`` on the Section-6.2
+#: sample at hop limit 6, as the frozenset-subset absorption built it.
+BIG_KEY_DIGEST = (
+    "ec2720e2d9f042ba5a7e2e0690942477a86167b9eba2049be21ec7c7f4d46ff4")
+
+
+class TestSection62BigKey:
+    def test_polynomial_pinned(self):
+        sample = generate_network().sample_nodes_edges(150, 150, seed=5)
+        p3 = P3(sample.to_program(), P3Config(hop_limit=6))
+        p3.evaluate()
+        polynomial = p3.polynomial_of("mutualTrustPath(50,68)")
+        assert len(polynomial) == 1199
+        assert hashlib.sha256(
+            str(polynomial).encode("utf-8")).hexdigest() == BIG_KEY_DIGEST
+        assert reference_absorb(polynomial.monomials) == polynomial.monomials
 
 
 def _all_assignments():

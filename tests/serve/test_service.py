@@ -319,6 +319,19 @@ class TestOperationalEndpoints:
         assert [entry["name"] for entry in document["tenants"]] \
             == ["alpha", "beta"]
 
+    def test_unknown_tenant_fields_rejected(self, service):
+        status, _, document = json_request(
+            service.port, "POST", "/tenants/gamma",
+            {"source": ACQUAINTANCE, "session": "s.json",
+             "srote": "typo.db"})
+        assert status == 400
+        assert document["kind"] == "error"
+        message = document["error"]["message"]
+        assert "'session'" in message and "'srote'" in message
+        status, _, document = json_request(service.port, "GET", "/tenants")
+        assert [entry["name"] for entry in document["tenants"]] \
+            == ["alpha", "beta"]
+
     def test_metrics_scrape(self):
         registry = TenantRegistry()
         registry.create("alpha", source=ACQUAINTANCE)

@@ -138,6 +138,16 @@ class TestLoadingFlags:
         code = main(["serve", program_file, "--from-store", store_file])
         assert code == 2
         assert "exactly one source" in capsys.readouterr().err
+        # The program positional would otherwise be taken for a tuple key.
+        for command in (["query", program_file, KEY],
+                        ["snapshot", program_file, "--store", store_file],
+                        ["record", program_file, KEY,
+                         "--store", store_file]):
+            code = main(command + ["--from-store", store_file])
+            assert code == 2, command
+            captured = capsys.readouterr()
+            assert "exactly one source" in captured.err, command
+            assert "UnknownTupleError" not in captured.err, command
 
     def test_store_version_mismatch_envelope(self, program_file,
                                              store_file, capsys):
