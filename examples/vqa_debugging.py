@@ -23,6 +23,7 @@ from repro.data import (
     modified_scene,
     original_scene,
 )
+from repro.queries import modification_query
 
 HOP_LIMIT = 8
 
@@ -90,8 +91,9 @@ def main() -> None:
           % p3.probabilities[suspect])
 
     target = p3.probability_of("ans", "ID1", "barn")
-    plan = p3.modify("ans", "ID1", "church", target=target,
-                     modifiable=lambda lit: lit == suspect)
+    plan = modification_query(
+        p3.polynomial_of("ans", "ID1", "church"), p3.probabilities, target,
+        modifiable=lambda lit: lit == suspect)
     print("\n  Modification Query: raise P[ans(ID1,church)] to %.4f by"
           " changing only %s" % (target, suspect))
     print("  " + plan.to_text().replace("\n", "\n  "))

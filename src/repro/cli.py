@@ -772,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     derive_parser.add_argument("--epsilon", type=float, required=True,
                                help="approximation error limit")
     derive_parser.add_argument("--algorithm", default="naive",
-                               choices=("naive", "match-group"))
+                               choices=("naive", "naive-mc", "match-group"))
     derive_parser.add_argument("--json", action="store_true",
                                help="emit the QueryResult JSON envelope")
     derive_parser.set_defaults(func=_cmd_derive)

@@ -8,7 +8,7 @@ Typical use::
     p3.evaluate()
     print(p3.probability_of("know", "Ben", "Elena"))
     explanation = p3.explain("know", "Ben", "Elena")
-    report = p3.influence("know", "Ben", "Elena", top_k=3)
+    report = p3.influence("know", "Ben", "Elena", kind="tuple")
     plan = p3.modify("know", "Ben", "Elena", target=0.5)
 
     p3.add_facts('t9 0.8: live("Dana","NYC").')   # live update: provenance
@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -38,6 +37,7 @@ from ..datalog.ast import Fact, Program
 from ..datalog.engine import Engine, EvaluationResult
 from ..datalog.parser import parse_atom, parse_facts, parse_program
 from ..datalog.terms import Atom, atom as make_atom
+from ..exec.specs import QuerySpec
 from ..provenance.graph import ProvenanceGraph, add_firings, register_program
 from ..provenance.polynomial import (
     Literal,
@@ -45,10 +45,10 @@ from ..provenance.polynomial import (
     rule_literal,
     tuple_literal,
 )
-from ..queries.derivation import SufficientProvenance, derivation_query
+from ..queries.derivation import SufficientProvenance
 from ..queries.explanation import Explanation
-from ..queries.influence import InfluenceReport, influence_query
-from ..queries.modification import ModificationPlan, modification_query
+from ..queries.influence import InfluenceReport
+from ..queries.modification import ModificationPlan
 from ..queries.topk import top_k_derivations
 from ..queries.whatif import WhatIfReport, what_if_deletion
 from .config import P3Config
@@ -533,15 +533,13 @@ class P3:
                        hop_limit: Optional[int] = None) -> float:
         """Success probability P[tuple] (Equations 1-5).
 
-        Routed through the shared executor: results are cached on
-        ``(key, hop_limit, method, samples, seed)``, so repeated calls —
-        and batches issued via :meth:`executor` — reuse each other's
-        inference work.
+        Results are cached on ``(key, hop_limit, method, samples, seed)``,
+        so repeated calls — and batches issued via :meth:`executor` —
+        reuse each other's inference work.
         """
-        self._require_evaluated()
-        key = self._resolve_key(relation_or_key, values)
-        return self.executor().probability(
-            key, method=method, hop_limit=hop_limit)
+        return self.executor().execute(QuerySpec.probability(
+            self._resolve_key(relation_or_key, values),
+            method=method, hop_limit=hop_limit))
 
     def literal(self, key_or_label: str) -> Literal:
         """Resolve a string to the tuple or rule literal it names."""
@@ -560,18 +558,11 @@ class P3:
                 hop_limit: Optional[int] = None) -> Explanation:
         """Explanation Query (Section 4.1).
 
-        Routed through the shared executor; ``method=None`` resolves to
-        ``config.probability_method``.
+        ``method=None`` resolves to ``config.probability_method``.
         """
-        self._require_evaluated()
-        key = self._resolve_key(relation_or_key, values)
-        from ..exec.specs import QuerySpec
-        params: Dict[str, object] = {}
-        if method is not None:
-            params["method"] = method
-        if hop_limit is not None:
-            params["hop_limit"] = hop_limit
-        return self.executor().execute(QuerySpec("explain", key, params))
+        return self.executor().execute(QuerySpec.explain(
+            self._resolve_key(relation_or_key, values),
+            method=method, hop_limit=hop_limit))
 
     def sufficient_provenance(self, relation_or_key: str, *values: object,
                               epsilon: float,
@@ -582,16 +573,12 @@ class P3:
 
         ``method=None`` resolves to ``config.derivation_method``.
         """
-        if method is None:
-            method = self.config.derivation_method
-        polynomial = self.polynomial_of(
-            relation_or_key, *values, hop_limit=hop_limit)
-        return derivation_query(
-            polynomial, self.probabilities, epsilon, method=method)
+        return self.executor().execute(QuerySpec.derive(
+            self._resolve_key(relation_or_key, values), epsilon,
+            method=method, hop_limit=hop_limit))
 
     def influence(self, relation_or_key: str, *values: object,
                   method: Optional[str] = None,
-                  literals: Optional[Sequence[Literal]] = None,
                   relation: Optional[str] = None,
                   kind: Optional[str] = None,
                   hop_limit: Optional[int] = None) -> InfluenceReport:
@@ -601,57 +588,29 @@ class P3:
         paper's Query 1B drills into ``hasImg``/``sim`` separately);
         ``kind`` is "tuple" or "rule" to restrict literal kinds.
         ``method=None`` resolves to ``config.influence_method``.
-
-        Routed through the shared executor unless an explicit ``literals``
-        subset is given (subsets are not worth caching); full reports are
-        cached, and the kind/relation filters are applied to the cached
-        report.
         """
-        self._require_evaluated()
-        key = self._resolve_key(relation_or_key, values)
-        if literals is not None:
-            polynomial = self.polynomial_of(key, hop_limit=hop_limit)
-            report = influence_query(
-                polynomial, self.probabilities, literals=literals,
-                method=method or self.config.influence_method,
-                samples=self.config.samples, seed=self.config.seed)
-        else:
-            from ..exec.specs import QuerySpec
-            params: Dict[str, object] = {}
-            if method is not None:
-                params["method"] = method
-            if hop_limit is not None:
-                params["hop_limit"] = hop_limit
-            report = self.executor().execute(
-                QuerySpec("influence", key, params))
-        if kind is not None:
-            report = report.filter(lambda lit: lit.kind == kind)
-        if relation is not None:
-            prefix = relation + "("
-            report = report.filter(
-                lambda lit: lit.is_tuple and lit.key.startswith(prefix))
-        return report
+        return self.executor().execute(QuerySpec.influence(
+            self._resolve_key(relation_or_key, values), method=method,
+            kind_filter=kind, relation=relation, hop_limit=hop_limit))
 
     def modify(self, relation_or_key: str, *values: object,
                target: float,
                strategy: str = "greedy",
-               modifiable: Optional[Callable[[Literal], bool]] = None,
                only_tuples: bool = False,
                only_rules: bool = False,
                hop_limit: Optional[int] = None,
                max_steps: Optional[int] = None) -> ModificationPlan:
-        """Modification Query (Section 4.4): reach ``target`` at low cost."""
-        polynomial = self.polynomial_of(
-            relation_or_key, *values, hop_limit=hop_limit)
-        predicate = modifiable
-        if only_tuples:
-            predicate = _conjoin(predicate, lambda lit: lit.is_tuple)
-        if only_rules:
-            predicate = _conjoin(predicate, lambda lit: lit.is_rule)
-        return modification_query(
-            polynomial, self.probabilities, target, strategy=strategy,
-            modifiable=predicate, seed=self.config.seed,
-            max_steps=max_steps)
+        """Modification Query (Section 4.4): reach ``target`` at low cost.
+
+        To restrict the modifiable literals by an arbitrary predicate,
+        call :func:`repro.queries.modification.modification_query` on
+        :meth:`polynomial_of` directly.
+        """
+        return self.executor().execute(QuerySpec.modify(
+            self._resolve_key(relation_or_key, values), target,
+            strategy=strategy, only_tuples=only_tuples,
+            only_rules=only_rules, hop_limit=hop_limit,
+            max_steps=max_steps))
 
     # -- query/evidence directives and conditioning -----------------------------
 
@@ -680,37 +639,15 @@ class P3:
                     keys.append(key)
         return keys
 
-    def _evidence_polynomials(
-            self, extra: Optional[Dict[str, bool]] = None,
-            hop_limit: Optional[int] = None):
-        """Program evidence (plus per-call extras) as polynomial lists."""
-        observations: Dict[str, bool] = {
-            str(atom): observed for atom, observed in self.program.evidence
-        }
-        if extra:
-            observations.update(extra)
-        positive = []
-        negative = []
-        for key in sorted(observations):
-            polynomial = self.polynomial_of(key, hop_limit=hop_limit)
-            if observations[key]:
-                positive.append(polynomial)
-            else:
-                negative.append(polynomial)
-        return positive, negative
-
     def conditional_probability_of(self, relation_or_key: str,
                                    *values: object,
                                    evidence: Optional[Dict[str, bool]] = None,
                                    hop_limit: Optional[int] = None) -> float:
         """P[tuple | evidence]: program ``evidence(...)`` directives plus
         any per-call observations (tuple key → observed truth)."""
-        target = self.polynomial_of(
-            relation_or_key, *values, hop_limit=hop_limit)
-        positive, negative = self._evidence_polynomials(evidence, hop_limit)
-        from ..queries.conditional import conditional_probability
-        return conditional_probability(
-            target, self.probabilities, positive, negative)
+        return self.executor().execute(QuerySpec.conditional(
+            self._resolve_key(relation_or_key, values), evidence=evidence,
+            hop_limit=hop_limit))
 
     def answer_queries(self, hop_limit: Optional[int] = None
                        ) -> Dict[str, float]:
@@ -721,19 +658,14 @@ class P3:
         0.0 immediately, and the rest run as one batch with all inference
         going through the shared caches.
         """
-        from ..exec.specs import QuerySpec
         results: Dict[str, float] = {}
-        has_evidence = bool(self.program.evidence)
-        params: Dict[str, object] = {}
-        if hop_limit is not None:
-            params["hop_limit"] = hop_limit
+        kind = "conditional" if self.program.evidence else "probability"
         specs = []
         for key in self.registered_queries():
             if key not in self.provenance_for(key):
                 results[key] = 0.0
                 continue
-            kind = "conditional" if has_evidence else "probability"
-            specs.append(QuerySpec(kind, key, dict(params)))
+            specs.append(QuerySpec(kind, key, {"hop_limit": hop_limit}))
         if specs:
             batch = self.executor().run(specs)
             for outcome in batch:
@@ -807,9 +739,3 @@ class P3:
         return "P3(<%d facts, %d rules>, %s)" % (
             len(self.program.facts), len(self.program.rules), state)
 
-
-def _conjoin(first: Optional[Callable[[Literal], bool]],
-             second: Callable[[Literal], bool]) -> Callable[[Literal], bool]:
-    if first is None:
-        return second
-    return lambda lit: first(lit) and second(lit)

@@ -26,7 +26,7 @@ Typical use::
     executor = QueryExecutor(p3)
     batch = executor.run([
         QuerySpec.probability('trustPath(1,9)'),
-        QuerySpec.influence('trustPath(1,9)', top_k=5),
+        QuerySpec.influence('trustPath(1,9)', kind_filter="tuple"),
         QuerySpec.explain('trustPath(1,9)'),
     ])
     for outcome in batch:

@@ -1,8 +1,10 @@
 """The batch query executor: shared caches over one evaluated system.
 
 :class:`QueryExecutor` answers batches of :class:`~repro.exec.specs.QuerySpec`
-over one evaluated :class:`~repro.core.system.P3` instance.  Two
-mechanisms make a batch cheaper than the equivalent loop of facade calls:
+over one evaluated :class:`~repro.core.system.P3` instance.  It is the
+only implementation of each query kind: every ``P3`` query method builds
+one spec and calls :meth:`QueryExecutor.execute`.  Two mechanisms share
+work between queries:
 
 1. **Shared bounded caches.**  A polynomial LRU keyed on
    ``(tuple key, hop_limit)`` sits over extraction, and a result LRU keyed
@@ -700,12 +702,8 @@ class QueryExecutor:
     # -- per-kind execution ------------------------------------------------------------
 
     def _execute(self, spec: QuerySpec) -> Any:
-        params = spec.params
-        hop_limit = params.get("hop_limit")
         if spec.kind == "conditional":
-            return self.system.conditional_probability_of(
-                spec.key, evidence=params.get("evidence"),
-                hop_limit=hop_limit)
+            return self._conditional(spec)
         if spec.kind == "explain":
             return self._explain(spec)
         if spec.kind == "derive":
@@ -715,6 +713,22 @@ class QueryExecutor:
         if spec.kind == "modify":
             return self._modify(spec)
         raise ValueError("Unknown query kind %r" % spec.kind)
+
+    def _conditional(self, spec: QuerySpec) -> float:
+        """P[key | evidence]: the program's ``evidence(...)`` directives
+        plus the spec's own observations (tuple key → observed truth)."""
+        from ..queries.conditional import conditional_probability
+        hop_limit = spec.params.get("hop_limit")
+        observations = {str(atom): observed for atom, observed
+                        in self.system.program.evidence}
+        observations.update(spec.params.get("evidence", {}))
+        target = self.polynomial(spec.key, hop_limit=hop_limit)
+        positive = [self.polynomial(key, hop_limit=hop_limit)
+                    for key in sorted(observations) if observations[key]]
+        negative = [self.polynomial(key, hop_limit=hop_limit)
+                    for key in sorted(observations) if not observations[key]]
+        return conditional_probability(
+            target, self.system.probabilities, positive, negative)
 
     def _explain(self, spec: QuerySpec) -> Any:
         from ..queries.explanation import Explanation
@@ -737,22 +751,34 @@ class QueryExecutor:
             spec.key, hop_limit=params.get("hop_limit"))
         return derivation_query(
             polynomial, self.system.probabilities, params["epsilon"],
-            method=self._resolve_method("derive", params.get("method")))
-
-    def _influence(self, spec: QuerySpec) -> Any:
-        from ..queries.influence import influence_query
-        params = spec.params
-        polynomial = self.polynomial(
-            spec.key, hop_limit=params.get("hop_limit"))
-        report = influence_query(
-            polynomial, self.system.probabilities,
-            method=self._resolve_method("influence", params.get("method")),
+            method=self._resolve_method("derive", params.get("method")),
             samples=self._resolve_samples(params.get("samples")),
             seed=_mix_seed(self._resolve_seed(params.get("seed")), spec.key))
+
+    def _influence(self, spec: QuerySpec) -> Any:
+        params = spec.params
         kind_filter = params.get("kind_filter")
+        relation = params.get("relation")
+        if kind_filter is None and relation is None:
+            from ..queries.influence import influence_query
+            polynomial = self.polynomial(
+                spec.key, hop_limit=params.get("hop_limit"))
+            return influence_query(
+                polynomial, self.system.probabilities,
+                method=self._resolve_method("influence",
+                                            params.get("method")),
+                samples=self._resolve_samples(params.get("samples")),
+                seed=_mix_seed(self._resolve_seed(params.get("seed")),
+                               spec.key))
+        # A filtered report is a view of the unfiltered one, which has its
+        # own result-cache entry: every filtering of a report shares it.
+        unfiltered = QuerySpec("influence", spec.key, {
+            name: value for name, value in params.items()
+            if name not in ("kind_filter", "relation")})
+        report = self._cached(unfiltered.cache_identity(),
+                              lambda: self._influence(unfiltered))[0]
         if kind_filter is not None:
             report = report.filter(lambda lit: lit.kind == kind_filter)
-        relation = params.get("relation")
         if relation is not None:
             prefix = relation + "("
             report = report.filter(

@@ -22,7 +22,7 @@ _KIND_PARAMS = {
     "conditional": frozenset({"evidence"}),
     "explain": frozenset(),
     "derive": frozenset({"epsilon"}),
-    "influence": frozenset({"top_k", "kind_filter", "relation"}),
+    "influence": frozenset({"kind_filter", "relation"}),
     "modify": frozenset({"target", "strategy", "only_tuples", "only_rules",
                          "max_steps"}),
 }

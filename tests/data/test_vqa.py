@@ -12,6 +12,7 @@ from repro.data.vqa import (
     modified_scene,
     original_scene,
 )
+from repro.queries import modification_query
 
 HOP_LIMIT = 8
 
@@ -121,8 +122,9 @@ class TestQuery1C:
         p3 = evaluate(modified_scene())
         target = p3.probability_of("ans", IMAGE_ID, "barn")
         suspect = p3.literal('sim("church","cross")')
-        plan = p3.modify("ans", IMAGE_ID, "church", target=target,
-                         modifiable=lambda lit: lit == suspect)
+        plan = modification_query(
+            p3.polynomial_of("ans", IMAGE_ID, "church"), p3.probabilities,
+            target, modifiable=lambda lit: lit == suspect)
         assert plan.reached
         [step] = plan.steps
         assert step.new_probability > 0.3  # well above the buggy 0.09

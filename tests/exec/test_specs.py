@@ -18,6 +18,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="Unknown parameters"):
             QuerySpec("probability", "a(1)", {"epsilon": 0.1})
 
+    def test_influence_has_no_top_k(self):
+        # A report ranks every literal; trimming is the caller's (the CLI's
+        # --top), so top_k would only split one report's cache entry.
+        with pytest.raises(ValueError, match="top_k"):
+            QuerySpec.influence("a(1)", top_k=3)
+
     def test_derive_requires_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             QuerySpec("derive", "a(1)")

@@ -16,7 +16,7 @@ from repro.data import (
     paper_fragment,
 )
 from repro.inference import exact_probability
-from repro.queries import random_strategy
+from repro.queries import modification_query, random_strategy
 
 
 class TestAcquaintanceEndToEnd:
@@ -148,8 +148,9 @@ class TestVQACaseStudy:
 
         # Compute the fix via the Modification Query.
         target = buggy.probability_of("ans", "ID1", "barn")
-        plan = buggy.modify("ans", "ID1", "church", target=target,
-                            modifiable=lambda lit: lit == suspect)
+        plan = modification_query(
+            buggy.polynomial_of("ans", "ID1", "church"), buggy.probabilities,
+            target, modifiable=lambda lit: lit == suspect)
         assert plan.reached
 
         # The repaired scene answers church.
