@@ -40,9 +40,8 @@ def test_batch_executor_throughput():
     assert len(keys) == BATCH_SIZE
     specs = [QuerySpec.probability(key, method=METHOD) for key in keys]
 
-    executor = p3.executor()
-    executor.clear_caches()
-    executor.stats_object.reset()
+    # A fresh shared executor: cold caches and zeroed counters.
+    executor = p3.configure_executor()
 
     start = time.perf_counter()
     naive = [p3.probability_of(key, method=METHOD) for key in keys]

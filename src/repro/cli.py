@@ -50,21 +50,34 @@ human-readable message still goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import List, Optional
+import time
+from typing import Iterator, List, Optional, Tuple
 
 from .core.config import P3Config
 from .core.system import P3
 from .data.bitcoin_otc import generate_network
-from .exec.stats import ExecutorStats
+
+
+@contextlib.contextmanager
+def _timed(timings: List[Tuple[str, float]], stage: str) -> Iterator[None]:
+    """Time one build stage, as a span named after it."""
+    from . import telemetry
+    start = time.perf_counter()
+    with telemetry.runtime().tracer.span(stage):
+        try:
+            yield
+        finally:
+            timings.append((stage, time.perf_counter() - start))
 
 
 def _build_system(args: argparse.Namespace) -> P3:
     """Build the system from a program file or a durable store, timing
-    each stage into the shared executor's stats object so ``--stats``
-    covers the whole pipeline.
+    each stage into the shared executor's registry so ``--stats`` covers
+    the whole pipeline.
 
     A program file is parsed and evaluated; ``--from-store`` warm-starts
     instead (no fixpoint evaluation), with the persisted epoch restored
@@ -86,7 +99,6 @@ def _build_system(args: argparse.Namespace) -> P3:
         query_timeout=getattr(args, "timeout", None),
         resilience=resilience,
     )
-    stats = ExecutorStats()
     program = getattr(args, "program", None)
     from_store = getattr(args, "from_store", None)
     if program and from_store:
@@ -95,15 +107,19 @@ def _build_system(args: argparse.Namespace) -> P3:
     if not (program or from_store):
         raise ValueError("exactly one program source is required — a "
                          "program file or --from-store (got: none)")
+    timings: List[Tuple[str, float]] = []
     if from_store is not None:
-        with stats.time_stage("load"):
+        with _timed(timings, "load"):
             p3 = P3.from_store(from_store, config=config, attach=False)
     else:
-        with stats.time_stage("parse"):
+        with _timed(timings, "parse"):
             p3 = P3.from_file(program, config=config)
-        with stats.time_stage("evaluate"):
+        with _timed(timings, "evaluate"):
             p3.evaluate()
-    p3.configure_executor(stats=stats)
+    executor = p3.configure_executor()
+    for stage, seconds in timings:
+        executor.record_stage(stage, seconds)
+    args.metrics_registries = p3.metrics_registries
     return p3
 
 
@@ -176,8 +192,9 @@ def _configure_telemetry(args: argparse.Namespace) -> None:
         ))
 
 
-def _finish_telemetry() -> None:
-    """Flush sinks, report slow queries, and restore the no-op runtime."""
+def _finish_telemetry(args: argparse.Namespace) -> None:
+    """Flush sinks, report slow queries, and restore the no-op runtime;
+    the metrics file adds what the command served (``args``)."""
     from . import telemetry
     rt = telemetry.runtime()
     if not rt.enabled:
@@ -188,7 +205,8 @@ def _finish_telemetry() -> None:
                   % (span.name, span.duration_seconds,
                      rt.slow_log.threshold_seconds, span.attributes),
                   file=sys.stderr)
-    telemetry.disable()
+    served = getattr(args, "metrics_registries", None)
+    telemetry.disable(served() if served is not None else ())
 
 
 def _add_common(parser: argparse.ArgumentParser,
@@ -573,8 +591,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import AdmissionController, ProvenanceService, TenantRegistry
     from .serve.tenants import default_tenant_config
 
-    # The service enables telemetry by default: a /metrics endpoint that
-    # serves nothing is worse than none.  --no-telemetry opts out.
+    # The service enables telemetry by default, so /metrics carries the
+    # process-scoped families too.  --no-telemetry opts out.
     if not telemetry.runtime().enabled and not args.no_telemetry:
         telemetry.configure(telemetry.TelemetryConfig())
 
@@ -668,6 +686,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("p3 serve: shutting down", file=sys.stderr)
         code = 0
     finally:
+        exported = service.metrics_registries()
+        args.metrics_registries = lambda: exported
         # Closing the registry syncs and detaches every store-attached
         # tenant, so a restart from the same store resumes losslessly.
         registry.close()
@@ -690,6 +710,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             specs=args.specs, people=args.people, samples=args.samples,
             include_outcomes=args.outcomes)
     report = run_chaos(transport, seed=args.seed)
+    args.metrics_registries = lambda: report.registries
     if args.json:
         print(json.dumps(chaos_report_to_json(report), indent=2,
                          sort_keys=True))
@@ -1041,8 +1062,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "which /healthz reports 'degraded' "
                               "(default: 8; 0 disables)")
     serve_parser.add_argument("--no-telemetry", action="store_true",
-                              help="do not enable the metrics registry "
-                              "(makes /metrics a stub)")
+                              help="do not enable telemetry: no tracing; "
+                              "/metrics serves only tenant and admission "
+                              "counts")
     _add_telemetry(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
 
@@ -1076,7 +1098,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 pass  # stdout gone (broken pipe); stderr has the message
         return 2
     finally:
-        _finish_telemetry()
+        _finish_telemetry(args)
 
 
 if __name__ == "__main__":

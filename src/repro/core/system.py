@@ -57,6 +57,7 @@ from .errors import NotEvaluatedError, UnknownLiteralError, UnknownTupleError
 if TYPE_CHECKING:
     from ..exec.executor import QueryExecutor
     from ..ground.planner import GroundingPlanner
+    from ..telemetry.metrics import MetricsRegistry
 
 
 class P3:
@@ -337,7 +338,7 @@ class P3:
             self._planner = None
             return self.evaluate()
         if self._executor is not None:
-            with self._executor.stats_object.time_stage("update"):
+            with self._executor.time_stage("update"):
                 delta = self._extend(fresh)
         else:
             delta = self._extend(fresh)
@@ -467,10 +468,10 @@ class P3:
         Created lazily on first use (with the config's cache settings)
         and reused afterwards, so every facade query shares one set of
         caches.  Keyword overrides (``polynomial_cache_size``,
-        ``result_cache_size``, ``stats``)
-        return a **throwaway** executor built with those settings — the
-        shared executor, and its warm caches, stay untouched.  Use
-        :meth:`configure_executor` to replace the shared executor instead.
+        ``result_cache_size``) return a **throwaway** executor built with
+        those settings — the shared executor, and its warm caches, stay
+        untouched.  Use :meth:`configure_executor` to replace the shared
+        executor instead.
         """
         self._require_evaluated()
         from ..exec.executor import QueryExecutor
@@ -492,6 +493,12 @@ class P3:
             self._executor.close()
         self._executor = QueryExecutor(self, **overrides)  # type: ignore[arg-type]
         return self._executor
+
+    def metrics_registries(self) -> List["MetricsRegistry"]:
+        """The registries of this system's shared executor and grounding
+        planner, where those exist: what a metrics export merges in."""
+        owners = (self._executor, self._planner)
+        return [owner.metrics for owner in owners if owner is not None]
 
     # -- tuple addressing ----------------------------------------------------------
 

@@ -10,11 +10,10 @@ provides:
   probability results;
 - :class:`~repro.exec.specs.QuerySpec` — a declarative description of one
   query (kind + tuple key + parameters) with a canonical cache identity;
-- :class:`~repro.exec.stats.ExecutorStats` — per-stage wall-clock timings
-  (parse/evaluate/extract/infer) and counters, exposed as a plain dict;
 - :class:`~repro.exec.executor.QueryExecutor` — the batch front door:
   deduplicates specs, answers them in order, and shares the caches
-  between them.
+  between them; its ``stats()`` (per-stage wall-clock timings and
+  counters, as a plain dict) is a view of its metrics registry.
 
 Typical use::
 
@@ -38,11 +37,9 @@ from ..core.errors import QueryTimeoutError
 from .cache import LRUCache
 from .executor import BatchResult, QueryExecutor, QueryOutcome
 from .specs import QuerySpec
-from .stats import ExecutorStats
 
 __all__ = [
     "BatchResult",
-    "ExecutorStats",
     "LRUCache",
     "QueryExecutor",
     "QueryOutcome",

@@ -1,4 +1,4 @@
-"""A bounded, thread-safe LRU cache with observability counters.
+"""A bounded, thread-safe LRU cache with hit/miss counters.
 
 The executor layers two of these over the inference pipeline: one for
 extracted provenance polynomials (keyed on ``(tuple key, hop_limit)``) and
@@ -12,7 +12,8 @@ under (see :attr:`repro.core.system.P3.epoch`).  A lookup that passes the
 current epoch treats entries from an older epoch as misses and evicts them
 on the spot, so a live update of the underlying system can never serve a
 stale polynomial or probability; the ``invalidations`` counter reports how
-many entries were dropped this way.
+many entries were dropped this way.  The counters are series of a
+registry (the executor's), labelled ``cache=name``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterator, Optional, Tuple
+
+from ..telemetry.metrics import MetricsRegistry
 
 _MISSING = object()
 
@@ -29,10 +32,13 @@ class LRUCache:
 
     ``maxsize=None`` means unbounded (the counters still work).  Lookups
     promote entries to most-recently-used; insertion past capacity evicts
-    the least-recently-used entry.
+    the least-recently-used entry.  The counters live in ``metrics``
+    (a private registry when None).
     """
 
-    def __init__(self, maxsize: Optional[int] = 1024) -> None:
+    def __init__(self, maxsize: Optional[int] = 1024,
+                 metrics: Optional[MetricsRegistry] = None,
+                 name: str = "cache") -> None:
         if maxsize is not None and maxsize <= 0:
             raise ValueError("maxsize must be positive or None")
         self.maxsize = maxsize
@@ -40,10 +46,20 @@ class LRUCache:
         self._data: "OrderedDict[Hashable, Tuple[Any, Optional[int]]]" = (
             OrderedDict())
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        requests = metrics.counter(
+            "p3_cache_requests_total",
+            help="Executor cache lookups, by cache and outcome",
+            labelnames=("cache", "outcome"))
+        self._hits, self._misses = (
+            requests.labels(cache=name, outcome=outcome)
+            for outcome in ("hit", "miss"))
+        self._evictions, self._invalidations = (
+            metrics.counter("p3_cache_%s_total" % drop,
+                            help="Executor cache entries %s, by cache" % why,
+                            labelnames=("cache",)).labels(cache=name)
+            for drop, why in (("evictions", "evicted for capacity"),
+                              ("invalidations", "dropped as epoch-stale")))
 
     # -- core mapping operations ------------------------------------------------
 
@@ -58,17 +74,17 @@ class LRUCache:
         with self._lock:
             entry = self._data.get(key, _MISSING)
             if entry is _MISSING:
-                self._misses += 1
+                self._misses.inc()
                 return default
             value, stored_epoch = entry
             if (epoch is not None and stored_epoch is not None
                     and stored_epoch != epoch):
                 del self._data[key]
-                self._invalidations += 1
-                self._misses += 1
+                self._invalidations.inc()
+                self._misses.inc()
                 return default
             self._data.move_to_end(key)
-            self._hits += 1
+            self._hits.inc()
             return value
 
     def put(self, key: Hashable, value: Any,
@@ -84,7 +100,7 @@ class LRUCache:
             self._data[key] = (value, epoch)
             if self.maxsize is not None and len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
-                self._evictions += 1
+                self._evictions.inc()
 
     def get_or_compute(self, key: Hashable,
                        factory: Callable[[], Any],
@@ -116,7 +132,7 @@ class LRUCache:
                      if stored is not None and stored != epoch]
             for key in stale:
                 del self._data[key]
-            self._invalidations += len(stale)
+            self._invalidations.inc(len(stale))
             return len(stale)
 
     def clear(self) -> None:
@@ -125,8 +141,9 @@ class LRUCache:
 
     def reset_counters(self) -> None:
         with self._lock:
-            self._hits = self._misses = self._evictions = 0
-            self._invalidations = 0
+            for series in (self._hits, self._misses, self._evictions,
+                           self._invalidations):
+                series.reset()
 
     # -- introspection -----------------------------------------------------------
 
@@ -145,38 +162,38 @@ class LRUCache:
 
     @property
     def hits(self) -> int:
-        return self._hits
+        return int(self._hits.value())
 
     @property
     def misses(self) -> int:
-        return self._misses
+        return int(self._misses.value())
 
     @property
     def evictions(self) -> int:
-        return self._evictions
+        return int(self._evictions.value())
 
     @property
     def invalidations(self) -> int:
         """How many entries were dropped as epoch-stale."""
-        return self._invalidations
+        return int(self._invalidations.value())
 
     @property
     def hit_rate(self) -> float:
         """Hits / lookups, 0.0 before the first lookup."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
+        hits, misses, _ = self.counters()
+        total = hits + misses
+        return hits / total if total else 0.0
 
     def counters(self) -> Tuple[int, int, int]:
         """(hits, misses, evictions) as one consistent snapshot."""
         with self._lock:
-            return self._hits, self._misses, self._evictions
+            return self.hits, self.misses, self.evictions
 
     def stats(self) -> dict:
         """Counter snapshot as a JSON-friendly dict."""
         with self._lock:
-            hits, misses = self._hits, self._misses
-            evictions = self._evictions
-            invalidations = self._invalidations
+            hits, misses, evictions = self.hits, self.misses, self.evictions
+            invalidations = self.invalidations
         total = hits + misses
         return {
             "size": len(self),
@@ -190,4 +207,4 @@ class LRUCache:
 
     def __repr__(self) -> str:
         return "LRUCache(%d/%s entries, %d hits, %d misses)" % (
-            len(self), self.maxsize, self._hits, self._misses)
+            len(self), self.maxsize, self.hits, self.misses)

@@ -55,8 +55,9 @@ Two safety mechanisms keep long-lived executors correct and responsive:
 The executor is safe to share between threads (the service runs
 concurrent batches on one tenant's executor).  Results come back as a
 :class:`BatchResult` of :class:`QueryOutcome` entries in input order;
-:meth:`QueryExecutor.stats` reports per-stage timings, query counters,
-and cache hit rates.
+:meth:`QueryExecutor.stats` — per-stage timings, query counters, cache
+hit rates — is a view of :attr:`QueryExecutor.metrics`, the one store of
+the executor's counts, shared with its caches, pools and breakers.
 """
 
 from __future__ import annotations
@@ -81,9 +82,16 @@ from ..provenance.polynomial import Polynomial
 from ..resilience.budgets import activate_budget, active_meter
 from ..resilience.ladder import call_backend
 from ..resilience.runners import DeadlineRunnerPool
+from ..telemetry.metrics import MetricsRegistry
 from .cache import LRUCache
-from .specs import QuerySpec
-from .stats import ExecutorStats
+from .specs import KINDS, QuerySpec
+
+#: Pipeline stages with dedicated timing slots in ``stats()["stages"]``.
+#: ``parse`` and ``evaluate`` are recorded by whoever builds the system
+#: (the CLI does); ``extract``/``infer`` are recorded inside the executor;
+#: ``query`` is the end-to-end time of one spec; ``update`` is incremental
+#: fact propagation (:meth:`repro.core.system.P3.add_facts`).
+STAGES = ("parse", "evaluate", "update", "extract", "infer", "query")
 
 
 class QueryOutcome:
@@ -199,15 +207,11 @@ class QueryExecutor:
         it is not already.
     polynomial_cache_size / result_cache_size:
         LRU bounds (default from the system config); ``None`` = unbounded.
-    stats:
-        Share an existing :class:`ExecutorStats` (the CLI passes one that
-        already holds parse/evaluate timings).
     """
 
     def __init__(self, system: "Any",  # P3; untyped to avoid import cycle
                  polynomial_cache_size: Optional[int] = None,
-                 result_cache_size: Optional[int] = None,
-                 stats: Optional[ExecutorStats] = None) -> None:
+                 result_cache_size: Optional[int] = None) -> None:
         config = system.config
         if polynomial_cache_size is None:
             polynomial_cache_size = getattr(
@@ -215,10 +219,30 @@ class QueryExecutor:
         if result_cache_size is None:
             result_cache_size = getattr(config, "result_cache_size", 8192)
         self.system = system
-        self._stats = stats or ExecutorStats()
-        self._polynomials = LRUCache(polynomial_cache_size)
-        self._results = LRUCache(result_cache_size)
-        self._deadline_runners = DeadlineRunnerPool()
+        #: The one store of this executor's counts (see :meth:`stats`).
+        self.metrics = metrics = MetricsRegistry()
+        self._stage_seconds = metrics.histogram(
+            "p3_stage_seconds",
+            help="Wall-clock seconds per pipeline stage call",
+            labelnames=("stage",))
+        self._stages = {stage: self._stage_seconds.labels(stage=stage)
+                        for stage in STAGES}
+        queries = metrics.counter(
+            "p3_queries_total", help="Queries answered, by kind",
+            labelnames=("kind",))
+        self._queries = {kind: queries.labels(kind=kind) for kind in KINDS}
+        self._errors = metrics.counter(
+            "p3_query_errors_total",
+            help="Queries that ended in an error outcome").labels()
+        self._batches = metrics.counter(
+            "p3_batches_total", help="Executor batches run").labels()
+        self._deduplicated = metrics.counter(
+            "p3_deduplicated_total",
+            help="Duplicate specs collapsed before execution").labels()
+        self._polynomials = LRUCache(
+            polynomial_cache_size, metrics, "polynomial")
+        self._results = LRUCache(result_cache_size, metrics, "probability")
+        self._deadline_runners = DeadlineRunnerPool(metrics=metrics)
         # Process isolation: where backend calls execute.  "auto" means
         # subprocess workers wherever the platform supports hard kill
         # (POSIX), threads elsewhere.  The worker pool itself is spawned
@@ -232,15 +256,12 @@ class QueryExecutor:
         self.isolation = isolation
         self._process_pool: Optional[Any] = None
         self._process_pool_lock = threading.Lock()
-        # (runtime, {(cache, outcome): BoundSeries}) — rebuilt whenever
-        # telemetry.configure() installs a new runtime object.
-        self._metric_cache: Tuple[Any, Dict[Any, Any]] = (None, {})
         # Resilience wiring: one breaker board and one ladder shared by
         # every query this executor answers, so failure history crosses
         # specs within (and across) batches.
         self._resilience = getattr(config, "resilience", None)
         if self._resilience is not None:
-            self._breakers = self._resilience.build_board()
+            self._breakers = self._resilience.build_board(metrics)
             self._ladder = self._resilience.build_ladder(
                 self._breakers, call=self._call)
         else:
@@ -251,7 +272,7 @@ class QueryExecutor:
         # sees its own).
         self._tl = threading.local()
         if not system.evaluated:
-            with self._stats.time_stage("evaluate"):
+            with self.time_stage("evaluate"):
                 system.evaluate()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -274,7 +295,8 @@ class QueryExecutor:
                 self._process_pool = ProcessWorkerPool(
                     workers=getattr(config, "isolation_workers", None) or 2,
                     memory_limit_bytes=getattr(
-                        config, "worker_memory_bytes", None))
+                        config, "worker_memory_bytes", None),
+                    metrics=self.metrics)
             return self._process_pool
 
     @property
@@ -331,45 +353,26 @@ class QueryExecutor:
     def _current_epoch(self) -> int:
         return getattr(self.system, "epoch", 0)
 
+    # -- stage timing --------------------------------------------------------------
+
+    def record_stage(self, stage: str, seconds: float) -> None:
+        """Add one timed call of ``stage`` to ``p3_stage_seconds``."""
+        series = self._stages.get(stage)
+        (series or self._stage_seconds.labels(stage=stage)).observe(seconds)
+
+    @contextlib.contextmanager
+    def time_stage(self, stage: str, span: bool = True) -> Iterator[None]:
+        """Time one call of ``stage``, as a span named after it unless
+        ``span`` is False."""
+        start = time.perf_counter()
+        with (telemetry.runtime().tracer.span(stage) if span
+              else contextlib.nullcontext()):
+            try:
+                yield
+            finally:
+                self.record_stage(stage, time.perf_counter() - start)
+
     # -- cached building blocks -----------------------------------------------------
-
-    def _cache_counter(self, rt: Any, name: str, outcome: str) -> Any:
-        """A bound ``p3_cache_requests_total`` series handle, cached.
-
-        Looked-up-by-name metrics cost a registry lock plus label-set
-        validation per event; on the result-cache hot path (two lookups
-        per query) that was a measurable slice of the tracing overhead.
-        Handles are keyed on the runtime object's identity so a
-        ``telemetry.configure()`` swap naturally invalidates them.
-        """
-        cached_rt, handles = self._metric_cache
-        if cached_rt is not rt:
-            handles = {}
-            self._metric_cache = (rt, handles)
-        handle = handles.get((name, outcome))
-        if handle is None:
-            handle = rt.metrics.counter(
-                "p3_cache_requests_total",
-                help="Executor cache lookups, by cache and outcome",
-                labelnames=("cache", "outcome")).labels(
-                    cache=name, outcome=outcome)
-            handles[(name, outcome)] = handle
-        return handle
-
-    def _cache_get(self, cache: LRUCache, name: str, key: Any,
-                   epoch: int) -> Any:
-        """Cache lookup that also feeds the telemetry hit/miss counters.
-
-        Every executor cache access goes through here, so the
-        ``p3_cache_requests_total`` metric and the LRU's own ``stats()``
-        counters (what ``--stats`` prints) move in lockstep.
-        """
-        value = cache.get(key, epoch=epoch)
-        rt = telemetry.runtime()
-        if rt.enabled:
-            self._cache_counter(
-                rt, name, "hit" if value is not None else "miss").inc()
-        return value
 
     def _provenance_graph(self, key: str):
         """The system graph, grounded for ``key`` when a planner is active.
@@ -390,14 +393,13 @@ class QueryExecutor:
         limit = self._resolve_hop(hop_limit)
         epoch = self._current_epoch()
         cache_key = (key, limit)
-        cached = self._cache_get(
-            self._polynomials, "polynomial", cache_key, epoch)
+        cached = self._polynomials.get(cache_key, epoch=epoch)
         if cached is not None:
             return cached
         graph = self._provenance_graph(key)
         if key not in graph:
             raise UnknownTupleError(key)
-        with self._stats.time_stage("extract"):
+        with self.time_stage("extract"):
             polynomial = extract_polynomial(
                 graph, key, hop_limit=limit,
                 max_monomials=self.system.config.max_monomials)
@@ -436,7 +438,7 @@ class QueryExecutor:
                      hop_limit: Optional[int], samples: Optional[int],
                      seed: Optional[int]) -> Tuple[float, bool]:
         """(P[key], was it a result-cache hit)."""
-        self._stats.record_query("probability")
+        self._queries["probability"].inc()
         method = self._resolve_method("probability", method)
         limit = self._resolve_hop(hop_limit)
         samples = self._resolve_samples(samples)
@@ -452,7 +454,7 @@ class QueryExecutor:
         def compute() -> float:
             with self._budget_scope():
                 polynomial = self.polynomial(key, hop_limit=limit)
-                with self._stats.time_stage("infer"):
+                with self.time_stage("infer"):
                     return self._infer(method, polynomial,
                                        self._request(key, samples, seed))
 
@@ -511,8 +513,7 @@ class QueryExecutor:
         answer still names the rung that answered and its standard error.
         """
         epoch = self._current_epoch()
-        entry = self._cache_get(
-            self._results, "probability", cache_key, epoch)
+        entry = self._results.get(cache_key, epoch=epoch)
         if entry is not None:
             value, self._tl.record = entry
             return value, True
@@ -548,8 +549,9 @@ class QueryExecutor:
         distinct: "Dict[Any, QuerySpec]" = {}
         for spec in coerced:
             distinct.setdefault(spec.cache_identity(), spec)
-        self._stats.record_batch(
-            deduplicated=len(coerced) - len(distinct))
+        self._batches.inc()
+        if len(coerced) > len(distinct):
+            self._deduplicated.inc(len(coerced) - len(distinct))
 
         unique = list(distinct.values())
         with telemetry.runtime().tracer.span(
@@ -572,24 +574,33 @@ class QueryExecutor:
         it raises :class:`~repro.core.errors.QueryTimeoutError`.
         """
         coerced = QuerySpec.coerce(spec)
-        timeout = self._resolve_timeout(coerced)
+        with telemetry.runtime().tracer.span(
+                "query", kind=coerced.kind, key=coerced.key) as span:
+            value, cached = self._answer(coerced)
+            span.set_attribute("cached", cached)
+        return value
+
+    def _answer(self, spec: QuerySpec) -> Tuple[Any, bool]:
+        """(answer, was it a result-cache hit), under the spec's deadline;
+        called inside the spec's one ``query`` span."""
+        timeout = self._resolve_timeout(spec)
         if timeout is not None:
-            return self._execute_with_deadline(coerced, timeout)[0]
-        return self._execute_cached(coerced)[0]
+            return self._execute_with_deadline(spec, timeout)
+        return self._execute_cached(spec)
 
     def _execute_cached(self, spec: QuerySpec) -> Tuple[Any, bool]:
         """(answer, was it a result-cache hit); the answer's resilience
         record is left in the thread-local scratch."""
         params = spec.params
         if spec.kind == "probability":
-            with self._stats.time_stage("query"):
+            with self.time_stage("query", span=False):
                 return self._probability(
                     spec.key, params.get("method"), params.get("hop_limit"),
                     params.get("samples"), params.get("seed"))
-        self._stats.record_query(spec.kind)
+        self._queries[spec.kind].inc()
 
         def compute() -> Any:
-            with self._stats.time_stage("query"), self._budget_scope():
+            with self.time_stage("query", span=False), self._budget_scope():
                 return self._execute(spec)
 
         return self._cached(spec.cache_identity(), compute)
@@ -600,12 +611,7 @@ class QueryExecutor:
         with telemetry.runtime().tracer.span(
                 "query", kind=spec.kind, key=spec.key) as span:
             try:
-                timeout = self._resolve_timeout(spec)
-                if timeout is not None:
-                    value, cached = self._execute_with_deadline(
-                        spec, timeout)
-                else:
-                    value, cached = self._execute_cached(spec)
+                value, cached = self._answer(spec)
             except Exception as exc:  # noqa: BLE001 — reported per-outcome
                 record = getattr(exc, "record", None) \
                     or getattr(self._tl, "record", None)
@@ -619,7 +625,7 @@ class QueryExecutor:
                         spec, value=partial_value, partial=True,
                         seconds=time.perf_counter() - started,
                         resilience=record)
-                self._stats.record_error()
+                self._errors.inc()
                 span.set_attribute(
                     "error", "%s: %s" % (type(exc).__name__, exc))
                 # A LadderExhaustedError carries the record of everything
@@ -811,10 +817,6 @@ class QueryExecutor:
     # -- observability -----------------------------------------------------------------
 
     @property
-    def stats_object(self) -> ExecutorStats:
-        return self._stats
-
-    @property
     def breaker_board(self) -> Optional[Any]:
         """The shared circuit-breaker board (None without resilience)."""
         return self._breakers
@@ -833,10 +835,11 @@ class QueryExecutor:
         return self._results
 
     def stats(self) -> dict:
-        """Counters, per-stage timings, and cache hit rates as a dict."""
-        document = self._stats.as_dict(
-            polynomial_cache=self._polynomials,
-            probability_cache=self._results)
+        """Counters, per-stage timings, and cache hit rates as a dict:
+        a view of :attr:`metrics`."""
+        document = stats_document(self.metrics, {
+            "polynomial": self._polynomials,
+            "probability": self._results})
         runners = self._deadline_runners.stats()
         if runners["spawned"]:
             document.setdefault("pool", {})["deadline_runners"] = runners
@@ -860,6 +863,43 @@ class QueryExecutor:
 
     def __repr__(self) -> str:
         return "QueryExecutor(%r, %r)" % (self._polynomials, self._results)
+
+
+def stats_document(metrics: MetricsRegistry,
+                   caches: Optional[Dict[str, LRUCache]] = None) -> dict:
+    """The ``stats()`` document read off an executor registry.
+
+    ``stages`` lists every stage of :data:`STAGES` plus any other stage
+    recorded (the CLI's ``load``); ``caches`` snapshots each named cache,
+    and ``invalidations`` totals their epoch-stale drops.
+    """
+    timings = metrics.histogram(
+        "p3_stage_seconds", labelnames=("stage",)).totals()
+    stages = {}
+    for stage in sorted(set(STAGES) | {key[0] for key in timings}):
+        calls, seconds = timings.get((stage,), (0, 0.0))
+        stages[stage] = {"seconds": seconds, "calls": calls}
+    queries = {kind: int(value) for (kind,), value in sorted(
+        metrics.counter("p3_queries_total", labelnames=("kind",))
+        .values().items())}
+    document: Dict[str, Any] = {
+        "stages": stages,
+        "queries": queries,
+        "total_queries": sum(queries.values()),
+    }
+    for field, name in (("errors", "p3_query_errors_total"),
+                        ("batches", "p3_batches_total"),
+                        ("deduplicated", "p3_deduplicated_total")):
+        document[field] = int(metrics.counter(name).value())
+    if caches:
+        document["caches"] = {name: cache.stats()
+                              for name, cache in caches.items()}
+        # Epoch-staleness evictions across the caches: nonzero means a
+        # live update forced cached work to be recomputed.
+        document["invalidations"] = sum(
+            snapshot["invalidations"]
+            for snapshot in document["caches"].values())
+    return document
 
 
 def _mix_seed(seed: Optional[int], key: str) -> Optional[int]:

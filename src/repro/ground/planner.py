@@ -45,6 +45,7 @@ from ..datalog.magic import MagicTransformError
 from ..datalog.parser import ParseError, parse_atom
 from ..datalog.terms import Atom, unify_atom
 from ..provenance.graph import ProvenanceGraph, add_firings, register_program
+from ..telemetry.metrics import MetricsRegistry
 from .relevance import GroundedGoal, ground_goal
 
 #: ``grounding='auto'`` switches to query-directed grounding at this many
@@ -54,6 +55,17 @@ AUTO_FACT_THRESHOLD = 512
 
 #: Rung order of the planner's internal fallback ladder.
 RUNGS = ("query", "full")
+
+#: The planner's counts: (``stats`` field, metric name, help).
+_COUNTS = (
+    ("goals", "p3_ground_goals_total", "Goals grounded query-directed"),
+    ("fallbacks", "p3_ground_fallbacks_total",
+     "Planner drops to full evaluation"),
+    ("derived_rows", "p3_ground_rows_total",
+     "Rows materialized by query-directed grounding"),
+    ("firings", "p3_ground_firings_total",
+     "Rule firings of query-directed grounding"),
+)
 
 
 class GroundingPlanner:
@@ -81,8 +93,17 @@ class GroundingPlanner:
         self._signatures: List[Atom] = []
         self._signature_keys: Set[str] = set()
         self._fallback = False
-        self.stats: Dict[str, int] = {
-            "goals": 0, "fallbacks": 0, "derived_rows": 0, "firings": 0}
+        #: The one store of the planner's counts (see :attr:`stats`).
+        self.metrics = MetricsRegistry()
+        self._series = {
+            field: self.metrics.counter(name, help=text).labels()
+            for field, name, text in _COUNTS}
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Goals grounded, fallbacks taken, rows derived and firings."""
+        return {field: int(series.value())
+                for field, series in self._series.items()}
 
     # -- plan selection ----------------------------------------------------------
 
@@ -205,33 +226,20 @@ class GroundingPlanner:
         self._covered.update(goal.answers)
         self._signatures.append(pattern)
         self._signature_keys.add(str(pattern))
-        self.stats["goals"] += 1
-        self.stats["derived_rows"] += goal.stats["derived_rows"]
-        self.stats["firings"] += goal.stats["firings"]
-        rt = telemetry.runtime()
-        if rt.enabled:
-            rt.metrics.counter(
-                "p3_ground_goals_total",
-                help="Goals grounded query-directed").inc()
-            rt.metrics.counter(
-                "p3_ground_rows_total",
-                help="Rows materialized by query-directed grounding",
-            ).inc(goal.stats["derived_rows"])
+        self._series["goals"].inc()
+        self._series["derived_rows"].inc(goal.stats["derived_rows"])
+        self._series["firings"].inc(goal.stats["firings"])
 
     def _fall_back(self, reason: str) -> None:
         """Drop to the ``'full'`` rung: one fixpoint evaluation, merged."""
-        rt = telemetry.runtime()
         config = self._system.config
-        if rt.enabled:
-            rt.metrics.counter(
-                "p3_ground_fallbacks_total",
-                help="Planner drops to full evaluation").inc()
         engine = Engine(self._program, max_rounds=config.max_rounds,
                         max_tuples=config.max_tuples)
-        with rt.tracer.span("ground.fallback", reason=reason):
+        with telemetry.runtime().tracer.span("ground.fallback",
+                                             reason=reason):
             result = engine.run()
         # Bootstrap registered the base facts and rules already.
         add_firings(self.graph, engine)
         self.database.stores = result.database.stores
         self._fallback = True
-        self.stats["fallbacks"] += 1
+        self._series["fallbacks"].inc()

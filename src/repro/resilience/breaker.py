@@ -19,6 +19,7 @@ remembers recent outcomes per backend and short-circuits:
 
 Breakers are shared across a batch (one :class:`BreakerBoard` per
 executor), so they are thread-safe; the clock is injectable for tests.
+Trips are counted in the board's registry (the executor's).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import threading
 import time
 from typing import Callable, Deque, Dict, Optional
 
-from .. import telemetry
 from ..core.errors import TransientInferenceError
+from ..telemetry.metrics import MetricsRegistry
 
 #: Breaker states.
 CLOSED = "closed"
@@ -96,12 +97,14 @@ class CircuitBreaker:
 
     Use :meth:`before_call` / :meth:`record_success` /
     :meth:`record_failure` around each backend invocation.  All methods
-    are thread-safe.
+    are thread-safe.  Trips are counted in ``metrics`` (a private
+    registry when None).
     """
 
     def __init__(self, backend: str,
                  policy: Optional[BreakerPolicy] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] = time.monotonic,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.backend = backend
         self.policy = policy if policy is not None else BreakerPolicy()
         self._clock = clock
@@ -111,7 +114,16 @@ class CircuitBreaker:
             maxlen=self.policy.window_size)
         self._opened_at = 0.0
         self._probe_inflight = False
-        self.trips = 0
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._trips = metrics.counter(
+            "p3_resilience_breaker_trips_total",
+            help="Circuit breaker trips, by backend",
+            labelnames=("backend",)).labels(backend=backend)
+
+    @property
+    def trips(self) -> int:
+        """How often this breaker has opened."""
+        return int(self._trips.value())
 
     @property
     def state(self) -> str:
@@ -168,13 +180,7 @@ class CircuitBreaker:
         self._state = OPEN
         self._opened_at = self._clock()
         self._window.clear()
-        self.trips += 1
-        rt = telemetry.runtime()
-        if rt.enabled:
-            rt.metrics.counter(
-                "p3_resilience_breaker_trips_total",
-                help="Circuit breaker trips, by backend",
-                labelnames=("backend",)).inc(backend=self.backend)
+        self._trips.inc()
 
     def to_dict(self) -> dict:
         with self._lock:
@@ -191,12 +197,15 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """Lazily-created breakers keyed by backend name, sharing one policy."""
+    """Lazily-created breakers keyed by backend name, sharing one policy
+    and one registry."""
 
     def __init__(self, policy: Optional[BreakerPolicy] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] = time.monotonic,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.policy = policy if policy is not None else BreakerPolicy()
         self._clock = clock
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
 
@@ -204,13 +213,17 @@ class BreakerBoard:
         with self._lock:
             found = self._breakers.get(backend)
             if found is None:
-                found = CircuitBreaker(backend, self.policy, self._clock)
+                found = CircuitBreaker(backend, self.policy, self._clock,
+                                       self._metrics)
                 self._breakers[backend] = found
             return found
 
     def reset(self) -> None:
+        """Forget every breaker, trip counts included."""
         with self._lock:
-            self._breakers.clear()
+            breakers, self._breakers = self._breakers, {}
+        for breaker in breakers.values():
+            breaker._trips.reset()
 
     def to_dict(self) -> dict:
         with self._lock:

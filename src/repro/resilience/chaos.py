@@ -49,6 +49,7 @@ from ..exec.executor import QueryExecutor
 from ..exec.specs import QuerySpec
 from ..inference.registry import BackendReading, get_backend, override_backend
 from ..provenance.extraction import extract_polynomial
+from ..telemetry.metrics import MetricsRegistry
 from .breaker import BreakerPolicy
 from .budgets import ResourceBudget
 from .config import ResilienceConfig
@@ -200,7 +201,9 @@ class ChaosReport:
     """Everything one chaos run measured, plus the pass/fail verdict.
 
     The common fields count exchanges; ``details`` holds the transport's
-    own keys, as its ``details()`` declares them.
+    own keys, as its ``details()`` declares them.  ``registries`` (not
+    serialized) holds the metrics registries of the faulted objects, for
+    ``p3 chaos --metrics-out``.
     """
 
     def __init__(self, transport: "ChaosTransport", seed: int) -> None:
@@ -219,6 +222,7 @@ class ChaosReport:
         self.malformed: List[dict] = []
         self.unhandled: Optional[str] = None
         self.details: Dict[str, Any] = transport.details()
+        self.registries: List[MetricsRegistry] = []
 
     def record(self, exchange: str, problem: Optional[str],
                answered: bool) -> None:
@@ -475,6 +479,7 @@ class ExecutorTransport(ChaosTransport):
             program, config=_resilient_config(report.seed, self.samples))
         system.evaluate()
         executor = teardown.enter_context(QueryExecutor(system))
+        report.registries.append(executor.metrics)
         batch = executor.run(specs)
         resilience = report.details["resilience"]
         for outcome in batch:
@@ -552,6 +557,7 @@ class ServiceTransport(ChaosTransport):
                                 retry_after_seconds=0.05))
         handle = start_in_background(service)
         teardown.callback(handle.stop)
+        report.registries = service.metrics_registries()
 
         def exchange(method: str, path: str, body: Optional[dict]):
             connection = http.client.HTTPConnection(
@@ -721,6 +727,7 @@ class ProcessTransport(ChaosTransport):
         system = P3.from_source(program, config=config)
         system.evaluate()
         executor = teardown.enter_context(QueryExecutor(system))
+        report.registries.append(executor.metrics)
         # First exchange spawns the pool and proves the happy path.
         _process_probe(report, executor, keys[0], references)
         pool = executor.process_pool

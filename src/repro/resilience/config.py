@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+from ..telemetry.metrics import MetricsRegistry
 from .breaker import BreakerBoard, BreakerPolicy
 from .budgets import ResourceBudget
 from .ladder import FallbackLadder, FallbackRung
@@ -65,11 +66,13 @@ class ResilienceConfig:
         self.fallback = fallback
         self.breakers = breakers
 
-    def build_board(self) -> Optional[BreakerBoard]:
-        """A fresh breaker board per this config (None when disabled)."""
+    def build_board(self, metrics: Optional[MetricsRegistry] = None
+                    ) -> Optional[BreakerBoard]:
+        """A fresh breaker board per this config (None when disabled),
+        counting trips in ``metrics``."""
         if not self.breakers:
             return None
-        return BreakerBoard(self.breaker)
+        return BreakerBoard(self.breaker, metrics=metrics)
 
     def build_ladder(self, board: Optional[BreakerBoard] = None,
                      **overrides: object) -> Optional[FallbackLadder]:

@@ -43,13 +43,13 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import telemetry
 from ..core.errors import (
     TransientInferenceError,
     WorkerCrashError,
     WorkerMemoryError,
     WorkerTimeoutError,
 )
+from ..telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "ProcessWorkerPool",
@@ -69,6 +69,22 @@ DEFAULT_WORKERS = 2
 
 #: How long a checkout waits for a busy pool before giving up.
 _CHECKOUT_TIMEOUT = 60.0
+
+#: The pool's event counters: (``stats()`` field, metric name, help).
+_EVENTS = (
+    ("spawned", "p3_isolation_spawns_total",
+     "Isolated inference workers started"),
+    ("respawned", "p3_isolation_respawns_total",
+     "Isolated inference workers respawned after a death"),
+    ("killed", "p3_isolation_kills_total",
+     "Isolated workers SIGKILLed past a deadline"),
+    ("crashed", "p3_isolation_crashes_total",
+     "Isolated workers that died mid-request"),
+    ("memory_trips", "p3_isolation_memory_trips_total",
+     "Worker requests that hit the RLIMIT_AS cap"),
+    ("requests", "p3_isolation_requests_total",
+     "Requests sent to isolated inference workers"),
+)
 
 
 def process_isolation_supported() -> bool:
@@ -198,12 +214,11 @@ def _worker_main(conn: Any, memory_limit_bytes: Optional[int]) -> None:
 class _Worker:
     """One live subprocess plus its parent-side pipe end."""
 
-    __slots__ = ("process", "conn", "requests")
+    __slots__ = ("process", "conn")
 
     def __init__(self, process: Any, conn: Any) -> None:
         self.process = process
         self.conn = conn
-        self.requests = 0
 
     @property
     def pid(self) -> Optional[int]:
@@ -227,6 +242,9 @@ class ProcessWorkerPool:
         request with a typed :class:`WorkerMemoryError`.
     spawn_timeout:
         How long to wait for a fresh worker's process to start.
+    metrics:
+        The registry holding the pool's counts (the owning executor's;
+        a private one when None); :meth:`stats` reads them.
 
     Thread-safe: executor worker threads submit concurrently; each
     request occupies one worker for its duration.  Workers are spawned
@@ -236,7 +254,8 @@ class ProcessWorkerPool:
 
     def __init__(self, workers: int = DEFAULT_WORKERS,
                  memory_limit_bytes: Optional[int] = None,
-                 spawn_timeout: float = 120.0) -> None:
+                 spawn_timeout: float = 120.0,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
         if memory_limit_bytes is not None and memory_limit_bytes <= 0:
@@ -251,15 +270,13 @@ class ProcessWorkerPool:
         self._live = 0
         self._closed = False
         self._ids = itertools.count(1)
-        # Counters (under _cond's lock).
-        self._spawned = 0
-        self._respawned = 0
-        self._killed = 0
-        self._crashed = 0
-        self._memory_trips = 0
-        self._requests = 0
-        self._deaths = 0
-        self._max_rss = 0
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._events = {field: metrics.counter(name, help=text).labels()
+                        for field, name, text in _EVENTS}
+        self._max_rss = metrics.gauge(
+            "p3_isolation_worker_rss_bytes",
+            "Peak RSS reported by isolated inference workers",
+            aggregate="max").labels()
 
     # -- worker lifecycle --------------------------------------------------
 
@@ -271,13 +288,13 @@ class ProcessWorkerPool:
             name="p3-isolated-worker", daemon=True)
         process.start()
         child_conn.close()
+        events = self._events
         with self._cond:
-            self._spawned += 1
-            if self._respawned < self._deaths:
-                self._respawned += 1
-                self._count("p3_isolation_respawns_total",
-                            "Isolated inference workers respawned after "
-                            "a death")
+            events["spawned"].inc()
+            # Every death (a kill or a crash) earns one respawn.
+            deaths = events["killed"].value() + events["crashed"].value()
+            if events["respawned"].value() < deaths:
+                events["respawned"].inc()
         return _Worker(process, parent_conn)
 
     def _destroy(self, worker: _Worker, how: str) -> None:
@@ -293,15 +310,7 @@ class ProcessWorkerPool:
         except OSError:
             pass
         with self._cond:
-            self._deaths += 1
-            if how == "killed":
-                self._killed += 1
-                self._count("p3_isolation_kills_total",
-                            "Isolated workers SIGKILLed past a deadline")
-            else:
-                self._crashed += 1
-                self._count("p3_isolation_crashes_total",
-                            "Isolated workers that died mid-request")
+            self._events["killed" if how == "killed" else "crashed"].inc()
 
     def _checkout(self, timeout: Optional[float]) -> _Worker:
         wait_budget = min(_CHECKOUT_TIMEOUT, timeout or _CHECKOUT_TIMEOUT)
@@ -336,8 +345,7 @@ class ProcessWorkerPool:
 
     def _reap_idle_death(self, worker: _Worker) -> None:
         # Called under the lock: only bookkeeping, no joins.
-        self._deaths += 1
-        self._crashed += 1
+        self._events["crashed"].inc()
         try:
             worker.conn.close()
         except OSError:
@@ -350,12 +358,9 @@ class ProcessWorkerPool:
             else:
                 self._live -= 1
             self._cond.notify()
-        if not healthy:
-            # _destroy already ran (or the worker is dead) — nothing to
-            # do; destruction happens at the failure site so the exit
-            # code is collected before the error is raised.
-            pass
-        elif self._closed:
+        # An unhealthy worker was destroyed at the failure site, so its
+        # exit code is collected before the error is raised.
+        if healthy and self._closed:
             self._shutdown_worker(worker)
 
     # -- the request/response exchange -------------------------------------
@@ -412,9 +417,7 @@ class ProcessWorkerPool:
     def _exchange(self, worker: _Worker, payload: Dict[str, Any],
                   timeout: Optional[float], method: str) -> Dict[str, Any]:
         request_id = next(self._ids)
-        with self._cond:
-            self._requests += 1
-        worker.requests += 1
+        self._events["requests"].inc()
         try:
             worker.conn.send((request_id, payload))
         except (OSError, ValueError, BrokenPipeError) as exc:
@@ -472,10 +475,7 @@ class ProcessWorkerPool:
         if status == "ok":
             return payload
         if status == "memory":
-            with self._cond:
-                self._memory_trips += 1
-            self._count("p3_isolation_memory_trips_total",
-                        "Worker requests that hit the RLIMIT_AS cap")
+            self._events["memory_trips"].inc()
             raise WorkerMemoryError(method, self.memory_limit_bytes,
                                     detail=str(payload))
         if isinstance(payload, BaseException):
@@ -485,20 +485,8 @@ class ProcessWorkerPool:
 
     def _note_rss(self, rss: int) -> None:
         with self._cond:
-            if rss > self._max_rss:
-                self._max_rss = rss
-        rt = telemetry.runtime()
-        if rt.enabled and rss:
-            rt.metrics.gauge(
-                "p3_isolation_worker_rss_bytes",
-                "Peak RSS reported by isolated inference workers"
-            ).labels().set(float(self._max_rss))
-
-    @staticmethod
-    def _count(name: str, help_text: str) -> None:
-        rt = telemetry.runtime()
-        if rt.enabled:
-            rt.metrics.counter(name, help=help_text).inc()
+            if rss > self._max_rss.value():
+                self._max_rss.set(rss)
 
     # -- shutdown and introspection -----------------------------------------
 
@@ -540,18 +528,12 @@ class ProcessWorkerPool:
 
     def stats(self) -> Dict[str, int]:
         with self._cond:
-            return {
-                "workers": self.workers,
-                "live": self._live,
-                "idle": len(self._idle),
-                "spawned": self._spawned,
-                "respawned": self._respawned,
-                "killed": self._killed,
-                "crashed": self._crashed,
-                "memory_trips": self._memory_trips,
-                "requests": self._requests,
-                "max_rss_bytes": self._max_rss,
-            }
+            document = {"workers": self.workers, "live": self._live,
+                        "idle": len(self._idle)}
+            for field, series in self._events.items():
+                document[field] = int(series.value())
+            document["max_rss_bytes"] = int(self._max_rss.value())
+            return document
 
     def __repr__(self) -> str:
         return "ProcessWorkerPool(%d workers, %d live)" % (

@@ -12,6 +12,7 @@ rejoins the idle stack (up to ``max_idle``) and serves the next call,
 while a runner still wedged past its caller's timeout is not reused
 until its task completes — so a burst of timeouts still gets fresh
 threads, but a steady state of fast calls recycles the same few.
+Its counts are series of a registry (the owning executor's).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import queue
 import threading
 from typing import Any, Callable, Dict, List, Optional
 
-from .. import telemetry
+from ..telemetry.metrics import MetricsRegistry
 
 __all__ = ["DeadlineRunnerPool"]
 
@@ -47,12 +48,24 @@ class DeadlineRunnerPool:
     ``QueryExecutor.stats()['pool']`` and the service's ``/healthz``.
     """
 
-    def __init__(self, max_idle: int = 4) -> None:
+    def __init__(self, max_idle: int = 4,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.max_idle = max_idle
         self._lock = threading.Lock()
         self._idle: "List[queue.SimpleQueue[Optional[_Task]]]" = []
-        self._counts = {"spawned": 0, "reused": 0, "abandoned": 0,
-                        "abandoned_live": 0}
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._events = {
+            event: metrics.counter("p3_deadline_threads_%s_total" % event,
+                                   help=text).labels()
+            for event, text in (
+                ("spawned", "Deadline runner threads started"),
+                ("reused", "Deadline calls served by an idle runner"),
+                ("abandoned",
+                 "Deadline runners abandoned past their timeout"))}
+        self._abandoned_live = metrics.gauge(
+            "p3_deadline_threads_abandoned_live",
+            "Deadline runner threads currently wedged past their "
+            "caller's timeout").labels()
 
     def call(self, fn: Callable[[], Any], timeout: float,
              expired: Callable[[], BaseException]) -> Any:
@@ -68,7 +81,8 @@ class DeadlineRunnerPool:
         task = _Task(lambda: context.run(fn))
         with self._lock:
             inbox = self._idle.pop() if self._idle else None
-            self._counts["reused" if inbox is not None else "spawned"] += 1
+            self._events["reused" if inbox is not None
+                         else "spawned"].inc()
         if inbox is None:
             inbox = queue.SimpleQueue()
             threading.Thread(target=self._serve, args=(inbox,),
@@ -96,13 +110,10 @@ class DeadlineRunnerPool:
                 # A wedged task that eventually completed: the runner is
                 # healthy again and may rejoin the idle stack.
                 if task.abandoned:
-                    self._counts["abandoned_live"] -= 1
+                    self._abandoned_live.inc(-1)
                 keep = len(self._idle) < self.max_idle
                 if keep:
                     self._idle.append(inbox)
-                live = self._counts["abandoned_live"]
-            if task.abandoned:
-                self._note_live(live)
             if not keep:
                 return
 
@@ -116,24 +127,8 @@ class DeadlineRunnerPool:
             if task.done.is_set():
                 return
             task.abandoned = True
-            self._counts["abandoned"] += 1
-            self._counts["abandoned_live"] += 1
-            live = self._counts["abandoned_live"]
-        rt = telemetry.runtime()
-        if rt.enabled:
-            rt.metrics.counter(
-                "p3_deadline_threads_abandoned_total",
-                help="Deadline runners abandoned past their timeout").inc()
-        self._note_live(live)
-
-    @staticmethod
-    def _note_live(live: int) -> None:
-        rt = telemetry.runtime()
-        if rt.enabled:
-            rt.metrics.gauge(
-                "p3_deadline_threads_abandoned_live",
-                "Deadline runner threads currently wedged past their "
-                "caller's timeout").labels().set(float(live))
+            self._events["abandoned"].inc()
+            self._abandoned_live.inc()
 
     def shutdown(self) -> None:
         """Stop the idle runners (wedged ones exit when they finish)."""
@@ -144,4 +139,7 @@ class DeadlineRunnerPool:
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            return dict(self._counts, idle=len(self._idle))
+            counts = dict(self._events, abandoned_live=self._abandoned_live)
+            return dict({event: int(series.value())
+                         for event, series in counts.items()},
+                        idle=len(self._idle))

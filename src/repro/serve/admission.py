@@ -13,6 +13,9 @@ act on:
 Admission happens on the event loop (async), while the admitted work
 runs on executor threads — so the semaphore here is an
 :class:`asyncio.Semaphore` and must only be touched from the loop.
+
+Pressure and totals are series of the controller's own registry, which
+:meth:`AdmissionController.snapshot` reads and ``/metrics`` merges in.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import contextlib
 from typing import Any, AsyncIterator, Dict, Optional
 
 from ..core.errors import P3Error
-from ..telemetry import runtime as telemetry_runtime
+from ..telemetry.metrics import MetricsRegistry
 
 __all__ = ["AdmissionController", "AdmissionError"]
 
@@ -64,11 +67,21 @@ class AdmissionController:
         self.max_tenant_inflight = max_tenant_inflight
         self.retry_after_seconds = retry_after_seconds
         self._slots = asyncio.Semaphore(max_concurrent)
-        self._queued = 0
-        self._inflight = 0
-        self._admitted_total = 0
-        self._rejected_total = 0
         self._draining = False
+        #: The one store of the controller's pressure and totals.
+        self.metrics = metrics = MetricsRegistry()
+        self._queued = metrics.gauge(
+            "p3_http_queue_depth",
+            "Requests waiting for an admission slot.").labels()
+        self._inflight = metrics.gauge(
+            "p3_http_inflight",
+            "Admitted requests currently executing.").labels()
+        self._admitted = metrics.counter(
+            "p3_http_admitted_total",
+            "Requests given an admission slot.").labels()
+        self._shed = metrics.counter(
+            "p3_http_shed_total",
+            "Requests rejected by admission control.", ("status",))
 
     # -- lifecycle ---------------------------------------------------
 
@@ -78,7 +91,11 @@ class AdmissionController:
 
     @property
     def inflight(self) -> int:
-        return self._inflight
+        return int(self._inflight.value())
+
+    @property
+    def queued(self) -> int:
+        return int(self._queued.value())
 
     def begin_drain(self) -> None:
         """Close the door: every new request is shed with 503.
@@ -88,28 +105,6 @@ class AdmissionController:
         reach zero.  Idempotent.
         """
         self._draining = True
-
-    # -- telemetry ---------------------------------------------------
-
-    def _gauge(self, name: str, help_text: str, value: float) -> None:
-        rt = telemetry_runtime()
-        if rt.enabled:
-            rt.metrics.gauge(name, help_text).labels().set(value)
-
-    def _record_pressure(self) -> None:
-        self._gauge("p3_http_queue_depth",
-                    "Requests waiting for an admission slot.", self._queued)
-        self._gauge("p3_http_inflight",
-                    "Admitted requests currently executing.", self._inflight)
-
-    def _record_shed(self, status: int) -> None:
-        self._rejected_total += 1
-        rt = telemetry_runtime()
-        if rt.enabled:
-            rt.metrics.counter(
-                "p3_http_shed_total",
-                "Requests rejected by admission control.",
-                ("status",)).labels(status=str(status)).inc()
 
     # -- checks ------------------------------------------------------
 
@@ -127,7 +122,7 @@ class AdmissionController:
         from ..resilience.breaker import OPEN
         states = [board.breaker(rung.method).state for rung in ladder.rungs]
         if states and all(state == OPEN for state in states):
-            self._record_shed(503)
+            self._shed.inc(status="503")
             raise AdmissionError(
                 503,
                 "All inference backends for tenant %r have open circuit "
@@ -138,55 +133,52 @@ class AdmissionController:
     async def admit(self, tenant: Optional[Any] = None) -> AsyncIterator[None]:
         """Hold one admission slot for the duration of the request."""
         if self._draining:
-            self._record_shed(503)
+            self._shed.inc(status="503")
             raise AdmissionError(
                 503, "Service is draining for shutdown",
                 retry_after=self.retry_after_seconds)
         if tenant is not None:
             if (self.max_tenant_inflight is not None
                     and tenant.inflight >= self.max_tenant_inflight):
-                self._record_shed(429)
+                self._shed.inc(status="429")
                 raise AdmissionError(
                     429,
                     "Tenant %r already has %d requests in flight"
                     % (tenant.name, tenant.inflight),
                     retry_after=self.retry_after_seconds)
             self.check_breakers(tenant)
-        if self._slots.locked() and self._queued >= self.max_queue:
-            self._record_shed(429)
+        if self._slots.locked() and self.queued >= self.max_queue:
+            self._shed.inc(status="429")
             raise AdmissionError(
                 429,
                 "Service at capacity (%d executing, %d queued)"
-                % (self._inflight, self._queued),
+                % (self.inflight, self.queued),
                 retry_after=self.retry_after_seconds)
-        self._queued += 1
-        self._record_pressure()
+        self._queued.inc()
         try:
             await self._slots.acquire()
         finally:
-            self._queued -= 1
-        self._inflight += 1
-        self._admitted_total += 1
+            self._queued.inc(-1)
+        self._inflight.inc()
+        self._admitted.inc()
         if tenant is not None:
             tenant.inflight += 1
-        self._record_pressure()
         try:
             yield
         finally:
-            self._inflight -= 1
+            self._inflight.inc(-1)
             if tenant is not None:
                 tenant.inflight -= 1
             self._slots.release()
-            self._record_pressure()
 
     def snapshot(self) -> Dict[str, Any]:
         """Current pressure, for ``/healthz`` and tests."""
         return {
             "max_concurrent": self.max_concurrent,
             "max_queue": self.max_queue,
-            "inflight": self._inflight,
-            "queued": self._queued,
-            "admitted_total": self._admitted_total,
-            "rejected_total": self._rejected_total,
+            "inflight": self.inflight,
+            "queued": self.queued,
+            "admitted_total": int(self._admitted.value()),
+            "rejected_total": int(sum(self._shed.values().values())),
             "draining": self._draining,
         }

@@ -12,7 +12,7 @@ Routes
 ------
 ===== ============================== ===========================================
 GET   ``/healthz``                   liveness + admission pressure
-GET   ``/metrics``                   Prometheus text from the process registry
+GET   ``/metrics``                   Prometheus text: process + tenant counts
 GET   ``/tenants``                   tenant listing
 POST  ``/tenants/{name}``            create from ``{"source"|"path"|"store"}``
 DELETE ``/tenants/{name}``           evict tenant, close its executor
@@ -34,11 +34,11 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import P3Error, UnknownLiteralError, UnknownTupleError
 from ..telemetry import runtime as telemetry_runtime
-from ..telemetry.metrics import PROMETHEUS_CONTENT_TYPE
+from ..telemetry.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry, merge
 from .admission import AdmissionController, AdmissionError
 from .envelopes import (
     batch_envelope,
@@ -169,7 +169,7 @@ class ProvenanceService:
         """
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
-        while self.admission.inflight or self.admission.snapshot()["queued"]:
+        while self.admission.inflight or self.admission.queued:
             if deadline is not None and time.monotonic() >= deadline:
                 return False
             await asyncio.sleep(0.05)
@@ -185,7 +185,9 @@ class ProvenanceService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):  # idle keep-alive readers
+        # Cancel idle keep-alive readers; a handler leaves the set only
+        # once its writer has closed, so one caught closing is awaited.
+        for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
@@ -208,13 +210,14 @@ class ProvenanceService:
         except asyncio.CancelledError:
             pass  # service shutdown with the connection idle
         finally:
-            if task is not None:
-                self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                if task is not None:
+                    self._connections.discard(task)
 
     async def _handle_one_request(self, reader: asyncio.StreamReader,
                                   writer: asyncio.StreamWriter) -> bool:
@@ -368,12 +371,17 @@ class ProvenanceService:
             self.registry, uptime, self.admission,
             abandoned_threshold=self.degraded_abandoned_threshold)
 
+    def metrics_registries(self) -> List[MetricsRegistry]:
+        """Admission's registry and each resident tenant's executor and
+        planner registries."""
+        registries = [self.admission.metrics]
+        for tenant in self.registry.tenants():
+            registries.extend(tenant.system.metrics_registries())
+        return registries
+
     def _metrics(self) -> Tuple[bytes, str]:
-        rt = telemetry_runtime()
-        if rt.enabled:
-            text = rt.metrics.to_prometheus()
-        else:
-            text = "# telemetry disabled; start with --telemetry\n"
+        text = merge([telemetry_runtime().metrics,
+                      *self.metrics_registries()]).to_prometheus()
         return text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
 
     def _json_body(self, body: bytes) -> Dict[str, Any]:

@@ -82,18 +82,12 @@ def tenant_envelope(tenant: Any) -> dict:
 
 def tenants_envelope(registry: Any) -> dict:
     """The tenant listing (names and epochs only — stats are per-tenant)."""
-    tenants = []
-    for name in registry.names():
-        try:
-            tenant = registry.get(name)
-        except KeyError:  # removed between listing and lookup
-            continue
-        tenants.append({
-            "name": tenant.name,
-            "epoch": tenant.system.epoch,
-            "queries": tenant.queries,
-            "updates": tenant.updates,
-        })
+    tenants = [{
+        "name": tenant.name,
+        "epoch": tenant.system.epoch,
+        "queries": tenant.queries,
+        "updates": tenant.updates,
+    } for tenant in registry.tenants()]
     return {
         "version": FORMAT_VERSION,
         "kind": "tenant_list",
@@ -115,16 +109,11 @@ def health_envelope(registry: Any, uptime_seconds: float,
     """
     abandoned_live = 0
     workers: Dict[str, int] = {}
-    for name in registry.names():
-        try:
-            tenant = registry.get(name)
-        except KeyError:  # removed between listing and lookup
-            continue
-        runner_stats = getattr(
-            tenant.executor, "deadline_runner_stats", None)
-        if runner_stats is not None:
-            abandoned_live += runner_stats().get("abandoned_live", 0)
-        pool = getattr(tenant.executor, "process_pool", None)
+    tenants = registry.tenants()
+    for tenant in tenants:
+        abandoned_live += (
+            tenant.executor.deadline_runner_stats()["abandoned_live"])
+        pool = tenant.executor.process_pool
         if pool is not None:
             for field, value in pool.stats().items():
                 workers[field] = workers.get(field, 0) + value
@@ -141,7 +130,7 @@ def health_envelope(registry: Any, uptime_seconds: float,
         "kind": "health",
         "status": status,
         "uptime_seconds": round(uptime_seconds, 3),
-        "tenants": len(registry.names()),
+        "tenants": len(tenants),
         "admission": admission.snapshot(),
         "deadline_threads": {
             "abandoned_live": abandoned_live,

@@ -280,6 +280,12 @@ class TenantRegistry:
             return sorted(name for name, tenant in self._tenants.items()
                           if tenant is not None)
 
+    def tenants(self) -> List[Tenant]:
+        """The resident tenants by name (one still loading is left out)."""
+        with self._lock:
+            return [tenant for _, tenant in sorted(self._tenants.items())
+                    if tenant is not None]
+
     def close(self) -> None:
         with self._lock:
             tenants = [t for t in self._tenants.values() if t is not None]

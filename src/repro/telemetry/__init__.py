@@ -24,17 +24,21 @@ no spans, no metric lookups, no allocation.  Enable it with::
 or per system via ``P3Config(telemetry=TelemetryConfig(...))``, or from
 the command line via ``p3 trace`` / ``--trace-out`` / ``--metrics-out``.
 
-Span stage names mirror :data:`repro.exec.stats.STAGES` (``parse``,
+Span stage names mirror :data:`repro.exec.executor.STAGES` (``parse``,
 ``evaluate``, ``update``, ``extract``, ``infer``, ``query``) with finer
 module-level spans (``extract.polynomial``, ``infer.backend``,
 ``query.influence``, …) nested beneath them; docs/OBSERVABILITY.md
 documents the full span and metric inventory.
+
+The runtime's registry holds the process-scoped families only; counts an
+object owns (an executor's, say) live in its own registry, recorded with
+telemetry on or off, and an export merges them in (``registries``).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from .metrics import (
     Counter,
@@ -42,6 +46,7 @@ from .metrics import (
     Histogram,
     LATENCY_BUCKETS_SECONDS,
     MetricsRegistry,
+    merge,
 )
 from .sinks import (
     JSONLSink,
@@ -124,8 +129,9 @@ class TelemetryRuntime:
             self.slow_log = SlowQueryLog(config.slow_query_seconds)
             self.tracer.add_sink(self.slow_log)
 
-    def finish(self) -> None:
-        """Flush and close file sinks; write the deferred exports."""
+    def finish(self, registries: Sequence[MetricsRegistry] = ()) -> None:
+        """Flush and close file sinks; write the deferred exports (the
+        metrics file merges ``registries`` into this runtime's)."""
         if self.jsonl is not None:
             self.jsonl.close()
         if self.config.chrome_path is not None and self.ring is not None:
@@ -133,7 +139,8 @@ class TelemetryRuntime:
         if self.config.metrics_path is not None:
             with open(self.config.metrics_path, "w",
                       encoding="utf-8") as handle:
-                handle.write(self.metrics.to_prometheus())
+                handle.write(
+                    merge([self.metrics, *registries]).to_prometheus())
 
     def __repr__(self) -> str:
         return "TelemetryRuntime(enabled=%r)" % self.enabled
@@ -179,19 +186,21 @@ def configure(config: Optional[TelemetryConfig] = None,
         return _runtime
 
 
-def finish() -> None:
-    """Flush the active runtime's sinks and write deferred exports."""
-    _runtime.finish()
+def finish(registries: Sequence[MetricsRegistry] = ()) -> None:
+    """Flush the active runtime's sinks and write deferred exports,
+    merging ``registries`` into the metrics file."""
+    _runtime.finish(registries)
 
 
-def disable() -> None:
-    """Shut the active runtime down and restore the no-op runtime."""
+def disable(registries: Sequence[MetricsRegistry] = ()) -> None:
+    """Shut the active runtime down and restore the no-op runtime,
+    merging ``registries`` into its metrics file."""
     global _runtime
     with _runtime_lock:
         previous = _runtime
         _runtime = _DISABLED
     if previous is not _DISABLED:
-        previous.finish()
+        previous.finish(registries)
 
 
 __all__ = [
@@ -216,6 +225,7 @@ __all__ = [
     "finish",
     "get_metrics",
     "get_tracer",
+    "merge",
     "render_span_tree",
     "runtime",
     "validate_span_dicts",

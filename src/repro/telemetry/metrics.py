@@ -16,6 +16,9 @@ Histograms use fixed buckets chosen at registration time
 (:data:`LATENCY_BUCKETS_SECONDS` by default — spanning 100µs to 10s),
 so observation is O(#buckets) with no allocation, cheap enough for the
 inference hot path.
+
+Objects that keep counts (an executor, a grounding planner, admission
+control) each own a registry; :func:`merge` combines several for export.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Default histogram buckets for wall-clock latencies, in seconds.
 LATENCY_BUCKETS_SECONDS: Tuple[float, ...] = (
@@ -73,6 +76,11 @@ class Metric:
     def series_count(self) -> int:
         with self._lock:
             return len(self._series)
+
+    def reset(self) -> None:
+        """Drop every series (bound handles keep working from zero)."""
+        with self._lock:
+            self._series.clear()
 
 
 class BoundSeries:
@@ -124,6 +132,11 @@ class BoundSeries:
         with self._metric._lock:
             return self._metric._series.get(self._key, 0.0)
 
+    def reset(self) -> None:
+        """Drop this series; the next update starts it from zero."""
+        with self._metric._lock:
+            self._metric._series.pop(self._key, None)
+
     def __repr__(self) -> str:
         return "BoundSeries(%s%r)" % (self._metric.name, self._key)
 
@@ -145,6 +158,11 @@ class Counter(Metric):
         with self._lock:
             return self._series.get(key, 0.0)
 
+    def values(self) -> Dict[Tuple[str, ...], float]:
+        """Every series' value, keyed by its label values."""
+        with self._lock:
+            return dict(self._series)
+
     def to_json(self) -> dict:
         with self._lock:
             series = [
@@ -156,9 +174,20 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A value that can go up and down (set to the latest observation)."""
+    """A value that can go up and down (set to the latest observation).
+
+    ``aggregate`` says how :func:`merge` combines one series across
+    registries: ``"sum"`` for amounts (threads, queue slots) and
+    ``"max"`` for peaks, which must not be added up.
+    """
 
     kind = "gauge"
+
+    def __init__(self, name: str, help: str = "",
+                 labelnames: Sequence[str] = (),
+                 aggregate: str = "sum") -> None:
+        super().__init__(name, help, labelnames)
+        self.aggregate = aggregate
 
     def set(self, value: float, **labels: Any) -> None:
         key = _label_key(self.labelnames, labels)
@@ -175,6 +204,7 @@ class Gauge(Metric):
         with self._lock:
             return self._series.get(key, 0.0)
 
+    values = Counter.values
     to_json = Counter.to_json
 
 
@@ -223,6 +253,12 @@ class Histogram(Metric):
             if series is None:
                 return None
             return self._render(key, series)
+
+    def totals(self) -> Dict[Tuple[str, ...], Tuple[int, float]]:
+        """``(count, sum)`` of every series, keyed by its label values."""
+        with self._lock:
+            return {key: (series.count, series.sum)
+                    for key, series in self._series.items()}
 
     def _render(self, key: Tuple[str, ...],
                 series: _HistogramSeries) -> dict:
@@ -284,8 +320,10 @@ class MetricsRegistry:
         return self._get_or_create(Counter, name, help, labelnames)
 
     def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
+              labelnames: Sequence[str] = (),
+              aggregate: str = "sum") -> Gauge:
+        return self._get_or_create(Gauge, name, help, labelnames,
+                                   aggregate=aggregate)
 
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
@@ -301,6 +339,13 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._metrics)
+
+    def reset(self) -> None:
+        """Zero every metric: drop all series, keep the registrations."""
+        with self._lock:
+            metrics = list(self._metrics.values())
+        for metric in metrics:
+            metric.reset()
 
     # -- exporters ---------------------------------------------------------------
 
@@ -344,6 +389,45 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return "MetricsRegistry(%d metrics)" % len(self._metrics)
+
+
+def merge(registries: Iterable[MetricsRegistry]) -> MetricsRegistry:
+    """One registry holding the combined series of ``registries``.
+
+    Same-named series with the same labels are combined: counters and
+    histograms (bucket by bucket) are summed, and a gauge is summed or
+    maximised per its ``aggregate``.  Metrics with no series are left out.
+    """
+    merged = MetricsRegistry()
+    for registry in registries:
+        for name in registry.names():
+            metric = registry.get(name)
+            with metric._lock:
+                series = list(metric._series.items())
+            if not series:
+                continue
+            options: Dict[str, Any] = {}
+            if metric.kind == "histogram":
+                options["buckets"] = metric.buckets
+            elif metric.kind == "gauge":
+                options["aggregate"] = metric.aggregate
+            target = merged._get_or_create(
+                type(metric), name, metric.help, metric.labelnames,
+                **options)
+            for key, value in series:
+                held = target._series.get(key)
+                if metric.kind == "histogram":
+                    held = held or _HistogramSeries(len(metric.buckets) + 1)
+                    held.counts = [a + b for a, b in
+                                   zip(held.counts, value.counts)]
+                    held.sum += value.sum
+                    held.count += value.count
+                    value = held
+                elif held is not None:
+                    peak = getattr(metric, "aggregate", None) == "max"
+                    value = max(held, value) if peak else held + value
+                target._series[key] = value
+    return merged
 
 
 def _format(value: float) -> str:

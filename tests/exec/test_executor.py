@@ -197,7 +197,7 @@ class TestStats:
 
     def test_stats_reset(self, executor):
         executor.probability(KEY)
-        executor.stats_object.reset()
+        executor.metrics.reset()
         assert executor.stats()["total_queries"] == 0
 
 

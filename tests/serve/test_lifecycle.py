@@ -6,6 +6,7 @@ exit codes are process-level behavior); the draining/degraded readiness
 checks run in-process against :func:`start_in_background`.
 """
 
+import asyncio
 import http.client
 import json
 import os
@@ -272,3 +273,43 @@ class TestDegradedReadiness:
                                    abandoned_threshold=0)
         assert document["status"] == "draining"
         registry.close()
+
+
+class TestStopAwaitsConnections:
+    def test_stop_leaves_no_handler_task_pending(self):
+        """Keep-alive connections left open and ``Connection: close``
+        requests still closing when ``stop()`` runs: every handler task
+        is done once the service has stopped."""
+        registry = TenantRegistry()
+        registry.create("alpha", source=ACQUAINTANCE)
+        service = ProvenanceService(registry)
+        tasks = []
+        handle_connection = service._handle_connection
+
+        async def tracked(reader, writer):
+            tasks.append(asyncio.current_task())
+            await handle_connection(reader, writer)
+
+        service._handle_connection = tracked
+        handle = start_in_background(service)
+        kept = []
+        try:
+            for index in range(6):
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", handle.port, timeout=30)
+                headers = {} if index % 2 else {"Connection": "close"}
+                connection.request("GET", "/healthz", headers=headers)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                if index % 2:
+                    kept.append(connection)   # idle keep-alive reader
+                else:
+                    connection.close()
+        finally:
+            handle.stop()
+            for connection in kept:
+                connection.close()
+            registry.close()
+        assert len(tasks) == 6
+        assert all(task.done() for task in tasks)

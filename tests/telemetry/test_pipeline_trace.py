@@ -14,7 +14,7 @@ import pytest
 from repro import P3, QuerySpec, telemetry
 from repro.data import acquaintance_program
 from repro.io.serialize import trace_to_json
-from repro.telemetry import TelemetryConfig, validate_span_dicts
+from repro.telemetry import TelemetryConfig, merge, validate_span_dicts
 
 KEY = 'know("Ben","Elena")'
 
@@ -118,13 +118,19 @@ class TestExports:
         assert validate_span_dicts(envelope["spans"]) == []
 
 
+def exported(rt, p3):
+    """What ``--metrics-out`` writes for ``p3``: the process registry
+    merged with the system's own registries."""
+    return merge([rt.metrics, *p3.metrics_registries()])
+
+
 class TestMetricsConsistency:
     def test_cache_counters_agree_with_executor_stats(self, p3):
         rt = telemetry.configure(TelemetryConfig())
         p3.probability_of(KEY)   # cold: misses
         p3.probability_of(KEY)   # warm: result-cache hit
         stats = p3.executor().stats()["caches"]
-        requests = rt.metrics.get("p3_cache_requests_total")
+        requests = exported(rt, p3).get("p3_cache_requests_total")
         for cache in ("polynomial", "probability"):
             assert requests.value(
                 cache=cache, outcome="hit") == stats[cache]["hits"]
@@ -136,7 +142,7 @@ class TestMetricsConsistency:
         p3.probability_of(KEY)
         p3.explain(KEY)
         stats = p3.executor().stats()
-        queries = rt.metrics.get("p3_queries_total")
+        queries = exported(rt, p3).get("p3_queries_total")
         for kind, count in stats["queries"].items():
             assert queries.value(kind=kind) == count
 
@@ -153,11 +159,67 @@ class TestMetricsConsistency:
     def test_prometheus_export_carries_the_pipeline_metrics(self, p3):
         rt = telemetry.configure(TelemetryConfig())
         p3.probability_of(KEY)
-        text = rt.metrics.to_prometheus()
+        text = exported(rt, p3).to_prometheus()
         assert "# TYPE p3_infer_seconds histogram" in text
         assert 'p3_infer_calls_total{backend="exact"} 1' in text
         assert 'p3_cache_requests_total{cache="polynomial"' in text
         assert "# TYPE p3_stage_seconds histogram" in text
+
+
+class TestOneQuerySpan:
+    """``run`` and ``execute`` each trace one ``query`` span per spec,
+    carrying ``kind`` and ``key``; the ``query`` stage counts one call."""
+
+    def query_spans(self, rt):
+        return [span for span in rt.ring.spans() if span.name == "query"]
+
+    def test_batch_path(self, p3):
+        rt = telemetry.configure(TelemetryConfig())
+        p3.executor().run([KEY, QuerySpec.explain(KEY)])
+        spans = self.query_spans(rt)
+        assert sorted(span.attributes["kind"] for span in spans) == [
+            "explain", "probability"]
+        assert all(span.attributes["key"] == KEY for span in spans)
+        ids = {span.span_id for span in spans}
+        assert not any(span.parent_id in ids for span in spans)
+        assert p3.executor().stats()["stages"]["query"]["calls"] == 2
+
+    def test_facade_path(self, p3):
+        rt = telemetry.configure(TelemetryConfig())
+        p3.probability_of(KEY)
+        (span,) = self.query_spans(rt)
+        assert span.attributes["kind"] == "probability"
+        assert span.attributes["key"] == KEY
+        assert span.parent_id is None
+        assert p3.executor().stats()["stages"]["query"]["calls"] == 1
+
+
+class TestCountsWithTelemetryOff:
+    def test_counts_recorded_before_configure_reach_the_export(self):
+        """Two systems answer four probability queries, one of them
+        before telemetry is configured: the export and the ``stats()``
+        views agree on every count."""
+        first = P3(acquaintance_program())
+        first.evaluate()
+        second = P3(acquaintance_program())
+        second.evaluate()
+        first.probability_of(KEY)
+        rt = telemetry.configure(TelemetryConfig())
+        first.probability_of(KEY)
+        second.probability_of(KEY)
+        second.probability_of(KEY)
+        stats = [system.executor().stats() for system in (first, second)]
+        merged = merge([rt.metrics, *first.metrics_registries(),
+                        *second.metrics_registries()])
+        queries = sum(document["queries"]["probability"]
+                      for document in stats)
+        misses = sum(document["caches"]["polynomial"]["misses"]
+                     for document in stats)
+        assert (queries, misses) == (4, 2)
+        assert merged.get("p3_queries_total").value(
+            kind="probability") == queries
+        assert merged.get("p3_cache_requests_total").value(
+            cache="polynomial", outcome="miss") == misses
 
 
 class TestDisabledOverheadPath:
