@@ -425,17 +425,20 @@ class P3:
         """The active query-directed grounding planner, if any."""
         return self._planner
 
-    def provenance_for(self, key: str) -> ProvenanceGraph:
+    def provenance_for(self, key: str,
+                       hop_limit: Optional[int] = None) -> ProvenanceGraph:
         """The provenance graph, guaranteed authoritative for ``key``.
 
         Under full evaluation this is just :attr:`graph`.  Under
         query-directed grounding it first makes the planner ground the
-        goal (at most once per pattern), so ``key``'s membership and
-        derivations in the returned graph are final.
+        goal, so ``key``'s membership and derivations in the returned
+        graph are final — for extraction at hop limits up to
+        ``hop_limit`` when one is given (the planner then grounds only
+        what that limit can reach), for every use when ``None``.
         """
         self._require_evaluated()
         if self._planner is not None:
-            self._planner.ensure(key)
+            self._planner.ensure(key, hop_limit)
         return self.graph
 
     @property
@@ -716,6 +719,8 @@ class P3:
         """
         self._require_evaluated()
         deleted_literals = [self.literal(name) for name in deleted]
+        for key in targets:
+            self.provenance_for(key)  # lost_tuples reads the whole graph
         target_polynomials = {
             key: self.polynomial_of(key, hop_limit=hop_limit)
             for key in targets

@@ -374,17 +374,18 @@ class QueryExecutor:
 
     # -- cached building blocks -----------------------------------------------------
 
-    def _provenance_graph(self, key: str):
+    def _provenance_graph(self, key: str,
+                          hop_limit: Optional[int] = None):
         """The system graph, grounded for ``key`` when a planner is active.
 
         Under ``config.grounding='query'|'auto'`` the system grounds the
-        goal on demand (at most once per pattern) before extraction;
-        systems without the hook — and fully-evaluated ones — return
-        their graph unchanged.
+        goal on demand before extraction — only as deep as ``hop_limit``
+        reaches, when one is given; systems without the hook — and
+        fully-evaluated ones — return their graph unchanged.
         """
         ensure = getattr(self.system, "provenance_for", None)
         if ensure is not None:
-            return ensure(key)
+            return ensure(key, hop_limit)
         return self.system.graph
 
     def polynomial(self, key: str,
@@ -396,7 +397,7 @@ class QueryExecutor:
         cached = self._polynomials.get(cache_key, epoch=epoch)
         if cached is not None:
             return cached
-        graph = self._provenance_graph(key)
+        graph = self._provenance_graph(key, limit)
         if key not in graph:
             raise UnknownTupleError(key)
         with self.time_stage("extract"):
@@ -741,12 +742,14 @@ class QueryExecutor:
         params = spec.params
         limit = self._resolve_hop(params.get("hop_limit"))
         method = self._resolve_method("probability", params.get("method"))
+        # The subgraph shows every execution within the limit, so the
+        # goal is grounded unbounded before extraction reads it.
+        graph = self._provenance_graph(spec.key)
         polynomial = self.polynomial(spec.key, hop_limit=limit)
         value = self.probability(
             spec.key, method=method, hop_limit=limit,
             samples=params.get("samples"), seed=params.get("seed"))
-        subgraph = self.system.graph.reachable_subgraph(
-            spec.key, hop_limit=limit)
+        subgraph = graph.reachable_subgraph(spec.key, hop_limit=limit)
         return Explanation(spec.key, polynomial, subgraph, value,
                            method, limit)
 

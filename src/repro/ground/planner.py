@@ -10,14 +10,32 @@ grounded on demand, one goal at a time, through
 
 Coverage contract
 -----------------
-Magic-set grounding of a goal produces *complete* derivations for every
-derived tuple it touches (the demand predicate of a tuple triggers all of
-its rules, recursively).  The planner therefore marks every derived key
-of a grounded subgraph — and the goal pattern itself — as *covered*: a
-covered key's presence, absence, and execution set in the merged graph
-are final, so extraction over the merged graph is byte-identical to
-full-evaluation extraction.  Keys are grounded at most once; patterns
-already subsumed by an earlier goal are answered from coverage alone.
+Coverage is per key *and* depth.  Unbounded magic-set grounding of a
+goal produces *complete* derivations for every derived tuple it touches
+(the demand predicate of a tuple triggers all of its rules,
+recursively).  The planner therefore marks every derived key of such a
+subgraph — and the goal pattern itself — as covered at depth ``None``:
+its presence, absence, and execution set in the merged graph are final,
+so extraction over the merged graph is byte-identical to
+full-evaluation extraction.
+
+A ground key asked with a hop limit ``H`` (``ensure(key, H)``, from
+polynomial extraction) is grounded with depth-indexed demand instead.
+Each derived key of that subgraph is covered at the largest remaining
+depth ``R`` it was demanded with: extraction of it at any hop limit up
+to ``R`` is byte-identical to full evaluation.  (By induction on ``R``:
+every full derivation of height at most ``R`` fires under that demand,
+and every execution the merged graph holds beyond those has a body
+whose left-to-right prefix was demanded at ``R-1`` too, or a factor
+that is zero on both graphs.)  A coverage of ``None``, or one at least
+the asked depth, is enough; anything less grounds again.  A bounded goal
+that does not derive its root is replaced by an unbounded one, so an
+underivable key raises ``UnknownTupleError`` and a key derivable only
+beyond ``H`` answers ``0.0``, exactly as under full grounding.
+Non-ground patterns, and every caller that asks without a hop limit
+(``holds``, ``registered_queries``, ``top_derivations``, ``why_not``,
+``explain``), stay unbounded.  Patterns subsumed by an earlier
+(unbounded) non-ground goal are answered from coverage alone.
 
 Fallback ladder
 ---------------
@@ -34,7 +52,7 @@ evaluation would only hit the same rail harder, so they propagate.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from .. import telemetry
 from ..core.config import P3Config
@@ -89,7 +107,8 @@ class GroundingPlanner:
         #: The model grounded so far: base facts plus merged goal rows.
         self.database = ModelView([self._store, self._derived])
         self._idb: Set[str] = self._program.idb_relations()
-        self._covered: Set[str] = set()
+        #: Covered key → covered depth (``None``: every depth).
+        self._covered: Dict[str, Optional[int]] = {}
         self._signatures: List[Atom] = []
         self._signature_keys: Set[str] = set()
         self._fallback = False
@@ -142,16 +161,17 @@ class GroundingPlanner:
 
     # -- coverage ----------------------------------------------------------------
 
-    def ensure(self, key: str) -> None:
-        """Make the merged graph authoritative for ``key``.
+    def ensure(self, key: str, depth: Optional[int] = None) -> None:
+        """Make the merged graph authoritative for ``key`` up to ``depth``.
 
         After this returns, ``key``'s membership and derivations in the
-        planner graph are final: extraction, ``holds``, and top-k behave
-        exactly as they would after full evaluation.  Unparseable keys
-        and non-IDB relations need no grounding (base facts were
-        registered at bootstrap).
+        planner graph are final for extraction at any hop limit up to
+        ``depth`` (every hop limit when ``None``): extraction, ``holds``,
+        and top-k behave exactly as they would after full evaluation.
+        Unparseable keys and non-IDB relations need no grounding (base
+        facts were registered at bootstrap).
         """
-        if self._fallback or key in self._covered:
+        if self._fallback or self._covers(key, depth):
             return
         if key.partition("(")[0] not in self._idb:
             return
@@ -163,14 +183,22 @@ class GroundingPlanner:
             self.ensure_pattern(pattern)
             return
         with self._lock:
-            if self._fallback or key in self._covered:
+            if self._fallback or self._covers(key, depth):
                 return
             for signature in self._signatures:
                 if unify_atom(signature, pattern, {}) is not None:
-                    self._covered.add(key)
+                    self._covered[key] = None
                     return
+            if depth is not None and self._ground(pattern, depth):
+                return
             self._ground(pattern)
-            self._covered.add(key)
+            self._covered[key] = None
+
+    def _covers(self, key: str, depth: Optional[int]) -> bool:
+        if key not in self._covered:
+            return False
+        covered = self._covered[key]
+        return covered is None or (depth is not None and covered >= depth)
 
     def ensure_pattern(self, pattern: Atom) -> None:
         """Make the merged graph/database authoritative for a pattern.
@@ -192,17 +220,28 @@ class GroundingPlanner:
 
     # -- grounding ---------------------------------------------------------------
 
-    def _ground(self, pattern: Atom) -> None:
-        """Ground one goal and merge it; falls back on transform errors."""
+    def _ground(self, pattern: Atom, depth: Optional[int] = None) -> bool:
+        """Ground one goal and merge it; falls back on transform errors.
+
+        A bounded goal (``depth`` set) is merged only when it derives its
+        ground ``pattern``; returns whether the goal was merged.
+        """
         config = self._system.config
         try:
             goal = ground_goal(
                 self._program, pattern, base_store=self._store,
-                max_rounds=config.max_rounds, max_tuples=config.max_tuples)
+                max_rounds=config.max_rounds, max_tuples=config.max_tuples,
+                depth=depth)
         except (MagicTransformError, ClauseError) as exc:
             self._fall_back(str(exc))
-            return
+            return True
+        self._series["goals"].inc()
+        self._series["derived_rows"].inc(goal.stats["derived_rows"])
+        self._series["firings"].inc(goal.stats["firings"])
+        if depth is not None and not goal.graph.is_derived(str(pattern)):
+            return False
         self._merge(pattern, goal)
+        return True
 
     def _merge(self, pattern: Atom, goal: GroundedGoal) -> None:
         graph = self.graph
@@ -217,18 +256,23 @@ class GroundingPlanner:
             graph.add_execution(execution)
         for atom in goal.atoms:
             self._derived.add(atom.relation, atom.as_values())
+        if goal.magic.depth is not None:
+            # Each derived key is covered up to the depth it was
+            # demanded with (see module docstring).
+            for key, depth in goal.depths.items():
+                if not self._covers(key, depth):
+                    self._covered[key] = depth
+            return
         # Every derived key of the subgraph has its complete execution
         # set (see module docstring), so all of them are covered — not
         # just the answers.
         for key in subgraph.tuple_keys():
             if subgraph.is_derived(key):
-                self._covered.add(key)
-        self._covered.update(goal.answers)
+                self._covered[key] = None
+        for key in goal.answers:
+            self._covered[key] = None
         self._signatures.append(pattern)
         self._signature_keys.add(str(pattern))
-        self._series["goals"].inc()
-        self._series["derived_rows"].inc(goal.stats["derived_rows"])
-        self._series["firings"].inc(goal.stats["firings"])
 
     def _fall_back(self, reason: str) -> None:
         """Drop to the ``'full'`` rung: one fixpoint evaluation, merged."""

@@ -15,6 +15,11 @@ translated straight into a *cleaned*
   onto the base tuple they wrap,
 - adorned rule labels map back to the original labels.
 
+With a ``depth`` (a hop limit), demand is indexed by the remaining depth
+(see :mod:`repro.datalog.magic`): only derivations extraction at that hop
+limit can read are grounded, and each derived key records the largest
+remaining depth it was demanded with (:attr:`GroundedGoal.depths`).
+
 This is the only magic-set evaluation path: the planner
 (:mod:`repro.ground.planner`) and
 :func:`repro.core.goal.goal_directed_query` both run it.  Tuple keys are
@@ -63,28 +68,37 @@ class GroundedGoal:
     atoms:
         Derived ground atoms (original relations) that are not base
         facts, for merging into the planner's model.
+    depths:
+        Under depth-indexed demand, each derived key → the largest
+        remaining depth it was demanded with: extraction of that key at
+        any hop limit up to it reads only derivations the graph holds.
+        Empty when unbounded.
     stats:
-        Evaluation counters: rounds, firings, derived_rows, total_rows,
-        seconds.
+        Evaluation counters: depth, rounds, firings, derived_rows,
+        total_rows, seconds.
     """
 
-    __slots__ = ("pattern", "magic", "graph", "answers", "atoms", "stats")
+    __slots__ = ("pattern", "magic", "graph", "answers", "atoms", "depths",
+                 "stats")
 
     def __init__(self, pattern: Atom, magic: MagicProgram,
                  graph: ProvenanceGraph, answers: List[str],
-                 atoms: List[Atom], stats: Dict[str, Any]) -> None:
+                 atoms: List[Atom], depths: Dict[str, int],
+                 stats: Dict[str, Any]) -> None:
         self.pattern = pattern
         self.magic = magic
         self.graph = graph
         self.answers = answers
         self.atoms = atoms
+        self.depths = depths
         self.stats = stats
 
 
 def ground_goal(program: Program, pattern: Atom,
                 base_store: Optional[FactStore] = None,
                 max_rounds: Optional[int] = None,
-                max_tuples: Optional[int] = None) -> GroundedGoal:
+                max_tuples: Optional[int] = None,
+                depth: Optional[int] = None) -> GroundedGoal:
     """Ground ``program`` restricted to derivations relevant to ``pattern``.
 
     ``base_store`` — a :class:`FactStore` previously built from the same
@@ -93,6 +107,8 @@ def ground_goal(program: Program, pattern: Atom,
     engine's safety-rail semantics (``max_tuples`` counts all facts
     visible to the grounder) and raise
     :class:`~repro.datalog.engine.EvaluationError` when exceeded.
+    ``depth`` grounds only the derivations extraction at that hop limit
+    can read; ``None`` grounds every derivation.
 
     Raises :class:`~repro.datalog.magic.MagicTransformError` for programs
     outside the magic fragment (negation, non-IDB query relation,
@@ -101,10 +117,10 @@ def ground_goal(program: Program, pattern: Atom,
     rt = telemetry.runtime()
     if not rt.enabled:
         return _ground_goal(program, pattern, base_store,
-                            max_rounds, max_tuples)
+                            max_rounds, max_tuples, depth)
     with rt.tracer.span("ground.goal", pattern=str(pattern)) as span:
         goal = _ground_goal(program, pattern, base_store,
-                            max_rounds, max_tuples)
+                            max_rounds, max_tuples, depth)
         span.set_attributes(answers=len(goal.answers), **goal.stats)
     return goal
 
@@ -112,15 +128,16 @@ def ground_goal(program: Program, pattern: Atom,
 def _ground_goal(program: Program, pattern: Atom,
                  base_store: Optional[FactStore],
                  max_rounds: Optional[int],
-                 max_tuples: Optional[int]) -> GroundedGoal:
+                 max_tuples: Optional[int],
+                 depth: Optional[int]) -> GroundedGoal:
     started = time.perf_counter()
-    magic = magic_transform(program, pattern)
+    magic = magic_transform(program, pattern, depth)
     if base_store is None:
         base_store = FactStore.from_program(program)
     store = FactStore(parent=base_store)
 
-    # The magic program's only fact is its seed; EDB rows and IDB base
-    # facts are read in place from the parent tables.
+    # The magic program's only facts are its seed and successor table;
+    # EDB rows and IDB base facts are read in place from the parent tables.
     for fact in magic.program.facts:
         store.add(fact.atom.relation, fact.atom.as_values())
 
@@ -130,15 +147,16 @@ def _ground_goal(program: Program, pattern: Atom,
         max_rounds=max_rounds, max_tuples=max_tuples)
     fixpoint.run()
 
-    graph, answers, atoms = _translate(store, magic, firings, pattern)
+    graph, answers, atoms, depths = _translate(store, magic, firings, pattern)
     stats = {
+        "depth": depth,
         "rounds": fixpoint.rounds,
         "firings": len(firings),
         "derived_rows": store.local_count(),
         "total_rows": store.count(),
         "seconds": time.perf_counter() - started,
     }
-    return GroundedGoal(pattern, magic, graph, answers, atoms, stats)
+    return GroundedGoal(pattern, magic, graph, answers, atoms, depths, stats)
 
 
 # -- translation to a cleaned provenance graph ---------------------------------
@@ -154,7 +172,8 @@ def _rule_kind(rule: Rule, magic: MagicProgram) -> str:
 
 def _translate(store: FactStore, magic: MagicProgram,
                firings: FiringTable, pattern: Atom
-               ) -> Tuple[ProvenanceGraph, List[str], List[Atom]]:
+               ) -> Tuple[ProvenanceGraph, List[str], List[Atom],
+                          Dict[str, int]]:
     graph = ProvenanceGraph()
     for rule in magic.program.rules:
         original = magic.label_map.get(rule.label)
@@ -201,6 +220,7 @@ def _translate(store: FactStore, magic: MagicProgram,
             atoms.append(atom)
         return key
 
+    depths: Dict[str, int] = {}
     kinds = {rule.label: _rule_kind(rule, magic)
              for rule in magic.program.rules}
     for rule, head_gid, body_gids in firings.rows():
@@ -215,6 +235,13 @@ def _translate(store: FactStore, magic: MagicProgram,
                     render(gid)
             continue
         head_key = render(head_gid)
+        if magic.depth is not None:
+            # An adorned rule's first body atom is its head's demand, the
+            # remaining depth last.  A key fires under the largest depth
+            # it was demanded with whenever it fires at all.
+            depth = store.arena.value(store.row_of(body_gids[0])[-1])
+            if depths.get(head_key, -1) < depth:
+                depths[head_key] = depth
         body_keys = tuple(
             render(gid) for gid in body_gids
             if not store.relation_of(gid).startswith(MAGIC_PREFIX))
@@ -236,4 +263,4 @@ def _translate(store: FactStore, magic: MagicProgram,
             if unify_atom(pattern, ground) is None:
                 continue
             answers.append(render(gid))
-    return graph, answers, atoms
+    return graph, answers, atoms, depths

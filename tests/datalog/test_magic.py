@@ -274,3 +274,74 @@ class TestReservedRelations:
     def test_error_is_transform_error(self):
         from repro.datalog.magic import ReservedRelationError
         assert issubclass(ReservedRelationError, MagicTransformError)
+
+
+class TestDepthIndexedDemand:
+    BEN_ELENA = make_atom("know", "Ben", "Elena")
+
+    def test_unbounded_transform_is_unchanged(self):
+        magic = magic_transform(parse_program(ACQUAINTANCE), self.BEN_ELENA)
+        assert magic.depth is None
+        assert str(magic.program).splitlines() == [
+            'magicseed 1.0: m_know@bb("Ben","Elena").',
+            "r1@bb 0.8: know@bb(P1,P2) :- m_know@bb(P1,P2), live(P1,C), "
+            "live(P2,C), P1!=P2.",
+            "r2@bb 0.4: know@bb(P1,P2) :- m_know@bb(P1,P2), like(P1,L), "
+            "like(P2,L), P1!=P2.",
+            "mg1 1.0: m_know@bf(P1) :- m_know@bb(P1,P3).",
+            "mg2 1.0: m_know@bb(P2,P3) :- m_know@bb(P1,P3), know@bf(P1,P2).",
+            "r3@bb 0.2: know@bb(P1,P3) :- m_know@bb(P1,P3), know@bf(P1,P2), "
+            "know@bb(P2,P3), P1!=P3.",
+            "r1@bf 0.8: know@bf(P1,P2) :- m_know@bf(P1), live(P1,C), "
+            "live(P2,C), P1!=P2.",
+            "r2@bf 0.4: know@bf(P1,P2) :- m_know@bf(P1), like(P1,L), "
+            "like(P2,L), P1!=P2.",
+            "mg3 1.0: m_know@bf(P1) :- m_know@bf(P1).",
+            "mg4 1.0: m_know@bf(P2) :- m_know@bf(P1), know@bf(P1,P2).",
+            "r3@bf 0.2: know@bf(P1,P3) :- m_know@bf(P1), know@bf(P1,P2), "
+            "know@bf(P2,P3), P1!=P3.",
+            "bridge1 1.0: know@bb(V0,V1) :- m_know@bb(V0,V1), know(V0,V1).",
+            "bridge2 1.0: know@bf(V0,V1) :- m_know@bf(V0), know(V0,V1).",
+        ]
+
+    def test_seed_carries_the_depth_and_successors_lower_it(self):
+        magic = magic_transform(parse_program(ACQUAINTANCE), self.BEN_ELENA,
+                                depth=3)
+        assert magic.depth == 3
+        assert [str(fact.atom) for fact in magic.program.facts] == [
+            'm_know@bb("Ben","Elena",3)', "m_succ(1,0)", "m_succ(2,1)",
+            "m_succ(3,2)"]
+
+    def test_rules_fire_and_demand_only_below_remaining_depth_one(self):
+        magic = magic_transform(parse_program(TC), make_atom("path", 1, 4),
+                                depth=2)
+        rules = {rule.label: str(rule) for rule in magic.program.rules}
+        # path holds no base facts: it is never demanded at depth 0, and
+        # a rule reading it fires only at remaining depth 2 or more.
+        assert rules["mg1"] == (
+            "mg1 1.0: m_path@bb(Y,Z,@R1) :- m_path@bb(X,Z,@R), "
+            "m_succ(@R,@R1), m_succ(@R1,@R2), edge(X,Y).")
+        assert rules["r2@bb"] == (
+            "r2@bb 1.0: path@bb(X,Z) :- m_path@bb(X,Z,@R), m_succ(@R,@R1), "
+            "m_succ(@R1,@R2), edge(X,Y), path@bb(Y,Z).")
+        assert rules["r1@bb"] == (
+            "r1@bb 1.0: path@bb(X,Y) :- m_path@bb(X,Y,@R), m_succ(@R,@R1), "
+            "edge(X,Y).")
+
+    def test_base_relations_are_bridged_at_any_depth(self):
+        magic = magic_transform(parse_program(ACQUAINTANCE), self.BEN_ELENA,
+                                depth=1)
+        rules = {rule.label: str(rule) for rule in magic.program.rules}
+        assert rules["bridge1"] == (
+            "bridge1 1.0: know@bb(V0,V1) :- m_know@bb(V0,V1,@R), "
+            "know(V0,V1).")
+        # know holds base facts, so demand reaches it at depth 0.
+        assert rules["mg1"] == (
+            "mg1 1.0: m_know@bf(P1,@R1) :- m_know@bb(P1,P3,@R), "
+            "m_succ(@R,@R1).")
+
+    @pytest.mark.parametrize("depth", [-1, 1.5, True, "2"])
+    def test_rejects_invalid_depth(self, depth):
+        with pytest.raises(ValueError, match="depth"):
+            magic_transform(parse_program(TC), make_atom("path", 1, 4),
+                            depth=depth)

@@ -186,6 +186,75 @@ class TestFallback:
         assert directed.grounding_planner.stats["fallbacks"] == 1
 
 
+class TestHopBoundedCoverage:
+    """A hop limit grounds depth-indexed demand; coverage is per key and
+    depth, and every answer still equals full evaluation."""
+
+    @staticmethod
+    def systems(hop_limit):
+        config = P3Config(hop_limit=hop_limit)
+        directed = P3(paper_fragment().to_program(),
+                      config.replace(grounding="query"))
+        directed.evaluate()
+        full = P3(paper_fragment().to_program(), config)
+        full.evaluate()
+        return directed, full
+
+    @staticmethod
+    def derived_keys(full):
+        graph = full.graph
+        return sorted(key for key in graph.tuple_keys()
+                      if graph.is_derived(key))
+
+    @pytest.mark.parametrize("hop_limit", [1, 2, 3, 4])
+    def test_every_derived_key_matches_full_evaluation(self, hop_limit):
+        directed, full = self.systems(hop_limit)
+        keys = self.derived_keys(full)
+        assert len(keys) == 24
+        mismatched = [
+            key for key in keys
+            if str(directed.polynomial_of(key)) != str(full.polynomial_of(key))
+            or directed.probability_of(key) != full.probability_of(key)]
+        assert mismatched == []
+
+    def test_deeper_and_unbounded_asks_ground_again(self):
+        directed, full = self.systems(None)
+        planner = directed.grounding_planner
+        key = "trustPath(1,6)"
+        asks = [(2, True), (4, True), (3, False), (None, True), (6, False)]
+        for hop_limit, grounds in asks:
+            goals = planner.stats["goals"]
+            assert str(directed.polynomial_of(key, hop_limit=hop_limit)) == \
+                str(full.polynomial_of(key, hop_limit=hop_limit)), hop_limit
+            assert (planner.stats["goals"] > goals) is grounds, hop_limit
+
+    def test_derived_keys_are_covered_at_their_demand_depth(self):
+        directed, full = self.systems(None)
+        planner = directed.grounding_planner
+        directed.polynomial_of("trustPath(1,6)", hop_limit=3)
+        goals = planner.stats["goals"]
+        # trustPath(2,6) was demanded at remaining depth 2 below the root.
+        for hop_limit, grounds in [(2, False), (3, True)]:
+            assert str(directed.polynomial_of("trustPath(2,6)",
+                                              hop_limit=hop_limit)) == \
+                str(full.polynomial_of("trustPath(2,6)", hop_limit=hop_limit))
+            assert (planner.stats["goals"] > goals) is grounds, hop_limit
+
+    def test_unknown_tuple_parity(self):
+        from repro.core.errors import UnknownTupleError
+        directed, full = self.systems(2)
+        for system in (directed, full):
+            with pytest.raises(UnknownTupleError):
+                system.polynomial_of("trustPath(99,100)")
+
+    def test_key_derivable_only_beyond_the_limit_answers_zero(self):
+        directed, full = self.systems(1)
+        key = "mutualTrustPath(1,2)"
+        assert directed.probability_of(key) == full.probability_of(key) \
+            == 0.0
+        assert directed.holds(key) and full.holds(key)
+
+
 class TestLifecycle:
     def test_add_facts_resets_planner(self):
         directed = P3(paper_fragment().to_program(),

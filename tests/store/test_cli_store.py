@@ -127,6 +127,18 @@ class TestLoadingFlags:
         assert main(["query", "--from-store", store_file, KEY]) == 0
         assert capsys.readouterr().out == from_program
 
+    def test_query_from_store_uses_primed_polynomials(self, program_file,
+                                                      store_file, capsys):
+        assert main(["record", program_file, KEY,
+                     "--store", store_file]) == 0
+        capsys.readouterr()
+        assert main(["query", "--from-store", store_file, KEY,
+                     "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().err)
+        assert stats["caches"]["polynomial"]["hits"] == 1
+        assert stats["caches"]["polynomial"]["misses"] == 0
+        assert stats["stages"]["extract"]["calls"] == 0
+
     def test_source_required(self, capsys):
         assert main(["query"]) == 2
         assert "exactly one program source" in capsys.readouterr().err
