@@ -20,18 +20,19 @@ so extraction over the merged graph is byte-identical to
 full-evaluation extraction.
 
 A ground key asked with a hop limit ``H`` (``ensure(key, H)``, from
-polynomial extraction) is grounded with depth-indexed demand instead.
-Each derived key of that subgraph is covered at the largest remaining
-depth ``R`` it was demanded with: extraction of it at any hop limit up
-to ``R`` is byte-identical to full evaluation.  (By induction on ``R``:
-every full derivation of height at most ``R`` fires under that demand,
-and every execution the merged graph holds beyond those has a body
-whose left-to-right prefix was demanded at ``R-1`` too, or a factor
-that is zero on both graphs.)  A coverage of ``None``, or one at least
-the asked depth, is enough; anything less grounds again.  A bounded goal
-that does not derive its root is replaced by an unbounded one, so an
-underivable key raises ``UnknownTupleError`` and a key derivable only
-beyond ``H`` answers ``0.0``, exactly as under full grounding.
+polynomial extraction) is grounded with depth-indexed demand instead,
+and only that key is covered, at ``H``: extraction of it at any hop
+limit up to ``H`` is byte-identical to full evaluation.  (By induction
+on the remaining depth ``R``: every full derivation of height at most
+``R`` fires under that demand, and every execution the merged graph
+holds beyond those has a body whose left-to-right prefix was demanded
+at ``R-1`` too, or a factor that is zero on both graphs.)  The other
+derived keys of a bounded subgraph stay uncovered.  A coverage of
+``None``, or one at least the asked depth, is enough; anything less
+grounds again.  A bounded goal that does not derive its root is
+replaced by an unbounded one, so an underivable key raises
+``UnknownTupleError`` and a key derivable only beyond ``H`` answers
+``0.0``, exactly as under full grounding.
 Non-ground patterns, and every caller that asks without a hop limit
 (``holds``, ``registered_queries``, ``top_derivations``, ``why_not``,
 ``explain``), stay unbounded.  Patterns subsumed by an earlier
@@ -189,8 +190,14 @@ class GroundingPlanner:
                 if unify_atom(signature, pattern, {}) is not None:
                     self._covered[key] = None
                     return
-            if depth is not None and self._ground(pattern, depth):
-                return
+            if depth is not None:
+                goal = self._ground_goal(pattern, depth)
+                if goal is None:
+                    return  # fell back to full evaluation
+                if goal.graph.is_derived(str(pattern)):
+                    self._merge(goal)
+                    self._covered[key] = depth
+                    return
             self._ground(pattern)
             self._covered[key] = None
 
@@ -220,11 +227,29 @@ class GroundingPlanner:
 
     # -- grounding ---------------------------------------------------------------
 
-    def _ground(self, pattern: Atom, depth: Optional[int] = None) -> bool:
-        """Ground one goal and merge it; falls back on transform errors.
+    def _ground(self, pattern: Atom) -> None:
+        """Ground one unbounded goal, merge it and cover what it derived."""
+        goal = self._ground_goal(pattern)
+        if goal is None:
+            return
+        self._merge(goal)
+        # Every derived key of the subgraph has its complete execution
+        # set (see module docstring), so all of them are covered — not
+        # just the answers.
+        subgraph = goal.graph
+        for key in subgraph.tuple_keys():
+            if subgraph.is_derived(key):
+                self._covered[key] = None
+        for key in goal.answers:
+            self._covered[key] = None
+        self._signatures.append(pattern)
+        self._signature_keys.add(str(pattern))
 
-        A bounded goal (``depth`` set) is merged only when it derives its
-        ground ``pattern``; returns whether the goal was merged.
+    def _ground_goal(self, pattern: Atom, depth: Optional[int] = None
+                     ) -> Optional[GroundedGoal]:
+        """Ground one goal and count it; ``None`` once it fell back.
+
+        Transform errors drop the planner to the ``'full'`` rung.
         """
         config = self._system.config
         try:
@@ -234,16 +259,14 @@ class GroundingPlanner:
                 depth=depth)
         except (MagicTransformError, ClauseError) as exc:
             self._fall_back(str(exc))
-            return True
+            return None
         self._series["goals"].inc()
         self._series["derived_rows"].inc(goal.stats["derived_rows"])
         self._series["firings"].inc(goal.stats["firings"])
-        if depth is not None and not goal.graph.is_derived(str(pattern)):
-            return False
-        self._merge(pattern, goal)
-        return True
+        return goal
 
-    def _merge(self, pattern: Atom, goal: GroundedGoal) -> None:
+    def _merge(self, goal: GroundedGoal) -> None:
+        """Add a goal's subgraph and derived rows to the planner's model."""
         graph = self.graph
         subgraph = goal.graph
         for key in subgraph.tuple_keys():
@@ -256,23 +279,6 @@ class GroundingPlanner:
             graph.add_execution(execution)
         for atom in goal.atoms:
             self._derived.add(atom.relation, atom.as_values())
-        if goal.magic.depth is not None:
-            # Each derived key is covered up to the depth it was
-            # demanded with (see module docstring).
-            for key, depth in goal.depths.items():
-                if not self._covers(key, depth):
-                    self._covered[key] = depth
-            return
-        # Every derived key of the subgraph has its complete execution
-        # set (see module docstring), so all of them are covered — not
-        # just the answers.
-        for key in subgraph.tuple_keys():
-            if subgraph.is_derived(key):
-                self._covered[key] = None
-        for key in goal.answers:
-            self._covered[key] = None
-        self._signatures.append(pattern)
-        self._signature_keys.add(str(pattern))
 
     def _fall_back(self, reason: str) -> None:
         """Drop to the ``'full'`` rung: one fixpoint evaluation, merged."""

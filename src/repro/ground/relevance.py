@@ -17,8 +17,7 @@ translated straight into a *cleaned*
 
 With a ``depth`` (a hop limit), demand is indexed by the remaining depth
 (see :mod:`repro.datalog.magic`): only derivations extraction at that hop
-limit can read are grounded, and each derived key records the largest
-remaining depth it was demanded with (:attr:`GroundedGoal.depths`).
+limit can read are grounded.
 
 This is the only magic-set evaluation path: the planner
 (:mod:`repro.ground.planner`) and
@@ -68,29 +67,21 @@ class GroundedGoal:
     atoms:
         Derived ground atoms (original relations) that are not base
         facts, for merging into the planner's model.
-    depths:
-        Under depth-indexed demand, each derived key → the largest
-        remaining depth it was demanded with: extraction of that key at
-        any hop limit up to it reads only derivations the graph holds.
-        Empty when unbounded.
     stats:
         Evaluation counters: depth, rounds, firings, derived_rows,
         total_rows, seconds.
     """
 
-    __slots__ = ("pattern", "magic", "graph", "answers", "atoms", "depths",
-                 "stats")
+    __slots__ = ("pattern", "magic", "graph", "answers", "atoms", "stats")
 
     def __init__(self, pattern: Atom, magic: MagicProgram,
                  graph: ProvenanceGraph, answers: List[str],
-                 atoms: List[Atom], depths: Dict[str, int],
-                 stats: Dict[str, Any]) -> None:
+                 atoms: List[Atom], stats: Dict[str, Any]) -> None:
         self.pattern = pattern
         self.magic = magic
         self.graph = graph
         self.answers = answers
         self.atoms = atoms
-        self.depths = depths
         self.stats = stats
 
 
@@ -147,7 +138,7 @@ def _ground_goal(program: Program, pattern: Atom,
         max_rounds=max_rounds, max_tuples=max_tuples)
     fixpoint.run()
 
-    graph, answers, atoms, depths = _translate(store, magic, firings, pattern)
+    graph, answers, atoms = _translate(store, magic, firings, pattern)
     stats = {
         "depth": depth,
         "rounds": fixpoint.rounds,
@@ -156,7 +147,7 @@ def _ground_goal(program: Program, pattern: Atom,
         "total_rows": store.count(),
         "seconds": time.perf_counter() - started,
     }
-    return GroundedGoal(pattern, magic, graph, answers, atoms, depths, stats)
+    return GroundedGoal(pattern, magic, graph, answers, atoms, stats)
 
 
 # -- translation to a cleaned provenance graph ---------------------------------
@@ -172,8 +163,7 @@ def _rule_kind(rule: Rule, magic: MagicProgram) -> str:
 
 def _translate(store: FactStore, magic: MagicProgram,
                firings: FiringTable, pattern: Atom
-               ) -> Tuple[ProvenanceGraph, List[str], List[Atom],
-                          Dict[str, int]]:
+               ) -> Tuple[ProvenanceGraph, List[str], List[Atom]]:
     graph = ProvenanceGraph()
     for rule in magic.program.rules:
         original = magic.label_map.get(rule.label)
@@ -220,7 +210,6 @@ def _translate(store: FactStore, magic: MagicProgram,
             atoms.append(atom)
         return key
 
-    depths: Dict[str, int] = {}
     kinds = {rule.label: _rule_kind(rule, magic)
              for rule in magic.program.rules}
     for rule, head_gid, body_gids in firings.rows():
@@ -235,13 +224,6 @@ def _translate(store: FactStore, magic: MagicProgram,
                     render(gid)
             continue
         head_key = render(head_gid)
-        if magic.depth is not None:
-            # An adorned rule's first body atom is its head's demand, the
-            # remaining depth last.  A key fires under the largest depth
-            # it was demanded with whenever it fires at all.
-            depth = store.arena.value(store.row_of(body_gids[0])[-1])
-            if depths.get(head_key, -1) < depth:
-                depths[head_key] = depth
         body_keys = tuple(
             render(gid) for gid in body_gids
             if not store.relation_of(gid).startswith(MAGIC_PREFIX))
@@ -263,4 +245,4 @@ def _translate(store: FactStore, magic: MagicProgram,
             if unify_atom(pattern, ground) is None:
                 continue
             answers.append(render(gid))
-    return graph, answers, atoms, depths
+    return graph, answers, atoms

@@ -120,15 +120,12 @@ def test_base_facts_are_read_at_remaining_depth_zero():
         == "r3·know(1,2)·know(2,3)"
 
 
-def test_bounded_goal_grounds_less_and_records_depths():
+def test_bounded_goal_grounds_less_and_records_its_depth():
     source = "\n".join("e%d 0.9: e(%d,%d)." % (i, i, i + 1)
                        for i in range(12)) + SHAPES["linear"]
     program = parse_program(source)
     unbounded = ground_goal(program, parse_atom("p(0,3)"))
     bounded = ground_goal(program, parse_atom("p(0,3)"), depth=3)
     assert bounded.stats["firings"] < unbounded.stats["firings"]
-    assert unbounded.depths == {}
-    # The root is demanded at the hop limit, each suffix one lower.
-    assert bounded.depths["p(0,3)"] == 3
-    assert bounded.depths["p(1,3)"] == 2
-    assert bounded.depths["p(2,3)"] == 1
+    assert unbounded.stats["depth"] is None
+    assert bounded.stats["depth"] == 3

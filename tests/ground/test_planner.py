@@ -228,13 +228,14 @@ class TestHopBoundedCoverage:
                 str(full.polynomial_of(key, hop_limit=hop_limit)), hop_limit
             assert (planner.stats["goals"] > goals) is grounds, hop_limit
 
-    def test_derived_keys_are_covered_at_their_demand_depth(self):
+    def test_only_the_root_is_covered_at_its_hop_limit(self):
         directed, full = self.systems(None)
         planner = directed.grounding_planner
         directed.polynomial_of("trustPath(1,6)", hop_limit=3)
-        goals = planner.stats["goals"]
-        # trustPath(2,6) was demanded at remaining depth 2 below the root.
-        for hop_limit, grounds in [(2, False), (3, True)]:
+        # trustPath(2,6) was grounded below the root, but only the root
+        # is covered: asking it grounds a goal of its own.
+        for hop_limit, grounds in [(2, True), (2, False), (1, False)]:
+            goals = planner.stats["goals"]
             assert str(directed.polynomial_of("trustPath(2,6)",
                                               hop_limit=hop_limit)) == \
                 str(full.polynomial_of("trustPath(2,6)", hop_limit=hop_limit))
